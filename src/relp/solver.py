@@ -1,9 +1,24 @@
 """Exact rational simplex with box bounds and built-in certification.
 
 A two-phase, dense-tableau, bounded-variable primal simplex.  All
-arithmetic is exact (gmpy2.mpq when available, Fraction otherwise), so
-"optimal" here means: the returned point is feasible, the returned row
-multipliers are dual-feasible, and the two objective values agree as
+arithmetic is exact and fraction-free where it counts: each tableau row,
+the reduced-cost row included, is a list of Python int numerators over
+one positive int row denominator.  A row with fractional coefficients
+is scaled by the lcm of their denominators when the tableau is built.
+A pivot divides the pivot row by its pivot entry and eliminates the
+pivot column from every other row in integer arithmetic.  Where the
+pivot row's denominator divides the entry to eliminate (always when it
+is 1, the common case) the elimination is a sparse in-place update that
+keeps the row's denominator; otherwise the row moves to a larger
+denominator and is then divided by the gcd of its entries.  Pricing
+compares numerators over the reduced-cost row's one denominator, and the
+ratio test compares the same rationals by cross-multiplication, so the
+pivot sequence is that of a plain rational tableau.  Fractions appear
+only where values leave the tableau: basic values, bounds, the objective,
+multipliers and rays.
+
+So "optimal" here means: the returned point is feasible, the returned
+row multipliers are dual-feasible, and the two objective values agree as
 rational numbers.  ``solve`` refuses to report an optimum it cannot
 certify that way.
 
@@ -20,13 +35,16 @@ original program; on any failure the direct path runs instead.
 
 Pricing is Dantzig's rule; after ``stall_threshold`` consecutive
 degenerate steps it permanently downgrades to Bland's rule, which cannot
-cycle.
+cycle.  The pivot budget bounds the pivots of the whole solve: both
+phases, every row-generation round, and a failed transposed attempt
+together with the direct run after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping
 
 from .config import DEFAULT_CONFIG, RunConfig
@@ -40,12 +58,13 @@ from .lp import (
 )
 from .builders import transpose_lp
 
+# Only reports whether gmpy2 can be imported (run records stamp it); the
+# solver's arithmetic is Python ints and Fractions either way.
 try:
-    from gmpy2 import mpq as _num
+    import gmpy2  # noqa: F401
 
     HAVE_GMPY2 = True
 except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _num = Fraction
     HAVE_GMPY2 = False
 
 AT_LO, AT_UP, BASIC = 0, 1, 2
@@ -67,11 +86,7 @@ class SolveResult:
 
 
 def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    return Fraction(int(v.numerator), int(v.denominator))
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 # -- certification --------------------------------------------------------------
@@ -133,8 +148,46 @@ def certify_optimal(
 # -- the tableau ------------------------------------------------------------------
 
 
+def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
+    """row / den with the gcd of den and every entry divided out."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _eliminate(
+    row: list[int], den: int, f: int, prow: list[int], pden: int, pnz: list
+) -> tuple[list[int], int]:
+    """row/den minus (f/den) times the pivot row prow/pden.
+
+    prow holds pden at the pivot column (its value there is 1) and f is
+    row's numerator in that column, so the result is 0 there.  pnz lists
+    the nonzeros of prow.  When pden divides f, the common case, the
+    update is sparse and in place and keeps den; otherwise row is first
+    rescaled to a larger denominator, and the result is reduced.
+    """
+    g = gcd(f, pden)
+    a, b = pden // g, f // g
+    if a != 1:
+        row = [a * x for x in row]
+        den *= a
+    for jj, v in pnz:
+        row[jj] -= b * v
+    return (row, den) if a == 1 else _reduce(row, den)
+
+
 class _Tableau:
-    """Internal canonical form: max c.x, Ax <= b, 0 <= x <= u."""
+    """Internal canonical form: max c.x, Ax <= b, 0 <= x <= u.
+
+    Row i holds the rationals T[i][j] / den[i]: int numerators over one
+    positive int denominator.  A row is divided by the gcd of its entries
+    whenever its denominator grows; an update that keeps the denominator
+    skips that step, so den[i] is always a denominator the row once had
+    in lowest terms and cannot grow without bound.  The reduced-cost row
+    is d / dden in the same way.  Basic values beta, bounds, ratios and
+    the objective are Fractions.
+    """
 
     def __init__(self, lp: LinearProgram, rule: str, stall_threshold: int):
         labels = [row.label for row in lp.rows]
@@ -151,44 +204,43 @@ class _Tableau:
         m = len(lp.rows)
         self.n, self.m = n, m
         self.col_of = {name: j for j, name in enumerate(lp.variables)}
-        self.lo = []
+        self.lo: list[Fraction] = []
         self.u: list = []  # shifted upper bounds; None = unbounded
         for name in lp.variables:
             lo, hi = lp.bounds[name]
-            self.lo.append(_num(lo.numerator, lo.denominator))
-            if hi is None:
-                self.u.append(None)
-            else:
-                span = hi - lo
-                self.u.append(_num(span.numerator, span.denominator))
+            self.lo.append(lo)
+            self.u.append(None if hi is None else hi - lo)
         self.u.extend([None] * m)  # slacks
 
         # c in internal (max) sign, over structural columns only
-        self.c = [0] * n
-        const = 0
+        self.c: list = [0] * n
+        const = Fraction(0)
         for name, coef in lp.objective.items():
             j = self.col_of[name]
-            cj = _num(coef.numerator, coef.denominator) * self.sgn
-            self.c[j] = cj
-            const += cj * self.lo[j]
+            self.c[j] = coef * self.sgn
+            const += self.c[j] * self.lo[j]
         self.const = const
 
         self.row_sign = []
-        self.T: list[list] = []
-        self.beta: list = []
+        self.T: list[list[int]] = []
+        self.den: list[int] = []
+        self.beta: list[Fraction] = []
         ncols = n + m
         for i, row in enumerate(lp.rows):
             srel = 1 if row.rel == LE else -1
             self.row_sign.append(srel)
+            # scaled by the lcm of its denominators, the row is all ints
+            scale = lcm(*(coef.denominator for coef in row.coeffs.values()))
             arr = [0] * ncols
-            rhs = _num(row.rhs.numerator, row.rhs.denominator) * srel
+            rhs = row.rhs * srel
             for name, coef in row.coeffs.items():
                 j = self.col_of[name]
-                v = _num(coef.numerator, coef.denominator) * srel
-                arr[j] = v
-                rhs -= v * self.lo[j]
-            arr[n + i] = _num(1)
+                arr[j] = srel * coef.numerator * (scale // coef.denominator)
+                if self.lo[j]:
+                    rhs -= srel * coef * self.lo[j]
+            arr[n + i] = scale
             self.T.append(arr)
+            self.den.append(scale)
             self.beta.append(rhs)
 
         self.basis = [n + i for i in range(m)]
@@ -197,8 +249,9 @@ class _Tableau:
             self.status[n + i] = BASIC
         self.frozen = [False] * ncols
         self.ncols = ncols
-        self.d: list = []
-        self.obj = 0
+        self.d: list[int] = []
+        self.dden = 1
+        self.obj = Fraction(0)
         self.stall = 0
 
     # -- phase handling -----------------------------------------------------
@@ -208,11 +261,11 @@ class _Tableau:
         arts = []
         bad = [i for i in range(self.m) if self.beta[i] < 0]
         for i in bad:
-            self.T[i] = [-v if v else 0 for v in self.T[i]]
+            self.T[i] = [-v for v in self.T[i]]
             self.beta[i] = -self.beta[i]
             col = self.ncols
             for i2 in range(self.m):
-                self.T[i2].append(_num(1) if i2 == i else 0)
+                self.T[i2].append(self.den[i] if i2 == i else 0)
             self.u.append(None)
             self.status.append(AT_LO)
             self.frozen.append(False)
@@ -225,28 +278,33 @@ class _Tableau:
 
     def set_costs(self, c_full: list) -> None:
         """Recompute the reduced-cost row and objective for new costs."""
-        d = list(c_full) + [0] * (self.ncols - len(c_full))
-        obj = 0
+        costs = [Fraction(v) for v in c_full] + [Fraction(0)] * (self.ncols - len(c_full))
+        dden = lcm(*(v.denominator for v in costs))
+        d = [v.numerator * (dden // v.denominator) for v in costs]
+        obj = Fraction(0)
         # nonbasic columns parked at their upper bound (phase-1 flips)
         # contribute c_j u_j on top of the basic part c_B beta
-        for j in range(min(self.ncols, len(c_full))):
-            if self.status[j] == AT_UP and c_full[j]:
-                obj += c_full[j] * self.u[j]
+        for j, cj in enumerate(costs):
+            if self.status[j] == AT_UP and cj:
+                obj += cj * self.u[j]
         for i in range(self.m):
-            cb = c_full[self.basis[i]] if self.basis[i] < len(c_full) else 0
+            cb = costs[self.basis[i]]
             if cb:
                 obj += cb * self.beta[i]
-                row = self.T[i]
-                for j, tv in enumerate(row):
-                    if tv:
-                        nv = d[j] - cb * tv
-                        d[j] = nv if nv else 0
-        self.d = d
+                # d/dden - cb * T_i/den_i over the denominator dden * q * den_i
+                a, b = cb.denominator * self.den[i], cb.numerator * dden
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                d, dden = _reduce(
+                    [a * x - b * y for x, y in zip(d, self.T[i])], dden * a
+                )
+        self.d, self.dden = d, dden
         self.obj = obj
 
     # -- pivoting -------------------------------------------------------------
 
     def _choose_entering(self):
+        # d shares one positive denominator, so its numerators compare as d
         d, status, frozen = self.d, self.status, self.frozen
         bland = self.rule == "bland"
         best = None
@@ -279,72 +337,59 @@ class _Tableau:
         if pick is None:
             return "optimal"
         j, sigma = pick
-        T, beta, u, basis = self.T, self.beta, self.u, self.basis
+        T, den, beta, u, basis = self.T, self.den, self.beta, self.u, self.basis
         bland = self.rule == "bland"
 
-        t = u[j]  # own-bound flip limit; None = unbounded
+        # ratio test on exact ints: the limit of row i is b * den[i] / |a|,
+        # kept as the pair (t_num, t_den) and compared by cross-multiplying
+        t_num, t_den = (None, 1) if u[j] is None else (u[j].numerator, u[j].denominator)
         leave_row = -1
         leave_to = AT_LO
         for i in range(self.m):
             a = T[i][j]
             if not a:
                 continue
-            da = a if sigma > 0 else -a
-            if da > 0:
-                lim = beta[i] / da
+            if (a > 0) == (sigma > 0):
+                b = beta[i]
                 to = AT_LO
             else:
                 ub = u[basis[i]]
                 if ub is None:
                     continue
-                lim = (ub - beta[i]) / (-da)
+                b = ub - beta[i]
                 to = AT_UP
-            if t is None or lim < t:
-                t, leave_row, leave_to = lim, i, to
-            elif lim == t and leave_row >= 0:
+            ln, ld = b.numerator * den[i], b.denominator * abs(a)
+            if t_num is None or ln * t_den < t_num * ld:
+                t_num, t_den, leave_row, leave_to = ln, ld, i, to
+            elif leave_row >= 0 and ln * t_den == t_num * ld:
                 if bland and basis[i] < basis[leave_row]:
                     leave_row, leave_to = i, to
-        if t is None:
+        if t_num is None:
             self.unbounded_col = (j, sigma)
             return "unbounded"
+        t = Fraction(t_num, t_den)
 
         self.iterations += 1
-        dj0 = self.d[j]
-        if leave_row < 0:
-            # bound flip: the entering variable crosses to its other bound
-            delta = t if sigma > 0 else -t
-            if delta:
-                for i in range(self.m):
-                    a = T[i][j]
-                    if a:
-                        nv = beta[i] - a * delta
-                        beta[i] = nv if nv else 0
-                self.obj += dj0 * delta
-                self.stall = 0
-            else:
-                self._count_stall()
-            self.status[j] = AT_UP if sigma > 0 else AT_LO
-            return None
-
-        if t:
-            move = sigma * t
-            for i in range(self.m):
-                if i == leave_row:
-                    continue
-                a = T[i][j]
-                if a:
-                    nv = beta[i] - a * move
-                    beta[i] = nv if nv else 0
+        dj0 = Fraction(self.d[j], self.dden)
+        move = t if sigma > 0 else -t
+        if move:
+            self._shift_beta(j, move, leave_row)
             self.obj += dj0 * move
             self.stall = 0
         else:
             self._count_stall()
+        if leave_row < 0:
+            # bound flip: the entering variable crosses to its other bound
+            self.status[j] = AT_UP if sigma > 0 else AT_LO
+            return None
 
+        # the pivot row divided by its pivot entry: T_r / T_r[j]
         prow = T[leave_row]
         p = prow[j]
-        if p != 1:
-            prow = [v / p if v else 0 for v in prow]
-            T[leave_row] = prow
+        if p < 0:
+            prow, p = [-v for v in prow], -p
+        prow, pden = _reduce(prow, p)
+        T[leave_row], den[leave_row] = prow, pden
         beta[leave_row] = t if sigma > 0 else u[j] - t
         leaving = basis[leave_row]
         self.status[leaving] = leave_to
@@ -355,19 +400,26 @@ class _Tableau:
         for i in range(self.m):
             if i == leave_row:
                 continue
-            row = T[i]
-            f = row[j]
+            f = T[i][j]
             if f:
-                for jj, v in pnz:
-                    nv = row[jj] - f * v
-                    row[jj] = nv if nv else 0
-        d = self.d
-        f = d[j]
+                T[i], den[i] = _eliminate(T[i], den[i], f, prow, pden, pnz)
+        f = self.d[j]
         if f:
-            for jj, v in pnz:
-                nv = d[jj] - f * v
-                d[jj] = nv if nv else 0
+            self.d, self.dden = _eliminate(self.d, self.dden, f, prow, pden, pnz)
         return None
+
+    def _shift_beta(self, j: int, move: Fraction, skip: int) -> None:
+        """beta -= move * column j, on every row but skip."""
+        T, den, beta = self.T, self.den, self.beta
+        mn, md = move.numerator, move.denominator
+        for i in range(self.m):
+            a = T[i][j]
+            if a and i != skip:
+                b = beta[i]
+                q = md * den[i]
+                beta[i] = Fraction(
+                    b.numerator * q - mn * a * b.denominator, b.denominator * q
+                )
 
     def _count_stall(self) -> None:
         self.stall += 1
@@ -396,7 +448,7 @@ def _solve_direct(
         arts = tab.add_artificials()
         c1 = [0] * tab.ncols
         for col in arts:
-            c1[col] = _num(-1)
+            c1[col] = -1
         tab.set_costs(c1)
         out = tab.run(budget)
         if out == "resource":
@@ -407,7 +459,7 @@ def _solve_direct(
             return SolveResult("infeasible", iterations=tab.iterations)
         for col in arts:
             tab.frozen[col] = True
-            tab.u[col] = 0
+            tab.u[col] = Fraction(0)
 
     tab.set_costs(tab.c)
     tab.stall = 0
@@ -425,7 +477,7 @@ def _solve_direct(
             if b < n:
                 a = tab.T[i][j]
                 if a:
-                    ray[lp.variables[b]] = _frac(-sigma * a)
+                    ray[lp.variables[b]] = Fraction(-sigma * a, tab.den[i])
         return SolveResult("unbounded", iterations=tab.iterations, ray=ray)
 
     # extract primal values (unshifted) and row multipliers
@@ -439,14 +491,14 @@ def _solve_direct(
             shifted = tab.u[j]
         else:
             shifted = 0
-        values[name] = _frac(shifted) + _frac(tab.lo[j])
+        values[name] = shifted + tab.lo[j]
     duals: dict[str, Fraction] = {}
     for i, row in enumerate(lp.rows):
-        yhat = -tab.d[n + i] if tab.d[n + i] else 0
+        yhat = -tab.d[n + i]
         if yhat:
-            duals[row.label] = _frac(tab.sgn * tab.row_sign[i] * yhat)
+            duals[row.label] = Fraction(tab.sgn * tab.row_sign[i] * yhat, tab.dden)
     assignment = Assignment.from_rationals(values)
-    objective = _frac(tab.sgn * (tab.obj + tab.const))
+    objective = tab.sgn * (tab.obj + tab.const)
 
     ok, why = certify_optimal(lp, assignment, duals)
     if not ok:
@@ -497,7 +549,7 @@ def _solve_row_generation(
             objective=lp.objective,
             rows=list(active),
         )
-        res = _solve_direct(sub, rule, budget, stall_threshold)
+        res = _solve_direct(sub, rule, budget - iterations, stall_threshold)
         iterations += res.iterations
         if res.status == "optimal":
             values = res.assignment.values
@@ -558,7 +610,12 @@ def _transpose_worthwhile(lp: LinearProgram) -> bool:
 
 def _try_transposed(
     lp: LinearProgram, rule: str, budget: int, stall_threshold: int
-) -> SolveResult | None:
+) -> tuple[SolveResult | None, int]:
+    """Solve lp through its transpose: (result or None, pivots spent).
+
+    None means the direct path must decide; the pivots spent on the
+    attempt still count against the budget.
+    """
     try:
         dual = transpose_lp(
             lp,
@@ -567,12 +624,13 @@ def _try_transposed(
             dual_row=lambda name: "r#" + name,
         )
     except ValueError:
-        return None
+        return None, 0
     res = _solve_direct(dual, rule, budget, stall_threshold)
     if res.status == "resource":
-        return res
+        return res, res.iterations
     if res.status != "optimal":
-        return None  # statuses don't map one-to-one; let the direct path decide
+        # statuses don't map one-to-one; let the direct path decide
+        return None, res.iterations
     values = {
         name: res.duals.get("r#" + name, Fraction(0)) for name in lp.variables
     }
@@ -584,7 +642,7 @@ def _try_transposed(
     }
     ok, _why = certify_optimal(lp, assignment, duals)
     if not ok:
-        return None
+        return None, res.iterations
     return SolveResult(
         "optimal",
         objective=res.objective,
@@ -592,7 +650,7 @@ def _try_transposed(
         duals=duals,
         iterations=res.iterations,
         transposed=True,
-    )
+    ), res.iterations
 
 
 def solve(
@@ -627,8 +685,11 @@ def solve(
         row_generation == "auto" and _row_generation_worthwhile(lp)
     ):
         return _solve_row_generation(lp, rule, budget, stall)
+    spent = 0  # pivots of a failed transposed attempt
     if transpose == "always" or (transpose == "auto" and _transpose_worthwhile(lp)):
-        res = _try_transposed(lp, rule, budget, stall)
+        res, spent = _try_transposed(lp, rule, budget, stall)
         if res is not None:
             return res
-    return _solve_direct(lp, rule, budget, stall)
+    res = _solve_direct(lp, rule, budget - spent, stall)
+    res.iterations += spent
+    return res

@@ -167,6 +167,7 @@ class TestPathsAgree:
         flipped = solve(lp, transpose="always")
         assert base.status == flipped.status == "optimal"
         assert base.objective == flipped.objective
+        assert flipped.transposed and not base.transposed
 
     @pytest.mark.parametrize("lang", LANGS)
     def test_row_generation_paths(self, lang):
@@ -191,28 +192,102 @@ class TestAgainstVertexEnumeration:
         n_vars=st.integers(2, 3),
         n_rows=st.integers(2, 4),
         sense=st.sampled_from(["max", "min"]),
+        transposable=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_random_boxed_lps(self, data, n_vars, n_rows, sense):
-        # all variables boxed, so the oracle's vertex enumeration is complete
-        small = st.integers(-4, 4)
-        lp = LinearProgram(sense=sense)
+    @settings(max_examples=80, deadline=None)
+    def test_random_boxed_lps(self, data, n_vars, n_rows, sense, transposable):
+        # all variables boxed, so the oracle's vertex enumeration is complete.
+        # Fractional data makes the tableau scale rows to ints, and nonzero
+        # lower bounds make it shift them; every path must agree.  Half the
+        # draws are forced to fit transpose_lp (max, <= rows, lower bounds
+        # 0), so the transposed path really runs on them.
+        frac = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3]))
+        lower = st.just(Fraction(0)) if transposable else st.one_of(st.just(Fraction(0)), frac)
+        rel = st.just("<=") if transposable else st.sampled_from(["<=", ">="])
+        span = st.builds(Fraction, st.integers(1, 10), st.sampled_from([1, 2]))
+        lp = LinearProgram(sense="max" if transposable else sense)
         names = [f"v{i}" for i in range(n_vars)]
         for name in names:
-            lp.add_variable(name, 0, data.draw(st.integers(1, 5)))
-        lp.set_objective(
-            {name: data.draw(small) for name in names}
-        )
+            lo = data.draw(lower)
+            lp.add_variable(name, lo, lo + data.draw(span))
+        lp.set_objective({name: data.draw(frac) for name in names})
         for r in range(n_rows):
-            coeffs = {name: data.draw(small) for name in names}
-            lp.add_row(f"r{r}", coeffs, data.draw(st.sampled_from(["<=", ">="])), data.draw(small))
-        res = solve(lp)
+            coeffs = {name: data.draw(frac) for name in names}
+            lp.add_row(f"r{r}", coeffs, data.draw(rel), data.draw(frac))
         status, objective = vertex_optimum(lp)
-        assert res.status == status
-        if status == "optimal":
-            assert res.objective == objective
-            report_ok, why = certify_optimal(lp, res.assignment, res.duals)
-            assert report_ok, why
+        direct = solve(lp, transpose="never", row_generation="never")
+        flipped = solve(lp, transpose="always", row_generation="never")
+        grown = solve(lp, row_generation="always")
+        for res in (direct, flipped, grown):
+            assert res.status == status
+            if status == "optimal":
+                assert res.objective == objective
+                report_ok, why = certify_optimal(lp, res.assignment, res.duals)
+                assert report_ok, why
+        fits_transpose = (
+            lp.sense == "max"
+            and all(row.rel == "<=" for row in lp.rows)
+            and all(lo == 0 for lo, _ in lp.bounds.values())
+        )
+        assert flipped.transposed == (fits_transpose and status == "optimal")
+
+
+def infeasible_after_transposed_pivots() -> LinearProgram:
+    """An infeasible max program whose transpose is unbounded.
+
+    The transposed attempt pivots before it gives up, so the direct path
+    runs after it: x0 >= 1 and 2 x0 <= 1 cannot both hold.
+    """
+    lp = LinearProgram(sense="max")
+    lp.add_variable("x0")
+    lp.add_variable("x1", 0, 2)
+    lp.set_objective({"x0": 1})
+    lp.add_row("r0", {"x0": -1}, "<=", -1)
+    lp.add_row("r1", {"x0": -1, "x1": -1}, "<=", -2)
+    lp.add_row("r2", {"x0": 2}, "<=", 1)
+    return lp
+
+
+class TestPivotBudget:
+    """max_pivots caps the pivots of the whole solve, on every path."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 13])
+    def test_direct_path(self, cap):
+        lp = build_weak_primal(compute_closure(Language(["0011", "0101", "0110"])))
+        res = solve(lp, max_pivots=cap, transpose="never", row_generation="never")
+        assert res.status == "resource"
+        assert res.iterations <= cap
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 12])
+    def test_transposed_path(self, cap):
+        lp = build_weak_primal(compute_closure(Language(["0011", "0101"])))
+        assert solve(lp, transpose="always").transposed
+        res = solve(lp, max_pivots=cap, transpose="always")
+        assert res.status == "resource"
+        assert res.iterations <= cap
+
+    @pytest.mark.parametrize("cap", [1, 5, 50])
+    def test_row_generation_path(self, cap):
+        # row generation solves one restricted program per round; the cap
+        # holds across the rounds, not per round
+        lp = build_strong_primal(
+            compute_closure(Language(["1", "00", "000", "110", "111"]))
+        )
+        res = solve(lp, max_pivots=cap, row_generation="always")
+        assert res.status == "resource"
+        assert res.iterations <= cap
+
+    def test_failed_transposed_attempt_is_charged(self):
+        lp = infeasible_after_transposed_pivots()
+        direct = solve(lp, transpose="never")
+        flipped = solve(lp, transpose="always")
+        assert direct.status == flipped.status == "infeasible"
+        assert not flipped.transposed
+        assert flipped.iterations > direct.iterations
+        for cap in range(1, flipped.iterations):
+            res = solve(lp, max_pivots=cap, transpose="always")
+            assert res.status == "resource"
+            assert res.iterations <= cap
 
 
 class TestCertification:
