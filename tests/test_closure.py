@@ -133,7 +133,9 @@ class TestComputeClosure:
     def test_matches_definitional_fixpoint_random(self, lang):
         assert set(compute_closure(lang).members) == naive_closure(lang)
 
-    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2)])
+    @pytest.mark.parametrize(
+        "n,k", [(2, 1), (3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (5, 2)]
+    )
     def test_binomial_closure_is_fitted_block_subsets(self, n, k):
         # every member is a nonempty subset of a block B(m,l) that leaves
         # room for the missing ones: l <= k and k - l <= n - m
@@ -157,6 +159,23 @@ class TestComputeClosure:
     def test_binomial_8_1_size(self):
         assert len(compute_closure(binomial(8, 1))) == 509
 
+    def test_sigma_level_union_sizes(self):
+        assert len(compute_closure(all_strings(1).union(all_strings(3)))) == 1038
+        assert len(compute_closure(all_strings(2).union(all_strings(3)))) == 4143
+
+    @pytest.mark.parametrize("lang", [
+        threshold(3, 1),
+        binomial(5, 2),
+        all_strings(1).union(all_strings(3)),
+        Language(["01", "10", "0101", "1010"]),
+    ])
+    def test_closed_under_one_element_deletion(self, lang):
+        closure = compute_closure(lang)
+        for member in closure.members:
+            if len(member) > 1:
+                for s in member.members:
+                    assert Language(set(member.members) - {s}) in closure
+
     def test_restriction_property(self):
         closure = compute_closure(Language(["00", "000"]))
         for member in closure.members:
@@ -166,6 +185,13 @@ class TestComputeClosure:
     def test_member_cap(self):
         with pytest.raises(ResourceCapError):
             compute_closure(binomial(6, 2), max_members=10)
+
+    def test_member_cap_bounds_a_huge_closure(self):
+        # C(T(5,1)) holds every nonempty subset of T(5,1)'s 31 strings;
+        # the cap must stop the fixpoint long before any member's subsets
+        # could be listed
+        with pytest.raises(ResourceCapError):
+            compute_closure(threshold(5, 1), max_members=1000)
 
 
 class TestPairs:

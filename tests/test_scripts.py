@@ -1,0 +1,36 @@
+"""The experiment scripts run end to end at toy sizes."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weight_one_table.py", "--n-max", "4", "--full", "4"],
+        ["calibration_report.py", "--kmax", "2", "--nmax", "5"],
+        ["relaxation_gap_hunt.py", "--count", "3", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_script_exits_zero(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
