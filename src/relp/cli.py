@@ -160,9 +160,7 @@ def cmd_lp(args, cfg: RunConfig) -> int:
 
 def cmd_solve(args, cfg: RunConfig) -> int:
     lp = read_lp(Path(args.lp_file).read_text(encoding="utf-8"))
-    result = solve(
-        lp, cfg, transpose=args.transpose, row_generation=args.row_generation
-    )
+    result = solve(lp, cfg, row_generation=args.row_generation)
     sol = SolutionFile(
         status=result.status, objective=result.objective, assignment=result.assignment
     )
@@ -191,38 +189,33 @@ def cmd_check(args, cfg: RunConfig) -> int:
     return 0 if report.feasible else 1
 
 
+def _report_certificate(report, assignment, output: str | None) -> int:
+    """Write a checked certificate as a solution file and report the check."""
+    sol = SolutionFile(
+        status="feasible" if report.feasible else "infeasible",
+        objective=report.objective,
+        assignment=assignment,
+    )
+    stream = _emit(write_solution(sol), output)
+    for violation in report.violations:
+        print(f"violated {violation.kind} {violation.where} by {violation.amount}", file=stream)
+    print(f"objective {_fmt(report.objective)}", file=stream)
+    print("feasible" if report.feasible else "infeasible", file=stream)
+    return 0 if report.feasible else 1
+
+
 def cmd_certify(args, cfg: RunConfig) -> int:
     lang = _parse_language_arg(args.lang)
     cert = certify_weak_dual(_parse_regex_for(lang, args.regex), lang)
     report = check_weak_dual_support(cert)
-    sol = SolutionFile(
-        status="feasible" if report.feasible else "infeasible",
-        objective=report.objective,
-        assignment=cert.as_assignment(),
-    )
-    stream = _emit(write_solution(sol), args.output)
-    for violation in report.violations:
-        print(f"violated {violation.kind} {violation.where} by {violation.amount}", file=stream)
-    print(f"objective {_fmt(report.objective)}", file=stream)
-    print("feasible" if report.feasible else "infeasible", file=stream)
-    return 0 if report.feasible else 1
+    return _report_certificate(report, cert.as_assignment(), args.output)
 
 
 def cmd_certify_relaxed(args, cfg: RunConfig) -> int:
     cert = certify_relaxed_dual(parse(args.regex), args.n, args.k)
-    lp = build_relaxed_binomial_dual(args.n, args.k)
-    report = check_feasible(lp, cert.as_assignment())
-    sol = SolutionFile(
-        status="feasible" if report.feasible else "infeasible",
-        objective=report.objective,
-        assignment=cert.as_assignment(),
-    )
-    stream = _emit(write_solution(sol), args.output)
-    for violation in report.violations:
-        print(f"violated {violation.kind} {violation.where} by {violation.amount}", file=stream)
-    print(f"objective {_fmt(report.objective)}", file=stream)
-    print("feasible" if report.feasible else "infeasible", file=stream)
-    return 0 if report.feasible else 1
+    assignment = cert.as_assignment()
+    report = check_feasible(build_relaxed_binomial_dual(args.n, args.k), assignment)
+    return _report_certificate(report, assignment, args.output)
 
 
 def cmd_oracle(args, cfg: RunConfig) -> int:
@@ -395,7 +388,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", parents=[common], help="solve an LP file exactly")
     p.add_argument("lp_file")
-    p.add_argument("--transpose", choices=("auto", "never", "always"), default="auto")
     p.add_argument("--row-generation", choices=("auto", "never", "always"),
                    default="auto")
     p.add_argument("-o", "--output", metavar="FILE")

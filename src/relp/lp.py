@@ -63,24 +63,12 @@ def var_w(s: str) -> str:
     return f"w[{s}]"
 
 
-def var_big_w(s: str) -> str:
-    return f"W[{s}]"
-
-
 def var_y_pair(k1: Language, k2: Language) -> str:
     return f"y[{k1.serialize()},{k2.serialize()}]"
 
 
 def var_y_quad(n1: int, k1: int, n2: int, k2: int) -> str:
     return f"y[{n1},{k1},{n2},{k2}]"
-
-
-def var_big_y(k1: Language, k2: Language) -> str:
-    return f"Y[{k1.serialize()},{k2.serialize()}]"
-
-
-def var_big_z(k1: Language, k2: Language) -> str:
-    return f"Z[{k1.serialize()},{k2.serialize()}]"
 
 
 def var_d(side: str, a: int, b: int, s: str) -> str:
@@ -101,10 +89,6 @@ def row_quad(n1: int, k1: int, n2: int, k2: int) -> str:
 
 def row_string(s: str) -> str:
     return f"s[{s}]"
-
-
-def row_member(lang: Language) -> str:
-    return f"m[{lang.serialize()}]"
 
 
 # -- model ---------------------------------------------------------------------

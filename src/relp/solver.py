@@ -27,17 +27,18 @@ program a <= row carries y >= 0 and a >= row carries y <= 0; for a min
 program the signs flip.  ``certify_optimal`` is the reference
 implementation of that convention.
 
-Programs with many more rows than variables are solved through their
-mechanical transpose (the dual of the dual of a transposed program is
-the program itself, so the transposed run's multipliers are the original
-primal point).  The mapped-back solution is certified against the
-original program; on any failure the direct path runs instead.
+There are two paths to a candidate optimum: the direct tableau, and row
+generation for programs with many more rows than variables (a growing
+working set of rows, one direct solve per round).  Neither certifies
+anything itself.  ``solve`` is the one gate: it runs ``certify_optimal``
+once, against the original program, on whichever candidate came back,
+and raises ``SolverError`` if it fails.  A wrong round of row generation
+can therefore only steer which rows enter; it is never reported.
 
 Pricing is Dantzig's rule; after ``stall_threshold`` consecutive
 degenerate steps it permanently downgrades to Bland's rule, which cannot
 cycle.  The pivot budget bounds the pivots of the whole solve: both
-phases, every row-generation round, and a failed transposed attempt
-together with the direct run after it.
+phases and every row-generation round.
 """
 
 from __future__ import annotations
@@ -48,15 +49,7 @@ from math import gcd, lcm
 from typing import Mapping
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .lp import (
-    GE,
-    LE,
-    Assignment,
-    LinearProgram,
-    check_feasible,
-    objective_value,
-)
-from .builders import transpose_lp
+from .lp import LE, Assignment, LinearProgram, check_feasible, objective_value
 
 # Only reports whether gmpy2 can be imported (run records stamp it); the
 # solver's arithmetic is Python ints and Fractions either way.
@@ -81,6 +74,8 @@ class SolveResult:
     assignment: Assignment | None = None
     duals: dict[str, Fraction] = field(default_factory=dict)
     iterations: int = 0
+    # always False (solve has no transposed path); perfbench/workloads.py
+    # still reads it to count transposed solves
     transposed: bool = False
     ray: dict[str, Fraction] | None = None  # improving direction, if unbounded
 
@@ -190,9 +185,6 @@ class _Tableau:
     """
 
     def __init__(self, lp: LinearProgram, rule: str, stall_threshold: int):
-        labels = [row.label for row in lp.rows]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate row labels; solve needs them unique")
         self.lp = lp
         self.sgn = 1 if lp.sense == "max" else -1
         self.rule = "bland" if rule == "bland" else "dantzig"
@@ -441,6 +433,7 @@ class _Tableau:
 def _solve_direct(
     lp: LinearProgram, rule: str, budget: int, stall_threshold: int
 ) -> SolveResult:
+    """One tableau solve; an "optimal" result is an uncertified candidate."""
     tab = _Tableau(lp, rule, stall_threshold)
     n, m = tab.n, tab.m
 
@@ -500,9 +493,6 @@ def _solve_direct(
     assignment = Assignment.from_rationals(values)
     objective = tab.sgn * (tab.obj + tab.const)
 
-    ok, why = certify_optimal(lp, assignment, duals)
-    if not ok:
-        raise SolverError(f"optimum failed self-certification: {why}")
     if objective != objective_value(lp, assignment):
         raise SolverError("tableau objective drifted from recomputed objective")
     return SolveResult(
@@ -532,12 +522,10 @@ def _solve_row_generation(
     scans the inactive ones against the candidate point (or against the
     improving ray, if the restriction was unbounded) and activates the
     most violated.  A round with no violations ends it: the restricted
-    optimum is feasible for everything, and its multipliers — zero on
-    every inactive row — certify optimality of the full program.
+    optimum is feasible for everything, and its multipliers (zero on
+    every inactive row) are the candidate certificate for the full
+    program.
     """
-    labels = [row.label for row in lp.rows]
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate row labels; solve needs them unique")
     active: list = []
     active_idx: set[int] = set()
     iterations = 0
@@ -551,6 +539,7 @@ def _solve_row_generation(
         )
         res = _solve_direct(sub, rule, budget - iterations, stall_threshold)
         iterations += res.iterations
+        res.iterations = iterations
         if res.status == "optimal":
             values = res.assignment.values
             found: list[tuple[Fraction, int]] = []
@@ -565,16 +554,7 @@ def _solve_row_generation(
                 if amt > 0:
                     found.append((amt, idx))
             if not found:
-                ok, why = certify_optimal(lp, res.assignment, res.duals)
-                if not ok:
-                    raise SolverError(f"row generation failed certification: {why}")
-                return SolveResult(
-                    "optimal",
-                    objective=res.objective,
-                    assignment=res.assignment,
-                    duals=res.duals,
-                    iterations=iterations,
-                )
+                return res
         elif res.status == "unbounded":
             ray = res.ray or {}
             found = []
@@ -589,68 +569,14 @@ def _solve_row_generation(
                 if amt > 0:
                     found.append((amt, idx))
             if not found:
-                return SolveResult("unbounded", iterations=iterations, ray=res.ray)
+                return res
         else:  # infeasible with fewer rows stays infeasible; resource is resource
-            res.iterations = iterations
             return res
         found.sort(key=lambda pair: (-pair[0], pair[1]))
         for _, idx in found[:batch]:
             active.append(lp.rows[idx])
             active_idx.add(idx)
     return SolveResult("resource", iterations=iterations)
-
-
-def _transpose_worthwhile(lp: LinearProgram) -> bool:
-    if lp.sense != "max" or lp.n_rows < 64 or lp.n_rows <= 2 * lp.n_vars:
-        return False
-    if any(row.rel != LE for row in lp.rows):
-        return False
-    return all(lo == 0 for lo, _ in lp.bounds.values())
-
-
-def _try_transposed(
-    lp: LinearProgram, rule: str, budget: int, stall_threshold: int
-) -> tuple[SolveResult | None, int]:
-    """Solve lp through its transpose: (result or None, pivots spent).
-
-    None means the direct path must decide; the pivots spent on the
-    attempt still count against the budget.
-    """
-    try:
-        dual = transpose_lp(
-            lp,
-            row_var=lambda label: "y#" + label,
-            bound_var=lambda name: "v#" + name,
-            dual_row=lambda name: "r#" + name,
-        )
-    except ValueError:
-        return None, 0
-    res = _solve_direct(dual, rule, budget, stall_threshold)
-    if res.status == "resource":
-        return res, res.iterations
-    if res.status != "optimal":
-        # statuses don't map one-to-one; let the direct path decide
-        return None, res.iterations
-    values = {
-        name: res.duals.get("r#" + name, Fraction(0)) for name in lp.variables
-    }
-    assignment = Assignment.from_rationals(values)
-    duals = {
-        row.label: res.assignment.values["y#" + row.label]
-        for row in lp.rows
-        if res.assignment.values["y#" + row.label]
-    }
-    ok, _why = certify_optimal(lp, assignment, duals)
-    if not ok:
-        return None, res.iterations
-    return SolveResult(
-        "optimal",
-        objective=res.objective,
-        assignment=assignment,
-        duals=duals,
-        iterations=res.iterations,
-        transposed=True,
-    ), res.iterations
 
 
 def solve(
@@ -660,16 +586,15 @@ def solve(
     pivot_rule: str | None = None,
     max_pivots: int | None = None,
     stall_threshold: int | None = None,
-    transpose: str = "auto",
     row_generation: str = "auto",
 ) -> SolveResult:
     """Solve to a certified optimum (or infeasible/unbounded/resource).
 
     row_generation: "auto" attacks programs with vastly more rows than
-    variables through a growing working set of rows.  transpose: "auto"
-    solves remaining wide programs through their mechanical dual,
-    falling back to the direct path if the mapped-back solution fails
-    certification.  "never"/"always" force either path.
+    variables through a growing working set of rows; "never"/"always"
+    force either path.  Whichever path ran, an optimum is returned only
+    after ``certify_optimal`` accepts it against ``lp`` itself; otherwise
+    ``SolverError`` is raised.
     """
     cfg = config or DEFAULT_CONFIG
     rule = pivot_rule if pivot_rule is not None else cfg.pivot_rule
@@ -677,19 +602,19 @@ def solve(
         raise ValueError(f"unknown pivot rule {rule!r}")
     budget = max_pivots if max_pivots is not None else cfg.solver_max_pivots
     stall = stall_threshold if stall_threshold is not None else cfg.stall_threshold
-    if transpose not in ("auto", "never", "always"):
-        raise ValueError(f"unknown transpose mode {transpose!r}")
     if row_generation not in ("auto", "never", "always"):
         raise ValueError(f"unknown row generation mode {row_generation!r}")
+    labels = [row.label for row in lp.rows]
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate row labels; solve needs them unique")
     if row_generation == "always" or (
         row_generation == "auto" and _row_generation_worthwhile(lp)
     ):
-        return _solve_row_generation(lp, rule, budget, stall)
-    spent = 0  # pivots of a failed transposed attempt
-    if transpose == "always" or (transpose == "auto" and _transpose_worthwhile(lp)):
-        res, spent = _try_transposed(lp, rule, budget, stall)
-        if res is not None:
-            return res
-    res = _solve_direct(lp, rule, budget - spent, stall)
-    res.iterations += spent
+        res = _solve_row_generation(lp, rule, budget, stall)
+    else:
+        res = _solve_direct(lp, rule, budget, stall)
+    if res.status == "optimal":
+        ok, why = certify_optimal(lp, res.assignment, res.duals)
+        if not ok:
+            raise SolverError(f"optimum failed certification: {why}")
     return res

@@ -5,6 +5,8 @@ The oracles here deliberately avoid the library's own search code:
 product scan, ``brute_factorizations`` enumerates subset pairs of
 prefixes and suffixes, and ``vertex_optimum`` maximizes over the
 vertices of a fully bounded polytope by exact Gaussian elimination.
+``negate_one_multiplier`` corrupts the solver's candidate optima, so
+tests can check that ``solve`` refuses them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from relp import Concat, Language, Symbol, Union
+from relp import Concat, Language, Symbol, Union, solver
 
 # -- hypothesis strategies --------------------------------------------------
 
@@ -167,3 +169,24 @@ def vertex_optimum(lp) -> tuple[str, Fraction | None]:
     if best is None:
         return "infeasible", None
     return "optimal", sign * best
+
+
+# -- fault injection ----------------------------------------------------------
+
+
+def negate_one_multiplier(monkeypatch) -> None:
+    """Make every direct solve return one nonzero multiplier negated.
+
+    The point stays intact, so row generation still finishes its rounds;
+    only the final pair is wrong.
+    """
+    real = solver._solve_direct
+
+    def corrupted(*args):
+        res = real(*args)
+        if res.status == "optimal" and res.duals:
+            label = min(res.duals)
+            res.duals[label] = -res.duals[label]
+        return res
+
+    monkeypatch.setattr(solver, "_solve_direct", corrupted)

@@ -9,6 +9,8 @@ import pytest
 from relp import read_alpha_table, read_lp, read_solution
 from relp.cli import build_parser, main
 
+from _support import negate_one_multiplier
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -99,15 +101,12 @@ class TestSolveCheck:
         assert parsed.status == "optimal"
         assert parsed.objective == Fraction(4)
 
-    def test_solve_transpose_modes_agree(self, capsys, weak_lp_file, tmp_path):
-        objectives = set()
-        for mode in ("never", "always"):
-            sol = tmp_path / f"{mode}.sol"
-            code, out, _ = run(capsys, "solve", str(weak_lp_file),
-                               "--transpose", mode, "-o", str(sol))
-            assert code == 0
-            objectives.add(read_solution(sol.read_text()).objective)
-        assert objectives == {Fraction(4)}
+    def test_solve_refuses_uncertified_optimum(self, capsys, monkeypatch, weak_lp_file):
+        negate_one_multiplier(monkeypatch)
+        code, out, err = run(capsys, "solve", str(weak_lp_file))
+        assert code == 1
+        assert "solver self-check failed" in err
+        assert "objective" not in out
 
     def test_check_accepts_solver_output(self, capsys, weak_lp_file, tmp_path):
         sol = tmp_path / "weak.sol"

@@ -12,6 +12,7 @@ from relp import (
     Assignment,
     Language,
     LinearProgram,
+    SolverError,
     build_strong_primal,
     build_weak_dual,
     build_weak_primal,
@@ -20,7 +21,7 @@ from relp import (
     solve,
 )
 
-from _support import vertex_optimum
+from _support import negate_one_multiplier, vertex_optimum
 
 
 def paired_bound_lp() -> LinearProgram:
@@ -148,8 +149,6 @@ class TestEdgeStatuses:
         with pytest.raises(ValueError):
             solve(lp, pivot_rule="steepest")
         with pytest.raises(ValueError):
-            solve(lp, transpose="maybe")
-        with pytest.raises(ValueError):
             solve(lp, row_generation="sometimes")
 
 
@@ -161,19 +160,10 @@ class TestPathsAgree:
     ]
 
     @pytest.mark.parametrize("lang", LANGS)
-    def test_transpose_paths(self, lang):
-        lp = build_weak_primal(compute_closure(lang))
-        base = solve(lp, transpose="never")
-        flipped = solve(lp, transpose="always")
-        assert base.status == flipped.status == "optimal"
-        assert base.objective == flipped.objective
-        assert flipped.transposed and not base.transposed
-
-    @pytest.mark.parametrize("lang", LANGS)
     def test_row_generation_paths(self, lang):
         lp = build_weak_primal(compute_closure(lang))
-        base = solve(lp, row_generation="never", transpose="never")
-        grown = solve(lp, row_generation="always", transpose="never")
+        base = solve(lp, row_generation="never")
+        grown = solve(lp, row_generation="always")
         assert base.status == grown.status == "optimal"
         assert base.objective == grown.objective
 
@@ -198,9 +188,8 @@ class TestAgainstVertexEnumeration:
     def test_random_boxed_lps(self, data, n_vars, n_rows, sense, transposable):
         # all variables boxed, so the oracle's vertex enumeration is complete.
         # Fractional data makes the tableau scale rows to ints, and nonzero
-        # lower bounds make it shift them; every path must agree.  Half the
-        # draws are forced to fit transpose_lp (max, <= rows, lower bounds
-        # 0), so the transposed path really runs on them.
+        # lower bounds make it shift them; both paths must agree.  Half the
+        # draws are max programs with <= rows and lower bounds 0.
         frac = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3]))
         lower = st.just(Fraction(0)) if transposable else st.one_of(st.just(Fraction(0)), frac)
         rel = st.just("<=") if transposable else st.sampled_from(["<=", ">="])
@@ -215,37 +204,14 @@ class TestAgainstVertexEnumeration:
             coeffs = {name: data.draw(frac) for name in names}
             lp.add_row(f"r{r}", coeffs, data.draw(rel), data.draw(frac))
         status, objective = vertex_optimum(lp)
-        direct = solve(lp, transpose="never", row_generation="never")
-        flipped = solve(lp, transpose="always", row_generation="never")
+        direct = solve(lp, row_generation="never")
         grown = solve(lp, row_generation="always")
-        for res in (direct, flipped, grown):
+        for res in (direct, grown):
             assert res.status == status
             if status == "optimal":
                 assert res.objective == objective
                 report_ok, why = certify_optimal(lp, res.assignment, res.duals)
                 assert report_ok, why
-        fits_transpose = (
-            lp.sense == "max"
-            and all(row.rel == "<=" for row in lp.rows)
-            and all(lo == 0 for lo, _ in lp.bounds.values())
-        )
-        assert flipped.transposed == (fits_transpose and status == "optimal")
-
-
-def infeasible_after_transposed_pivots() -> LinearProgram:
-    """An infeasible max program whose transpose is unbounded.
-
-    The transposed attempt pivots before it gives up, so the direct path
-    runs after it: x0 >= 1 and 2 x0 <= 1 cannot both hold.
-    """
-    lp = LinearProgram(sense="max")
-    lp.add_variable("x0")
-    lp.add_variable("x1", 0, 2)
-    lp.set_objective({"x0": 1})
-    lp.add_row("r0", {"x0": -1}, "<=", -1)
-    lp.add_row("r1", {"x0": -1, "x1": -1}, "<=", -2)
-    lp.add_row("r2", {"x0": 2}, "<=", 1)
-    return lp
 
 
 class TestPivotBudget:
@@ -254,15 +220,7 @@ class TestPivotBudget:
     @pytest.mark.parametrize("cap", [1, 2, 5, 13])
     def test_direct_path(self, cap):
         lp = build_weak_primal(compute_closure(Language(["0011", "0101", "0110"])))
-        res = solve(lp, max_pivots=cap, transpose="never", row_generation="never")
-        assert res.status == "resource"
-        assert res.iterations <= cap
-
-    @pytest.mark.parametrize("cap", [1, 2, 5, 12])
-    def test_transposed_path(self, cap):
-        lp = build_weak_primal(compute_closure(Language(["0011", "0101"])))
-        assert solve(lp, transpose="always").transposed
-        res = solve(lp, max_pivots=cap, transpose="always")
+        res = solve(lp, max_pivots=cap, row_generation="never")
         assert res.status == "resource"
         assert res.iterations <= cap
 
@@ -276,18 +234,6 @@ class TestPivotBudget:
         res = solve(lp, max_pivots=cap, row_generation="always")
         assert res.status == "resource"
         assert res.iterations <= cap
-
-    def test_failed_transposed_attempt_is_charged(self):
-        lp = infeasible_after_transposed_pivots()
-        direct = solve(lp, transpose="never")
-        flipped = solve(lp, transpose="always")
-        assert direct.status == flipped.status == "infeasible"
-        assert not flipped.transposed
-        assert flipped.iterations > direct.iterations
-        for cap in range(1, flipped.iterations):
-            res = solve(lp, max_pivots=cap, transpose="always")
-            assert res.status == "resource"
-            assert res.iterations <= cap
 
 
 class TestCertification:
@@ -338,6 +284,25 @@ class TestCertification:
         duals["phantom"] = Fraction(1)
         ok, why = certify_optimal(lp, res.assignment, duals)
         assert not ok and "unknown row" in why
+
+
+class TestCertificateGate:
+    """solve runs certify_optimal on every optimum, whichever path ran."""
+
+    @pytest.mark.parametrize("mode", ["never", "always"])
+    def test_bad_pair_is_refused(self, monkeypatch, mode):
+        lp = paired_bound_lp()
+        assert solve(lp, row_generation=mode).status == "optimal"
+        negate_one_multiplier(monkeypatch)
+        with pytest.raises(SolverError, match="failed certification"):
+            solve(lp, row_generation=mode)
+
+    @pytest.mark.parametrize("mode", ["never", "always"])
+    def test_duplicate_row_labels_refused(self, mode):
+        lp = paired_bound_lp()
+        lp.add_row("r1", {"x2": 1}, "<=", 5)
+        with pytest.raises(ValueError, match="duplicate row labels"):
+            solve(lp, row_generation=mode)
 
 
 class TestResultInvariants:
