@@ -4,9 +4,10 @@
 For random small languages this solves the subset-variable program (whose
 optimum provably equals the shortest expression length), the string-variable
 relaxation, and the exhaustive search oracle, then reports every instance
-where the relaxation is strictly below the truth.  The subset optimum is
-cross-checked against the oracle on every instance; a disagreement there
-would be a bug, and the script says so loudly.
+where the relaxation is strictly below the truth.  Every instance goes
+through ``oracle_vs_lp``: the subset optimum must equal the oracle's and
+the relaxation must not exceed it; a failure there would be a bug, and
+the script says so loudly.
 
 Example:
     python3 scripts/relaxation_gap_hunt.py --count 500 --seed 7
@@ -20,14 +21,7 @@ import time
 from fractions import Fraction
 from typing import Sequence
 
-from relp import (
-    Language,
-    build_strong_primal,
-    build_weak_primal,
-    compute_closure,
-    optimal_regex,
-    solve,
-)
+from relp import Language, oracle_vs_lp
 
 
 def random_language(rng: random.Random, max_strings: int, max_len: int) -> Language:
@@ -56,18 +50,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         if lang in seen:
             continue
         seen.add(lang)
-        closure = compute_closure(lang)
-        strong = solve(build_strong_primal(closure))
-        weak = solve(build_weak_primal(closure))
-        oracle = optimal_regex(lang)
-        if strong.objective != oracle.length:
+        report = oracle_vs_lp(lang)
+        truth = report.oracle.length
+        if not report.ok:
             mismatches += 1
             print(
-                f"BUG: subset optimum {strong.objective} != oracle "
-                f"{oracle.length} on {lang.serialize()}"
+                f"BUG: subset optimum {report.strong_objective}, relaxation "
+                f"{report.weak_objective}, oracle {truth} on {lang.serialize()}"
             )
-        if weak.objective < oracle.length:
-            gaps.append((lang, weak.objective, oracle.length))
+        if report.weak_objective < truth:
+            gaps.append((lang, report.weak_objective, truth))
 
     print(
         f"{len(seen)} distinct languages in {time.time() - t0:.1f}s; "

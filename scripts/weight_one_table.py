@@ -1,64 +1,38 @@
 #!/usr/bin/env python3
-"""Reproduce the weight-one results: reduced optima and the full vertex table.
+"""Print the optimal vertex of the full weak program for the single-one block.
 
-The fast pass solves the reduced (split-variable) program for each n and
-compares the optimum against ceil(n log2 2n).  With ``--full N`` the
-script also materializes the closure of the single-one block at length N,
-solves the full string program outright, and prints the optimal vertex as
-a two-decimal table grouped by string length — the long way around the
-same number, useful for eyeballing how the mass spreads across strings.
+Materializes the closure of B(N, 1), solves the full string program
+outright, and prints the optimal vertex as a two-decimal table grouped
+by string length, which shows how the mass spreads across strings.  The
+optimum itself is swept faster by ``relp sweep b1-conjecture``.
 
-Examples:
-    python3 scripts/weight_one_table.py --n-max 12
-    python3 scripts/weight_one_table.py --full 8
+Example:
+    python3 scripts/weight_one_table.py 8
 """
 
 from __future__ import annotations
 
 import argparse
-import math
-import sys
 import time
 from collections import defaultdict
 from typing import Sequence
 
-from relp import (
-    binomial,
-    build_reduced_weak_primal_b_n1,
-    build_weak_primal,
-    compute_closure,
-    solve,
-)
+from relp import binomial, build_weak_primal, compute_closure, solve
 
 
-def reduced_sweep(n_min: int, n_max: int) -> None:
-    print(f"{'n':>3}  {'optimum':>8}  {'ceil(n log2 2n)':>16}  agree")
-    for n in range(n_min, n_max + 1):
-        t0 = time.time()
-        res = solve(build_reduced_weak_primal_b_n1(n))
-        target = math.ceil(n * math.log2(2 * n))
-        mark = "yes" if res.objective == target else "NO"
-        print(
-            f"{n:>3}  {str(res.objective):>8}  {target:>16}  {mark}"
-            f"  ({time.time() - t0:.2f}s)"
-        )
+def main(argv: Sequence[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("n", type=int, help="block length N")
+    args = ap.parse_args(argv)
+    if args.n < 1:
+        ap.error("need N >= 1")
 
-
-def full_vertex_table(n: int) -> int:
-    closure = compute_closure(binomial(n, 1))
+    closure = compute_closure(binomial(args.n, 1))
     lp = build_weak_primal(closure)
-    print(f"full program at n = {n}: {lp.n_vars} variables, {lp.n_rows} rows")
+    print(f"full program at n = {args.n}: {lp.n_vars} variables, {lp.n_rows} rows")
     t0 = time.time()
     res = solve(lp)
     print(f"optimum {res.objective} in {time.time() - t0:.1f}s")
-
-    reduced = solve(build_reduced_weak_primal_b_n1(n))
-    if res.objective != reduced.objective:
-        print(
-            f"MISMATCH: reduced program gives {reduced.objective}",
-            file=sys.stderr,
-        )
-        return 1
 
     by_length: dict[int, list[str]] = defaultdict(list)
     for s in closure.strings():
@@ -69,27 +43,6 @@ def full_vertex_table(n: int) -> int:
             for s in sorted(by_length[m])
         ]
         print(f"  len {m}:  " + "  ".join(cells))
-    return 0
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n-min", type=int, default=1)
-    ap.add_argument("--n-max", type=int, default=10)
-    ap.add_argument(
-        "--full",
-        type=int,
-        metavar="N",
-        help="also solve the full string program at length N and print the vertex",
-    )
-    args = ap.parse_args(argv)
-    if args.n_min < 1 or args.n_max < args.n_min:
-        ap.error("need 1 <= n-min <= n-max")
-
-    reduced_sweep(args.n_min, args.n_max)
-    if args.full is not None:
-        print()
-        return full_vertex_table(args.full)
     return 0
 
 

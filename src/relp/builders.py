@@ -1,13 +1,16 @@
 """Constructors for the bounding programs and their duals.
 
-Four program families:
+Three program shapes:
 
-* weak primal over a closure: one variable per closure string, one
-  concatenation row per compatible pair, string-length box bounds;
+* the string program: one variable per string, bounded by the string's
+  length, and one row per (product, left, right) triple of string sets.
+  One builder serves the weak primal over a closure (a row per
+  concatenation-compatible pair), the relaxed program over the
+  weight-block index (n, k) (a row per block quadruple), and the weak
+  dual over a certificate's support, which is how expression
+  certificates are checked;
 * strong primal over a closure: one variable per closure member, rows for
   both concatenation- and union-compatible pairs;
-* the relaxed program over the weight-block index (n, k), whose rows are
-  indexed by block quadruples instead of explicit language pairs;
 * a reduced formulation of the weak primal for single-1 blocks, which
   collapses the exponentially many subset rows into max-envelope
   variables without moving the optimum.
@@ -20,10 +23,10 @@ itself is wrong, which the tests pin down separately.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .closure import BinomialIndex, Closure, product_block
-from .lang import Language, binomial
+from .lang import Language, binomial, canon_key
 from .lp import (
     GE,
     LE,
@@ -48,31 +51,52 @@ def _accumulate(acc: dict[str, Fraction], name: str, delta: Fraction) -> None:
         acc.pop(name, None)
 
 
-# -- weak program ---------------------------------------------------------------
+# -- the string program ----------------------------------------------------------
+
+
+StringRow = tuple[str, Iterable[str], Iterable[str], Iterable[str]]
+
+
+def _string_program(
+    strings: Iterable[str], objective: Iterable[str], rows: Iterable[StringRow]
+) -> LinearProgram:
+    """Max the mass on the objective strings over one variable per string.
+
+    Each row (label, product, left, right) reads
+    sum_{product} x - sum_{left} x - sum_{right} x <= 0, with
+    0 <= x_s <= |s|.  Coefficients accumulate, so a string appearing on
+    both sides nets out.
+    """
+    lp = LinearProgram(sense="max")
+    for s in strings:
+        lp.add_variable(var_x(s), 0, len(s))
+    lp.set_objective({var_x(s): ONE for s in objective})
+    for label, product, left, right in rows:
+        acc: dict[str, Fraction] = {}
+        for s in product:
+            _accumulate(acc, var_x(s), ONE)
+        for u in left:
+            _accumulate(acc, var_x(u), MINUS_ONE)
+        for v in right:
+            _accumulate(acc, var_x(v), MINUS_ONE)
+        lp.add_row(label, acc, LE, 0)
+    return lp
+
+
+def _pair_rows(pairs: Iterable[tuple[Language, Language]]) -> Iterator[StringRow]:
+    for k1, k2 in pairs:
+        yield row_concat(k1, k2), k1.concat(k2).members, k1.members, k2.members
 
 
 def build_weak_primal(closure: Closure) -> LinearProgram:
     """Per-string program: max the mass on the base language's strings.
 
-    Subject to, for every concatenation-compatible pair (K1, K2), the
-    aggregated row  sum_{K1K2} x - sum_{K1} x - sum_{K2} x <= 0, with
-    0 <= x_s <= |s|.  Coefficients accumulate, so a string appearing on
-    both sides of a pair nets out.
+    One row per concatenation-compatible pair (K1, K2) of the closure,
+    comparing the mass on K1K2 against the mass on K1 and on K2.
     """
-    lp = LinearProgram(sense="max")
-    for s in closure.strings():
-        lp.add_variable(var_x(s), 0, len(s))
-    lp.set_objective({var_x(s): ONE for s in closure.base.members})
-    for k1, k2 in closure.concat_pairs():
-        acc: dict[str, Fraction] = {}
-        for s in k1.concat(k2).members:
-            _accumulate(acc, var_x(s), ONE)
-        for u in k1.members:
-            _accumulate(acc, var_x(u), MINUS_ONE)
-        for v in k2.members:
-            _accumulate(acc, var_x(v), MINUS_ONE)
-        lp.add_row(row_concat(k1, k2), acc, LE, 0)
-    return lp
+    return _string_program(
+        closure.strings(), closure.base.members, _pair_rows(closure.concat_pairs())
+    )
 
 
 # -- strong program -------------------------------------------------------------
@@ -117,20 +141,16 @@ def build_relaxed_binomial(n: int, k: int) -> LinearProgram:
     total mass on the top block B(n, k).
     """
     index = BinomialIndex(n, k)
-    lp = LinearProgram(sense="max")
-    for s in index.strings():
-        lp.add_variable(var_x(s), 0, len(s))
-    lp.set_objective({var_x(s): ONE for s in binomial(n, k).members})
-    for n1, k1, n2, k2 in index.quadruples():
-        acc: dict[str, Fraction] = {}
-        for s in product_block(n1, k1, n2, k2):
-            _accumulate(acc, var_x(s), ONE)
-        for u in binomial(n1, k1).members:
-            _accumulate(acc, var_x(u), MINUS_ONE)
-        for v in binomial(n2, k2).members:
-            _accumulate(acc, var_x(v), MINUS_ONE)
-        lp.add_row(row_quad(n1, k1, n2, k2), acc, LE, 0)
-    return lp
+    rows = (
+        (
+            row_quad(n1, k1, n2, k2),
+            product_block(n1, k1, n2, k2),
+            binomial(n1, k1).members,
+            binomial(n2, k2).members,
+        )
+        for n1, k1, n2, k2 in index.quadruples()
+    )
+    return _string_program(index.strings(), binomial(n, k).members, rows)
 
 
 # -- reduced weak program for single-1 blocks -------------------------------------
@@ -270,11 +290,31 @@ def _weak_dual_row(name: str) -> str:
     return "s" + _strip_tag(name)
 
 
+def _weak_transpose(primal: LinearProgram) -> LinearProgram:
+    return transpose_lp(primal, _weak_row_var, _weak_bound_var, _weak_dual_row)
+
+
 def build_weak_dual(closure: Closure) -> LinearProgram:
     """min sum |s| w_s  s.t.  per string s:  w_s + sum_pairs A y >= [s in base]."""
-    return transpose_lp(
-        build_weak_primal(closure), _weak_row_var, _weak_bound_var, _weak_dual_row
-    )
+    return _weak_transpose(build_weak_primal(closure))
+
+
+def build_weak_support_dual(
+    base: Language, pairs: Iterable[tuple[Language, Language]], strings: Iterable[str]
+) -> LinearProgram:
+    """The weak dual over the support of a dual point only.
+
+    Its strings are the base's, the given ones, and those of K1, K2 and
+    K1K2 for each given pair (K1, K2); its pair multipliers are the given
+    pairs.  Names match ``build_weak_dual``, and a point that is zero
+    off this support gets the same row sums as there.
+    """
+    rows = list(_pair_rows(pairs))
+    support = set(base.members).union(strings)
+    for _, product, left, right in rows:
+        support.update(product, left, right)
+    primal = _string_program(sorted(support, key=canon_key), base.members, rows)
+    return _weak_transpose(primal)
 
 
 def _strong_row_var(label: str) -> str:
@@ -299,6 +339,4 @@ def build_strong_dual(closure: Closure) -> LinearProgram:
 
 def build_relaxed_binomial_dual(n: int, k: int) -> LinearProgram:
     """min sum |s| w_s with one y per block quadruple."""
-    return transpose_lp(
-        build_relaxed_binomial(n, k), _weak_row_var, _weak_bound_var, _weak_dual_row
-    )
+    return _weak_transpose(build_relaxed_binomial(n, k))

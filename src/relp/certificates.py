@@ -7,12 +7,16 @@ construction per program family:
 * ``certify_weak_dual`` charges every concatenation split of the
   expression to its factor-language pair and every term occurrence to a
   string bound, giving a feasible point of the transposed
-  string-variable program.  Feasibility is checkable from the
-  certificate's own support (``check_weak_dual_support``), so the
-  surrounding closure never has to be materialized.
+  string-variable program.  ``check_weak_dual_support`` checks it with
+  ``check_feasible`` on the weak dual built over the certificate's own
+  support, so the surrounding closure never has to be materialized.
 * ``certify_relaxed_dual`` does the same for the block-indexed program
-  over weight-limited binary strings, spreading each term's unit mass
-  uniformly over its block.
+  over weight-limited binary strings, charging each split to its block
+  quadruple.
+
+Both read the expression through one walk (``_walk``), which yields its
+terms and its term-safe concatenation splits; each keeps only its own
+charging rule and checks.
 
 The primal half collects hand-derived feasible assignments whose
 objectives bound optima from below: ``analytic_sigma_primal`` for the
@@ -25,19 +29,19 @@ whose leading constants are fixed empirically by ``calibrate_alphas``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, log, log1p, log2
 
+from .builders import build_weak_support_dual
 from .closure import BinomialIndex, Closure, compute_closure, product_block
-from .lang import Language, all_strings, binomial, canon_key, ones, threshold
+from .lang import Language, all_strings, binomial, ones, threshold
 from .lp import (
     Assignment,
     FeasibilityReport,
-    Violation,
+    check_feasible,
     row_quad,
-    row_string,
     var_big_x,
     var_d,
     var_w,
@@ -48,7 +52,6 @@ from .lp import (
 from .regex import Concat, Regex, Union, as_word, cat, concat_factors, language_of, parse, word
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 Quad = tuple[int, int, int, int]
 
@@ -87,6 +90,34 @@ def _split_concat(node: Concat) -> tuple[Regex, Regex]:
     return cat(parts[:-1]), parts[-1]
 
 
+Split = tuple[Language, Language]
+
+
+def _walk(r: Regex) -> Iterator[str | Split]:
+    """Every term occurrence of r, and the factor languages of every split.
+
+    Union branches are walked in turn; a concatenation is split by
+    ``_split_concat`` and both sides are walked.  Each term of r is
+    yielded exactly once, so charging |s| per yielded term s sums to
+    the length of r.
+    """
+    stack: list[Regex] = [r]
+    while stack:
+        node = stack.pop()
+        term = as_word(node)
+        if term is not None:
+            yield term
+        elif isinstance(node, Union):
+            stack.append(node.left)
+            stack.append(node.right)
+        else:
+            assert isinstance(node, Concat)
+            left, right = _split_concat(node)
+            yield language_of(left), language_of(right)
+            stack.append(left)
+            stack.append(right)
+
+
 # -- weak dual certificates ---------------------------------------------------
 
 
@@ -103,7 +134,7 @@ class WeakDualCert:
 
     target: Language
     w: dict[str, Fraction]
-    y: dict[tuple[Language, Language], Fraction]
+    y: dict[Split, Fraction]
 
     def objective(self) -> Fraction:
         return sum((len(s) * c for s, c in self.w.items()), _ZERO)
@@ -132,23 +163,12 @@ def certify_weak_dual(r: Regex | str, target: Language | None = None) -> WeakDua
             f"expression denotes {lang.serialize()}, not {target.serialize()}"
         )
     w: dict[str, Fraction] = {}
-    y: dict[tuple[Language, Language], Fraction] = {}
-    stack: list[Regex] = [r]
-    while stack:
-        node = stack.pop()
-        term = as_word(node)
-        if term is not None:
-            w[term] = w.get(term, _ZERO) + 1
-        elif isinstance(node, Union):
-            stack.append(node.left)
-            stack.append(node.right)
+    y: dict[Split, Fraction] = {}
+    for step in _walk(r):
+        if isinstance(step, str):
+            w[step] = w.get(step, _ZERO) + 1
         else:
-            assert isinstance(node, Concat)
-            left, right = _split_concat(node)
-            pair = (language_of(left), language_of(right))
-            y[pair] = y.get(pair, _ZERO) + 1
-            stack.append(left)
-            stack.append(right)
+            y[step] = y.get(step, _ZERO) + 1
     return WeakDualCert(target=lang, w=w, y=y)
 
 
@@ -160,34 +180,13 @@ def check_weak_dual_support(
     The transposed program has one row per string of the (typically
     huge) closure universe, but a string outside the certificate's
     support and the target has the all-zero row 0 >= 0.  Checking the
-    strings touched by w, y, or the target therefore verifies the whole
-    program.  Comparisons are exact unless a tolerance is given.
+    weak dual built over the target's strings, the strings of w and
+    the strings of K1, K2 and K1K2 for each pair in y therefore
+    verifies the whole program.  Comparisons are exact unless a
+    tolerance is given.
     """
-    tol = _ZERO if tolerance is None else Fraction(tolerance)
-    violations: list[Violation] = []
-    net: dict[str, Fraction] = dict(cert.w)
-    for s, c in cert.w.items():
-        if c < 0:
-            violations.append(Violation("lower", var_w(s), -c))
-    for (k1, k2), c in cert.y.items():
-        if c < 0:
-            violations.append(Violation("lower", var_y_pair(k1, k2), -c))
-        for s in k1:
-            net[s] = net.get(s, _ZERO) - c
-        for s in k2:
-            net[s] = net.get(s, _ZERO) - c
-        for s in k1.concat(k2):
-            net[s] = net.get(s, _ZERO) + c
-    for s in sorted(set(net) | set(cert.target.members), key=canon_key):
-        need = _ONE if s in cert.target else _ZERO
-        slack = net.get(s, _ZERO) - need
-        if slack < -tol:
-            violations.append(Violation("row", row_string(s), -slack))
-    return FeasibilityReport(
-        feasible=not violations,
-        violations=violations,
-        objective=cert.objective(),
-    )
+    dual = build_weak_support_dual(cert.target, cert.y, cert.w)
+    return check_feasible(dual, cert.as_assignment(), tolerance)
 
 
 # -- relaxed (block program) dual certificates --------------------------------
@@ -263,35 +262,24 @@ def certify_relaxed_dual(r: Regex | str, n: int, k: int) -> RelaxedDualCert:
         raise ValueError(f"expression denotes {lang.serialize()}, not B({n},{k})")
     w: dict[str, Fraction] = {}
     y: dict[Quad, Fraction] = {}
-    stack: list[Regex] = [r]
-    while stack:
-        node = stack.pop()
-        term = as_word(node)
-        if term is not None:
-            m, l = len(term), ones(term)
-            if not _fits(m, l, n, k):
+    for step in _walk(r):
+        if isinstance(step, str):
+            if not _fits(len(step), ones(step), n, k):
                 raise ValueError(
-                    f"term {term!r} lies outside the universe of B({n},{k})"
+                    f"term {step!r} lies outside the universe of B({n},{k})"
                 )
-            w[term] = w.get(term, _ZERO) + 1
-        elif isinstance(node, Union):
-            stack.append(node.left)
-            stack.append(node.right)
-        else:
-            assert isinstance(node, Concat)
-            left, right = _split_concat(node)
-            lang1, lang2 = language_of(left), language_of(right)
-            m1, l1 = _block_of(lang1, n, k)
-            m2, l2 = _block_of(lang2, n, k)
-            if not _fits(m1 + m2, l1 + l2, n, k):
-                raise ValueError(
-                    f"product block ({m1 + m2},{l1 + l2}) does not fit inside B({n},{k})"
-                )
-            quad = (m1, l1, m2, l2)
-            mass = Fraction(len(lang1) * len(lang2), comb(m1, l1) * comb(m2, l2))
-            y[quad] = y.get(quad, _ZERO) + mass
-            stack.append(left)
-            stack.append(right)
+            w[step] = w.get(step, _ZERO) + 1
+            continue
+        lang1, lang2 = step
+        m1, l1 = _block_of(lang1, n, k)
+        m2, l2 = _block_of(lang2, n, k)
+        if not _fits(m1 + m2, l1 + l2, n, k):
+            raise ValueError(
+                f"product block ({m1 + m2},{l1 + l2}) does not fit inside B({n},{k})"
+            )
+        quad = (m1, l1, m2, l2)
+        mass = Fraction(len(lang1) * len(lang2), comb(m1, l1) * comb(m2, l2))
+        y[quad] = y.get(quad, _ZERO) + mass
     return RelaxedDualCert(n=n, k=k, w=w, y=y)
 
 

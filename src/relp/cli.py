@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Sequence, TextIO
 
@@ -226,63 +228,63 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_b1(args, cfg: RunConfig) -> int:
+def _b1_cases(args, cfg: RunConfig):
     lo = args.n_min if args.n_min is not None else 1
     hi = args.n_max if args.n_max is not None else 8
-    rows, bad = [], 0
     for n in range(lo, hi + 1):
-        t0 = time.perf_counter()
-        result = solve(build_reduced_weak_primal_b_n1(n), cfg)
-        dt = time.perf_counter() - t0
-        if result.status != "optimal":
-            raise SolverError(f"reduced program for n={n}: status {result.status}")
-        goal = ellul_b_n1_length(n)
-        equal = result.objective == goal
-        bad += not equal
-        rows.append((str(n), "1", _fmt(result.objective), str(goal),
-                     "yes" if equal else "NO", f"{dt:.2f}"))
-    _print_table(("n", "k", "opt", "length", "equal", "seconds"), rows)
-    return 1 if bad else 0
+        yield ((str(n), "1"), f"reduced program for n={n}",
+               partial(build_reduced_weak_primal_b_n1, n),
+               ellul_b_n1_length(n), operator.eq)
 
 
-def _sweep_bnk(args, cfg: RunConfig) -> int:
+def _bnk_cases(args, cfg: RunConfig):
     hi = args.n_max if args.n_max is not None else 6
     kmax = args.k_max if args.k_max is not None else 2
-    rows, bad = [], 0
     for n in range(1, hi + 1):
         for k in range(0, min(n, kmax) + 1):
-            t0 = time.perf_counter()
-            result = solve(build_relaxed_binomial(n, k), cfg)
-            dt = time.perf_counter() - t0
-            if result.status != "optimal":
-                raise SolverError(f"relaxed program ({n},{k}): status {result.status}")
-            goal = length(ellul_bnk(n, k))
-            equal = result.objective == goal
-            bad += not equal
-            rows.append((str(n), str(k), _fmt(result.objective), str(goal),
-                         "yes" if equal else "NO", f"{dt:.2f}"))
-    _print_table(("n", "k", "opt", "length", "equal", "seconds"), rows)
-    return 1 if bad else 0
+            yield ((str(n), str(k)), f"relaxed program ({n},{k})",
+                   partial(build_relaxed_binomial, n, k),
+                   length(ellul_bnk(n, k)), operator.eq)
 
 
-def _sweep_caveat(args, cfg: RunConfig) -> int:
+def _caveat_cases(args, cfg: RunConfig):
     lo = args.n_min if args.n_min is not None else 2
     hi = args.n_max if args.n_max is not None else 3
-    rows, bad = [], 0
-    for n in range(lo, hi + 1):
-        t0 = time.perf_counter()
-        closure = compute_closure(
-            gen_family("threshold", n, 1), cfg.closure_max_members, cfg.factor_pool_cap
+
+    def program(n: int) -> LinearProgram:
+        lang = gen_family("threshold", n, 1)
+        return build_weak_primal(
+            compute_closure(lang, cfg.closure_max_members, cfg.factor_pool_cap)
         )
-        result = solve(build_weak_primal(closure), cfg)
+
+    for n in range(lo, hi + 1):
+        yield ((str(n),), f"weak program for T({n},1)", partial(program, n),
+               4 * n, operator.le)
+
+
+# experiment -> (table header, cases); each case is (label cells, what,
+# program thunk, goal, comparison), and the program is built inside the timer
+_SWEEPS = {
+    "b1-conjecture": (("n", "k", "opt", "length", "equal", "seconds"), _b1_cases),
+    "bnk-conjecture": (("n", "k", "opt", "length", "equal", "seconds"), _bnk_cases),
+    "caveat": (("n", "opt", "bound", "within", "seconds"), _caveat_cases),
+}
+
+
+def _sweep(args, cfg: RunConfig) -> int:
+    header, cases = _SWEEPS[args.experiment]
+    rows, bad = [], 0
+    for cells, what, program, goal, holds in cases(args, cfg):
+        t0 = time.perf_counter()
+        result = solve(program(), cfg)
         dt = time.perf_counter() - t0
         if result.status != "optimal":
-            raise SolverError(f"weak program for T({n},1): status {result.status}")
-        within = result.objective <= 4 * n
-        bad += not within
-        rows.append((str(n), _fmt(result.objective), str(4 * n),
-                     "yes" if within else "NO", f"{dt:.2f}"))
-    _print_table(("n", "opt", "bound", "within", "seconds"), rows)
+            raise SolverError(f"{what}: status {result.status}")
+        ok = holds(result.objective, goal)
+        bad += not ok
+        rows.append((*cells, _fmt(result.objective), str(goal),
+                     "yes" if ok else "NO", f"{dt:.2f}"))
+    _print_table(header, rows)
     return 1 if bad else 0
 
 
@@ -312,13 +314,9 @@ def _sweep_alphas(args, cfg: RunConfig) -> int:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    runner = {
-        "b1-conjecture": _sweep_b1,
-        "bnk-conjecture": _sweep_bnk,
-        "caveat": _sweep_caveat,
-        "alphas": _sweep_alphas,
-    }[args.experiment]
-    return runner(args, cfg)
+    if args.experiment == "alphas":
+        return _sweep_alphas(args, cfg)
+    return _sweep(args, cfg)
 
 
 def cmd_calibrate(args, cfg: RunConfig) -> int:
@@ -420,8 +418,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", parents=[common], help="run a report table")
-    p.add_argument("experiment",
-                   choices=("b1-conjecture", "bnk-conjecture", "caveat", "alphas"))
+    p.add_argument("experiment", choices=(*_SWEEPS, "alphas"))
     p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--k-max", type=int)

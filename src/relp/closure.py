@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 
 from .config import ResourceCapError
 from .lang import Language, binomial, canon_key
@@ -280,9 +279,6 @@ class BinomialIndex:
             out.extend(binomial(m, l).members)
         out.sort(key=canon_key)
         return out
-
-    def block_size(self, m: int, l: int) -> int:
-        return comb(m, l)
 
 
 def product_block(n1: int, k1: int, n2: int, k2: int) -> list[str]:

@@ -3,8 +3,7 @@
 Programs are kept deliberately dumb: a sense, an ordered variable list
 with box bounds, a sparse objective, and a list of labeled sparse rows
 (<= or >=).  Builders emit rows one-to-one with the defining index sets;
-nothing is simplified on the way in.  ``dedupe_rows`` is the only
-reduction offered, and it removes exact structural duplicates only.
+nothing is simplified on the way in, and no reduction is offered.
 
 Text formats (both line-oriented, whitespace-separated, rationals as
 ``p/q``):
@@ -36,7 +35,6 @@ from typing import Iterable, Mapping
 
 from .lang import Language
 
-Rat = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -101,13 +99,6 @@ class Row:
     rel: str
     rhs: Fraction
 
-    def signature(self) -> tuple:
-        return (
-            tuple(sorted((v, c) for v, c in self.coeffs.items() if c != 0)),
-            self.rel,
-            self.rhs,
-        )
-
 
 @dataclass
 class LinearProgram:
@@ -165,28 +156,6 @@ class LinearProgram:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    def dedupe_rows(self) -> "LinearProgram":
-        """A copy without structurally duplicate rows (first label wins).
-
-        Builders emit one row per index-set element, so symmetric pairs
-        produce literal duplicates; this is the only reduction we allow
-        ourselves before solving.
-        """
-        seen: set[tuple] = set()
-        rows = []
-        for row in self.rows:
-            sig = row.signature()
-            if sig not in seen:
-                seen.add(sig)
-                rows.append(row)
-        return LinearProgram(
-            sense=self.sense,
-            variables=list(self.variables),
-            bounds=dict(self.bounds),
-            objective=dict(self.objective),
-            rows=rows,
-        )
 
 
 # -- assignments and feasibility ----------------------------------------------

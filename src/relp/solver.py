@@ -51,15 +51,6 @@ from typing import Mapping
 from .config import DEFAULT_CONFIG, RunConfig
 from .lp import LE, Assignment, LinearProgram, check_feasible, objective_value
 
-# Only reports whether gmpy2 can be imported (run records stamp it); the
-# solver's arithmetic is Python ints and Fractions either way.
-try:
-    import gmpy2  # noqa: F401
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    HAVE_GMPY2 = False
-
 AT_LO, AT_UP, BASIC = 0, 1, 2
 
 

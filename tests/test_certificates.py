@@ -11,6 +11,7 @@ from relp import (
     AlphaTable,
     CalibrationError,
     Language,
+    WeakDualCert,
     all_strings,
     analytic_binomial1_primal,
     analytic_g,
@@ -30,6 +31,7 @@ from relp import (
     check_weak_dual_support,
     compute_closure,
     ellul_bnk,
+    ellul_t_n1,
     g_objective,
     g_value,
     length,
@@ -40,6 +42,7 @@ from relp import (
     write_alpha_table,
 )
 from relp.closure import BinomialIndex
+from relp.lang import canon_key
 
 
 class TestWeakDualCert:
@@ -93,6 +96,36 @@ class TestWeakDualCert:
         cert = certify_weak_dual("(0+0)")
         assert cert.w == {"0": Fraction(2)}
         assert cert.objective() == 2  # duplicated branch still pays twice
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["(0+00)0", "(0+1)(0+1)(0+1)", ellul_t_n1(3)],
+        ids=["(0+00)0", "sigma3", "ellul_t_n1(3)"],
+    )
+    @pytest.mark.parametrize("raise_y, lower_w", [(1, 1), (Fraction(1, 2), 4)])
+    def test_support_check_matches_closure_dual_when_perturbed(
+        self, expr, raise_y, lower_w
+    ):
+        # raising one y and lowering one w breaks string rows; lowering w
+        # by 4 also drives it negative, so a lower-bound violation shows too
+        cert = certify_weak_dual(expr)
+        pair = min(cert.y, key=lambda p: (p[0].serialize(), p[1].serialize()))
+        term = min(cert.w, key=canon_key)
+        bad = WeakDualCert(
+            target=cert.target,
+            w={**cert.w, term: cert.w[term] - lower_w},
+            y={**cert.y, pair: cert.y[pair] + raise_y},
+        )
+        support = check_weak_dual_support(bad)
+        full = check_feasible(
+            build_weak_dual(compute_closure(cert.target)), bad.as_assignment()
+        )
+        assert not full.feasible
+        assert support.feasible == full.feasible
+        assert support.objective == full.objective
+        assert {(v.kind, v.where, v.amount) for v in support.violations} == {
+            (v.kind, v.where, v.amount) for v in full.violations
+        }
 
 
 class TestRelaxedDualCert:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from math import comb
-
 import pytest
 from hypothesis import given, settings
 
@@ -266,11 +264,6 @@ class TestBinomialIndex:
             for l in (0, 1)
             for s in binomial(m, l).members
         )
-
-    def test_block_size(self):
-        index = BinomialIndex(6, 2)
-        for m, l in index.blocks():
-            assert index.block_size(m, l) == comb(m, l)
 
     def test_product_block(self):
         assert sorted(product_block(1, 0, 1, 1)) == ["01"]

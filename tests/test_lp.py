@@ -92,17 +92,6 @@ class TestModel:
         lp.set_objective({"x": 0, "y": 2})
         assert lp.objective == {"y": Fraction(2)}
 
-    def test_dedupe_rows(self):
-        lp = LinearProgram(sense="min")
-        lp.add_variable("x")
-        lp.set_objective({"x": 1})
-        lp.add_row("a", {"x": 1}, "<=", 1)
-        lp.add_row("b", {"x": 1}, "<=", 1)  # same signature, later label
-        lp.add_row("c", {"x": 1}, "<=", 2)  # different rhs, kept
-        deduped = lp.dedupe_rows()
-        assert [r.label for r in deduped.rows] == ["a", "c"]
-        assert [r.label for r in lp.rows] == ["a", "b", "c"]  # original intact
-
 
 class TestNaming:
     def test_variable_names(self):
@@ -224,8 +213,7 @@ class TestLpTextFormat:
         assert back.variables == lp.variables
         assert back.bounds == lp.bounds
         assert back.objective == lp.objective
-        assert [r.signature() for r in back.rows] == [r.signature() for r in lp.rows]
-        assert [r.label for r in back.rows] == [r.label for r in lp.rows]
+        assert back.rows == lp.rows
 
     def test_round_trip_with_upper_bounds_and_empty_obj(self):
         lp = LinearProgram(sense="max")
@@ -283,7 +271,7 @@ class TestLpTextFormat:
         assert back.sense == lp.sense
         assert back.bounds == lp.bounds
         assert back.objective == lp.objective
-        assert [r.signature() for r in back.rows] == [r.signature() for r in lp.rows]
+        assert back.rows == lp.rows
 
 
 class TestSolutionTextFormat:

@@ -15,8 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "argv",
     [
-        ["weight_one_table.py", "--n-max", "4", "--full", "4"],
-        ["calibration_report.py", "--kmax", "2", "--nmax", "5"],
+        ["weight_one_table.py", "4"],
         ["relaxation_gap_hunt.py", "--count", "3", "--seed", "1"],
     ],
     ids=lambda argv: argv[0],
