@@ -23,6 +23,7 @@ itself is wrong, which the tests pin down separately.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 from .closure import BinomialIndex, Closure, product_block
@@ -39,16 +40,22 @@ from .lp import (
     var_x,
 )
 
-ONE = Fraction(1)
-MINUS_ONE = Fraction(-1)
 
+def _net_row(plus: Iterable[str], minus: Iterable[str]) -> dict[str, int]:
+    """+1 per name in plus, then -1 per name in minus, as int coefficients.
 
-def _accumulate(acc: dict[str, Fraction], name: str, delta: Fraction) -> None:
-    c = acc.get(name, Fraction(0)) + delta
-    if c:
-        acc[name] = c
-    else:
-        acc.pop(name, None)
+    A name whose coefficient nets to 0 leaves the row, and enters again
+    at the end if it comes back; write_lp's term order follows this.
+    """
+    acc: dict[str, int] = {}
+    for names, delta in ((plus, 1), (minus, -1)):
+        for name in names:
+            c = acc.get(name, 0) + delta
+            if c:
+                acc[name] = c
+            else:
+                del acc[name]
+    return acc
 
 
 # -- the string program ----------------------------------------------------------
@@ -70,15 +77,9 @@ def _string_program(
     lp = LinearProgram(sense="max")
     for s in strings:
         lp.add_variable(var_x(s), 0, len(s))
-    lp.set_objective({var_x(s): ONE for s in objective})
+    lp.set_objective({var_x(s): 1 for s in objective})
     for label, product, left, right in rows:
-        acc: dict[str, Fraction] = {}
-        for s in product:
-            _accumulate(acc, var_x(s), ONE)
-        for u in left:
-            _accumulate(acc, var_x(u), MINUS_ONE)
-        for v in right:
-            _accumulate(acc, var_x(v), MINUS_ONE)
+        acc = _net_row(map(var_x, product), map(var_x, chain(left, right)))
         lp.add_row(label, acc, LE, 0)
     return lp
 
@@ -113,18 +114,12 @@ def build_strong_primal(closure: Closure) -> LinearProgram:
     for k in closure.members:
         hi = len(k.only) if k.is_singleton else None
         lp.add_variable(var_big_x(k), 0, hi)
-    lp.set_objective({var_big_x(closure.base): ONE})
+    lp.set_objective({var_big_x(closure.base): 1})
     for k1, k2 in closure.concat_pairs():
-        acc: dict[str, Fraction] = {}
-        _accumulate(acc, var_big_x(k1.concat(k2)), ONE)
-        _accumulate(acc, var_big_x(k1), MINUS_ONE)
-        _accumulate(acc, var_big_x(k2), MINUS_ONE)
+        acc = _net_row((var_big_x(k1.concat(k2)),), (var_big_x(k1), var_big_x(k2)))
         lp.add_row(row_concat(k1, k2), acc, LE, 0)
     for k1, k2 in closure.union_pairs():
-        acc = {}
-        _accumulate(acc, var_big_x(k1.union(k2)), ONE)
-        _accumulate(acc, var_big_x(k1), MINUS_ONE)
-        _accumulate(acc, var_big_x(k2), MINUS_ONE)
+        acc = _net_row((var_big_x(k1.union(k2)),), (var_big_x(k1), var_big_x(k2)))
         lp.add_row(row_union(k1, k2), acc, LE, 0)
     return lp
 
@@ -187,43 +182,43 @@ def build_reduced_weak_primal_b_n1(n: int) -> LinearProgram:
                 lp.add_variable(var_d("r", a, b, s), 0, None)
             for s in weight1[b]:
                 lp.add_variable(var_d("l", a, b, s), 0, None)
-    lp.set_objective({var_x(s): ONE for s in weight1[n]})
+    lp.set_objective({var_x(s): 1 for s in weight1[n]})
 
     for a in range(1, n):
         for b in range(a, n - a + 1):  # unordered: (a,b) and (b,a) rows coincide
             lp.add_row(
                 row_concat(Language([zeros[a]]), Language([zeros[b]])),
                 {
-                    var_x(zeros[a + b]): ONE,
-                    var_x(zeros[a]): Fraction(-1) if a != b else Fraction(-2),
-                    **({var_x(zeros[b]): MINUS_ONE} if a != b else {}),
+                    var_x(zeros[a + b]): 1,
+                    var_x(zeros[a]): -1 if a != b else -2,
+                    **({var_x(zeros[b]): -1} if a != b else {}),
                 },
                 LE,
                 0,
             )
     for a in range(1, n):
         for b in range(1, n - a + 1):
-            cap_r: dict[str, Fraction] = {var_x(zeros[b]): MINUS_ONE}
+            cap_r: dict[str, int] = {var_x(zeros[b]): -1}
             for s in weight1[a]:
                 d = var_d("r", a, b, s)
                 lp.add_row(
                     f"split[r,{a},{b},{s}]",
-                    {var_x(s + zeros[b]): ONE, var_x(s): MINUS_ONE, d: MINUS_ONE},
+                    {var_x(s + zeros[b]): 1, var_x(s): -1, d: -1},
                     LE,
                     0,
                 )
-                cap_r[d] = ONE
+                cap_r[d] = 1
             lp.add_row(f"cap[r,{a},{b}]", cap_r, LE, 0)
-            cap_l: dict[str, Fraction] = {var_x(zeros[a]): MINUS_ONE}
+            cap_l: dict[str, int] = {var_x(zeros[a]): -1}
             for s in weight1[b]:
                 d = var_d("l", a, b, s)
                 lp.add_row(
                     f"split[l,{a},{b},{s}]",
-                    {var_x(zeros[a] + s): ONE, var_x(s): MINUS_ONE, d: MINUS_ONE},
+                    {var_x(zeros[a] + s): 1, var_x(s): -1, d: -1},
                     LE,
                     0,
                 )
-                cap_l[d] = ONE
+                cap_l[d] = 1
             lp.add_row(f"cap[l,{a},{b}]", cap_l, LE, 0)
     return lp
 
@@ -249,8 +244,8 @@ def transpose_lp(
     if lp.sense != "max":
         raise ValueError("transpose_lp expects a max program")
     dual = LinearProgram(sense="min")
-    objective: dict[str, Fraction] = {}
-    columns: dict[str, dict[str, Fraction]] = {name: {} for name in lp.variables}
+    objective: dict[str, Fraction | int] = {}
+    columns: dict[str, dict[str, Fraction | int]] = {name: {} for name in lp.variables}
     for row in lp.rows:
         if row.rel != LE:
             raise ValueError(f"transpose_lp expects <= rows, got {row.rel} in {row.label}")
@@ -265,7 +260,7 @@ def transpose_lp(
             raise ValueError(f"transpose_lp expects lower bounds 0, got {lo} on {name}")
         if hi is not None:
             v = dual.add_variable(bound_var(name), 0, None)
-            columns[name][v] = ONE
+            columns[name][v] = 1
             if hi:
                 objective[v] = hi
     dual.set_objective(objective)

@@ -278,6 +278,8 @@ def _sweep(args, cfg: RunConfig) -> int:
         t0 = time.perf_counter()
         result = solve(program(), cfg)
         dt = time.perf_counter() - t0
+        if result.status == "resource":
+            raise ResourceCapError(f"{what}: pivot cap {cfg.solver_max_pivots} reached")
         if result.status != "optimal":
             raise SolverError(f"{what}: status {result.status}")
         ok = holds(result.objective, goal)

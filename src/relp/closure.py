@@ -283,6 +283,5 @@ class BinomialIndex:
 
 def product_block(n1: int, k1: int, n2: int, k2: int) -> list[str]:
     """B(n1,k1)·B(n2,k2): length n1+n2, k1 ones in the first n1 positions."""
-    return [
-        u + v for u in binomial(n1, k1).members for v in binomial(n2, k2).members
-    ]
+    right = binomial(n2, k2).members
+    return [u + v for u in binomial(n1, k1).members for v in right]

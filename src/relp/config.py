@@ -8,12 +8,23 @@ with ``#`` comments.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 
 
 class ResourceCapError(RuntimeError):
     """An enumeration or solve exceeded a configured cap (CLI exit code 2)."""
+
+
+# RunConfig fields that count something and must be at least 1
+_COUNT_CAPS = (
+    "closure_max_members",
+    "factor_pool_cap",
+    "oracle_max_strings",
+    "oracle_max_len",
+    "solver_max_pivots",
+)
 
 
 @dataclass(frozen=True)
@@ -28,6 +39,18 @@ class RunConfig:
     stall_threshold: int = 200
     pivot_rule: str = "auto"  # auto | bland | dantzig
     tolerance: float = 1e-9
+
+    def __post_init__(self) -> None:
+        """Refuse settings no run can honour, before any work starts."""
+        for name in _COUNT_CAPS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.stall_threshold < 0:
+            raise ValueError(f"stall_threshold must be >= 0, got {self.stall_threshold}")
+        if self.pivot_rule not in ("auto", "bland", "dantzig"):
+            raise ValueError(f"pivot_rule must be auto, bland or dantzig, got {self.pivot_rule!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 DEFAULT_CONFIG = RunConfig()

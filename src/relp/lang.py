@@ -181,8 +181,19 @@ def all_strings(n: int, alphabet: str = "01") -> Language:
     return Language("".join(p) for p in product(alphabet, repeat=n))
 
 
+# The block builders and the calibration list the same small blocks over
+# and over; a block of at most this many characters in all is kept after
+# it is first built, so the memo stays a few MB even on the length-64
+# ratio grid.
+_BINOMIAL_MEMO_MAX_CHARS = 1 << 16
+_binomial_memo: dict[tuple[int, int], Language] = {}
+
+
 def binomial(n: int, k: int) -> Language:
     """B(n,k): binary strings of length n with exactly k ones."""
+    lang = _binomial_memo.get((n, k))
+    if lang is not None:
+        return lang
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= k <= n:
@@ -193,7 +204,10 @@ def binomial(n: int, k: int) -> Language:
         for i in positions:
             chars[i] = "1"
         out.append("".join(chars))
-    return Language(out)
+    lang = Language(out)
+    if n * len(lang) <= _BINOMIAL_MEMO_MAX_CHARS:
+        _binomial_memo[n, k] = lang
+    return lang
 
 
 def threshold(n: int, k: int) -> Language:

@@ -5,6 +5,14 @@ with box bounds, a sparse objective, and a list of labeled sparse rows
 (<= or >=).  Builders emit rows one-to-one with the defining index sets;
 nothing is simplified on the way in, and no reduction is offered.
 
+Every coefficient, bound and rhs is stored in one normal form: a plain
+``int`` when the value is integral, a ``Fraction`` only when it is not.
+The builders' programs are all-integer, so their arithmetic never
+touches ``Fraction``.  The exact feasibility check scales an assignment
+once by the lcm D of its value denominators and then sums every row in
+ints, comparing against rhs*D; a violation is reported as the
+``Fraction`` amount/D.
+
 Text formats (both line-oriented, whitespace-separated, rationals as
 ``p/q``):
 
@@ -31,12 +39,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import lcm
+from typing import Mapping
 
 from .lang import Language
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 FORMAT_HEADER = "relp-lp v1"
 
@@ -92,20 +100,30 @@ def row_string(s: str) -> str:
 # -- model ---------------------------------------------------------------------
 
 
+def _normal(value: Fraction | int) -> Fraction | int:
+    """The value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass
 class Row:
     label: str
-    coeffs: dict[str, Fraction]
+    coeffs: dict[str, Fraction | int]
     rel: str
-    rhs: Fraction
+    rhs: Fraction | int
 
 
 @dataclass
 class LinearProgram:
     sense: str  # "max" or "min"
     variables: list[str] = field(default_factory=list)
-    bounds: dict[str, tuple[Fraction, Fraction | None]] = field(default_factory=dict)
-    objective: dict[str, Fraction] = field(default_factory=dict)
+    bounds: dict[str, tuple[Fraction | int, Fraction | int | None]] = field(
+        default_factory=dict
+    )
+    objective: dict[str, Fraction | int] = field(default_factory=dict)
     rows: list[Row] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -113,12 +131,12 @@ class LinearProgram:
             raise ValueError(f"sense must be max or min, got {self.sense!r}")
 
     def add_variable(
-        self, name: str, lo: Fraction | int = ZERO, hi: Fraction | int | None = None
+        self, name: str, lo: Fraction | int = 0, hi: Fraction | int | None = None
     ) -> str:
         if name in self.bounds:
             raise ValueError(f"variable {name} declared twice")
-        lo = Fraction(lo)
-        hi = Fraction(hi) if hi is not None else None
+        lo = _normal(lo)
+        hi = _normal(hi) if hi is not None else None
         if hi is not None and hi < lo:
             raise ValueError(f"empty bound interval for {name}: [{lo}, {hi}]")
         self.variables.append(name)
@@ -134,20 +152,22 @@ class LinearProgram:
     ) -> None:
         if rel not in (LE, GE):
             raise ValueError(f"relation must be {LE} or {GE}, got {rel!r}")
-        clean: dict[str, Fraction] = {}
+        clean: dict[str, Fraction | int] = {}
+        bounds = self.bounds
         for name, c in coeffs.items():
-            if name not in self.bounds:
+            if name not in bounds:
                 raise ValueError(f"row {label} references undeclared variable {name}")
-            c = Fraction(c)
-            if c != 0:
+            if type(c) is not int:
+                c = _normal(c)
+            if c:
                 clean[name] = c
-        self.rows.append(Row(label, clean, rel, Fraction(rhs)))
+        self.rows.append(Row(label, clean, rel, _normal(rhs)))
 
     def set_objective(self, coeffs: Mapping[str, Fraction | int]) -> None:
         for name in coeffs:
             if name not in self.bounds:
                 raise ValueError(f"objective references undeclared variable {name}")
-        self.objective = {n: Fraction(c) for n, c in coeffs.items() if c != 0}
+        self.objective = {n: _normal(c) for n, c in coeffs.items() if c != 0}
 
     @property
     def n_vars(self) -> int:
@@ -221,42 +241,64 @@ def check_feasible(
 
     tolerance=None means: exact comparison for exact assignments, 1e-9
     for float ones.  A violation is recorded with its (positive) amount.
+
+    An exact assignment is checked in ints: every value is scaled once by
+    the lcm D of the value denominators, so each row sum (of an integral
+    row) is an int compared against rhs*D, with the tolerance scaled to
+    tolerance*D.  Amounts are reported unscaled, as the Fraction
+    amount/D.
     """
     if tolerance is None:
         tolerance = 0.0 if assignment.exact else 1e-9
     exact = assignment.exact
-    tol = Fraction(tolerance) if exact else tolerance
+    if exact:
+        values = assignment.values
+        scale = lcm(*(v.denominator for v in values.values()))
+        scaled = {n: v.numerator * (scale // v.denominator) for n, v in values.items()}
+        zero = 0
+        tol = _normal(Fraction(tolerance) * scale)
+        objective = Fraction(_scaled_sum(lp.objective, scaled, zero), scale)
+    else:
+        # scale 1.0 reads every bound and rhs as a float
+        scaled, scale, zero, tol = assignment.values, 1.0, 0.0, tolerance
+        objective = objective_value(lp, assignment)
+    get = scaled.get
     violations: list[Violation] = []
+
+    def amount(excess):
+        return Fraction(excess, scale) if exact else excess
 
     for name in lp.variables:
         lo, hi = lp.bounds[name]
-        v = assignment.get(name)
-        lo_cmp = lo if exact else float(lo)
-        if v < lo_cmp - tol:
-            violations.append(Violation("lower", name, lo_cmp - v))
+        v = get(name, zero)
+        lo_s = lo * scale
+        if v < lo_s - tol:
+            violations.append(Violation("lower", name, amount(lo_s - v)))
         if hi is not None:
-            hi_cmp = hi if exact else float(hi)
-            if v > hi_cmp + tol:
-                violations.append(Violation("upper", name, v - hi_cmp))
+            hi_s = hi * scale
+            if v > hi_s + tol:
+                violations.append(Violation("upper", name, amount(v - hi_s)))
 
     for row in lp.rows:
-        if exact:
-            lhs = sum((c * assignment.get(n) for n, c in row.coeffs.items()), ZERO)
-            rhs = row.rhs
-        else:
-            lhs = sum(float(c) * assignment.get(n) for n, c in row.coeffs.items())
-            rhs = float(row.rhs)
+        lhs = _scaled_sum(row.coeffs, scaled, zero)
+        rhs = row.rhs * scale
         slack = rhs - lhs if row.rel == LE else lhs - rhs
         if slack < -tol:
-            violations.append(Violation("row", row.label, -slack))
+            violations.append(Violation("row", row.label, amount(-slack)))
 
     unknown = tuple(sorted(set(assignment.values) - set(lp.bounds)))
     return FeasibilityReport(
         feasible=not violations,
         violations=violations,
-        objective=objective_value(lp, assignment),
+        objective=objective,
         unknown_names=unknown,
     )
+
+
+def _scaled_sum(coeffs: Mapping[str, Fraction | int], values: Mapping, zero):
+    """sum of c * values[name] over coeffs, absent names counting as zero."""
+    get = values.get
+    return sum(c * get(n, zero) for n, c in coeffs.items())
 
 
 # -- rational / float token helpers -------------------------------------------

@@ -6,7 +6,9 @@ product scan, ``brute_factorizations`` enumerates subset pairs of
 prefixes and suffixes, and ``vertex_optimum`` maximizes over the
 vertices of a fully bounded polytope by exact Gaussian elimination.
 ``negate_one_multiplier`` corrupts the solver's candidate optima, so
-tests can check that ``solve`` refuses them.
+tests can check that ``solve`` refuses them.  ``reference_check``
+recomputes ``check_feasible``'s exact verdict in plain ``Fraction``
+arithmetic, one row at a time, without the common denominator.
 """
 
 from __future__ import annotations
@@ -169,6 +171,39 @@ def vertex_optimum(lp) -> tuple[str, Fraction | None]:
     if best is None:
         return "infeasible", None
     return "optimal", sign * best
+
+
+# -- Fraction reference for the exact feasibility check ---------------------
+
+
+def reference_check(lp, assignment, tolerance=None):
+    """(feasible, objective, [(kind, where, amount)]) of an exact assignment.
+
+    Every value, coefficient and amount is a Fraction; violations come in
+    check_feasible's order: bounds in variable order, then rows.
+    """
+    tol = Fraction(tolerance or 0)
+
+    def value(name: str) -> Fraction:
+        return Fraction(assignment.values.get(name, 0))
+
+    def dot(coeffs) -> Fraction:
+        return sum((Fraction(c) * value(n) for n, c in coeffs.items()), Fraction(0))
+
+    found = []
+    for name in lp.variables:
+        lo, hi = lp.bounds[name]
+        v = value(name)
+        if v < lo - tol:
+            found.append(("lower", name, Fraction(lo) - v))
+        if hi is not None and v > hi + tol:
+            found.append(("upper", name, v - Fraction(hi)))
+    for row in lp.rows:
+        lhs = dot(row.coeffs)
+        slack = row.rhs - lhs if row.rel == "<=" else lhs - row.rhs
+        if slack < -tol:
+            found.append(("row", row.label, Fraction(-slack)))
+    return not found, dot(lp.objective), found
 
 
 # -- fault injection ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -20,9 +21,11 @@ from relp import (
     build_weak_primal,
     compute_closure,
     singleton,
+    threshold,
     transpose_lp,
     write_lp,
 )
+from relp.builders import build_weak_support_dual
 from relp.closure import BinomialIndex
 
 
@@ -297,3 +300,61 @@ class TestDualBuilders:
     def test_relaxed_dual_counts_8_1(self):
         dual = build_relaxed_binomial_dual(8, 1)
         assert (dual.n_vars, dual.n_rows) == (128, 44)
+
+
+# sha256 of the write_lp text of each program, captured while the model
+# still stored every coefficient as a Fraction; int storage must not
+# move a byte of it
+PINNED_LP_SHA256 = {
+    "relaxed(5,2)": "ed2280e6102bb96a146271dc87574f44f4a665e0ecb778894fa1e0a58d591a1c",
+    "relaxed(8,3)": "a1fcbac2085e9ca23efaac7fd87bb79a86db6779de07133da2d50514be6b761c",
+    "relaxed-dual(8,3)": "61de203163a79693e487a180833b2401a350c315e118809fc5ee1a6a68d551cb",
+    "reduced-b1(6)": "0c45f54cb292ded9a000d0ee5f9f3f76d2a13f9232dcb276b9242a8e3facf903",
+    "weak C(T(3,1))": "7ab7795f0d911395b47cc387da39fecb5aa485bc13fdc146f14282557e9c6dae",
+    "weak-dual C(T(3,1))": "e2ac114d1b80a82a0e22df5617af453f49c051a6e28b8535ca6a748b2af2935f",
+    "strong C({00,000})": "3e2b09af17317854f193935acaac569abcc7d8d77b30f2830eaa28fc32b1239c",
+    "strong-dual C({00,000})": "5c2b5fb44f1a94fe7beb95770235827dceb997205e63d0b19d0be6c2c43966c5",
+}
+
+
+def pinned_programs() -> dict[str, LinearProgram]:
+    t31 = compute_closure(threshold(3, 1))
+    c00 = closure_00_000()
+    return {
+        "relaxed(5,2)": build_relaxed_binomial(5, 2),
+        "relaxed(8,3)": build_relaxed_binomial(8, 3),
+        "relaxed-dual(8,3)": build_relaxed_binomial_dual(8, 3),
+        "reduced-b1(6)": build_reduced_weak_primal_b_n1(6),
+        "weak C(T(3,1))": build_weak_primal(t31),
+        "weak-dual C(T(3,1))": build_weak_dual(t31),
+        "strong C({00,000})": build_strong_primal(c00),
+        "strong-dual C({00,000})": build_strong_dual(c00),
+    }
+
+
+class TestIntegerCoefficients:
+    def test_builders_emit_plain_ints(self):
+        programs = pinned_programs()
+        toy = LinearProgram(sense="max")
+        toy.add_variable("a", 0, 3)
+        toy.add_variable("b")
+        toy.set_objective({"a": 2, "b": 1})
+        toy.add_row("r", {"a": 1, "b": 4}, "<=", 5)
+        c00 = closure_00_000()
+        programs["weak support dual C({00,000})"] = build_weak_support_dual(
+            c00.base, c00.concat_pairs(), c00.strings()
+        )
+        programs["transpose(toy)"] = transpose_lp(
+            toy, lambda r: f"y_{r}", lambda v: f"v_{v}", lambda v: f"s_{v}"
+        )
+        for name, lp in programs.items():
+            values = [c for row in lp.rows for c in (*row.coeffs.values(), row.rhs)]
+            values += [b for pair in lp.bounds.values() for b in pair if b is not None]
+            values += list(lp.objective.values())
+            assert values, name
+            assert {type(v) for v in values} == {int}, name
+
+    def test_write_lp_text_is_pinned(self):
+        for name, lp in pinned_programs().items():
+            digest = hashlib.sha256(write_lp(lp).encode()).hexdigest()
+            assert digest == PINNED_LP_SHA256[name], name

@@ -9,6 +9,7 @@ import pytest
 
 from relp import read_alpha_table, read_lp, read_solution
 from relp.cli import build_parser, main
+from relp.config import RunConfig
 
 from _support import negate_one_multiplier
 
@@ -235,6 +236,19 @@ class TestSweeps:
             ["2", "5 (5.0000)", "8", "yes"],  # opt for T(2,1)
         ]
 
+    def test_pivot_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "bnk-conjecture", "--n-max", "4",
+                             "--solver-max-pivots", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("resource cap: relaxed program (2,1): pivot cap 3")
+
+    def test_closure_cap_exits_2(self, capsys):
+        code, _, err = run(capsys, "sweep", "caveat", "--n-max", "3",
+                           "--closure-max-members", "20")
+        assert code == 2
+        assert err.startswith("resource cap:")
+
     def test_alphas_with_table(self, capsys, tmp_path):
         table_file = tmp_path / "alphas.txt"
         code, _, _ = run(capsys, "calibrate", "--kmax", "2", "--nmax", "10",
@@ -271,6 +285,63 @@ class TestConfigPlumbing:
         cfg.write_text("definitely not key value\n")
         code, _, err = run(capsys, "oracle", "{0}", "--config", str(cfg))
         assert code == 3
+
+
+# (config key, a value no run can honour)
+DEGENERATE_SETTINGS = [
+    ("closure_max_members", "0"),
+    ("factor_pool_cap", "0"),
+    ("oracle_max_strings", "0"),
+    ("oracle_max_len", "-1"),
+    ("solver_max_pivots", "-5"),
+    ("stall_threshold", "-1"),
+    ("tolerance", "-1"),
+    ("tolerance", "nan"),
+    ("tolerance", "inf"),
+]
+
+
+class TestDegenerateSettings:
+    """A setting no run can honour is refused (exit 3) before any work."""
+
+    @pytest.mark.parametrize("key, value", DEGENERATE_SETTINGS)
+    def test_flag(self, capsys, key, value):
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run(capsys, "sweep", "bnk-conjecture", "--n-max", "2", flag, value)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {key} must be")
+
+    @pytest.mark.parametrize("key, value", DEGENERATE_SETTINGS)
+    def test_config_file(self, capsys, tmp_path, monkeypatch, key, value):
+        cfg = tmp_path / "relp.conf"
+        cfg.write_text(f"{key} = {value}\n")
+        monkeypatch.setenv("RELP_CONFIG", str(cfg))
+        code, out, err = run(capsys, "sweep", "bnk-conjecture", "--n-max", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: {key} must be")
+
+    def test_unknown_pivot_rule_in_config_file(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "relp.conf"
+        cfg.write_text("pivot_rule = sideways\n")
+        monkeypatch.setenv("RELP_CONFIG", str(cfg))
+        code, out, err = run(capsys, "sweep", "caveat", "--n-max", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: pivot_rule must be")
+
+    def test_smallest_settings_accepted(self):
+        cfg = RunConfig(
+            closure_max_members=1,
+            factor_pool_cap=1,
+            oracle_max_strings=1,
+            oracle_max_len=1,
+            solver_max_pivots=1,
+            stall_threshold=0,
+            tolerance=0.0,
+        )
+        assert cfg.solver_max_pivots == 1 and cfg.tolerance == 0.0
 
 
 class TestArgumentErrors:

@@ -150,6 +150,12 @@ class TestFamilies:
     def test_binomial_zero_weight(self):
         assert binomial(5, 0) == singleton("00000")
 
+    def test_binomial_blocks_are_memoised(self):
+        # the block builders ask for the same small blocks over and over
+        assert binomial(6, 2) is binomial(6, 2)
+        with pytest.raises(ValueError):
+            binomial(3, 4)
+
     def test_all_strings_size(self):
         for n in range(1, 5):
             assert len(all_strings(n)) == 2**n

@@ -32,6 +32,8 @@ from relp.lp import (
     var_y_pair,
 )
 
+from _support import reference_check
+
 
 def toy_lp() -> LinearProgram:
     lp = LinearProgram(sense="min")
@@ -82,6 +84,21 @@ class TestModel:
         lp = LinearProgram(sense="min")
         with pytest.raises(ValueError, match="undeclared"):
             lp.set_objective({"x": 1})
+
+    def test_integral_values_stored_as_int(self):
+        lp = LinearProgram(sense="max")
+        lp.add_variable("a", Fraction(0), Fraction(4, 2))
+        lp.add_variable("b", Fraction(1, 2))
+        lp.set_objective({"a": Fraction(3, 1), "b": Fraction(1, 3)})
+        lp.add_row("r", {"a": Fraction(-2, 1), "b": Fraction(2, 4)}, "<=", Fraction(6, 3))
+        for lp in (lp, read_lp(write_lp(lp))):
+            assert [type(v) for v in lp.bounds["a"]] == [int, int]
+            assert lp.bounds["b"] == (Fraction(1, 2), None)
+            assert type(lp.objective["a"]) is int
+            assert lp.objective["b"] == Fraction(1, 3)
+            row = lp.rows[0]
+            assert type(row.coeffs["a"]) is int and type(row.rhs) is int
+            assert row.coeffs["b"] == Fraction(1, 2)
 
     def test_zero_coefficients_dropped(self):
         lp = LinearProgram(sense="min")
@@ -166,6 +183,64 @@ class TestFeasibility:
         val = objective_value(lp, Assignment.from_floats({"x1": 0.5}))
         assert val == pytest.approx(0.5)
         assert isinstance(val, float)
+
+
+# coprime and mixed denominators for program data and points
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 11, 12)
+
+
+def rationals(bound: int = 4):
+    return st.builds(
+        Fraction, st.integers(-12 * bound, 12 * bound), st.sampled_from(DENOMINATORS)
+    )
+
+
+@st.composite
+def checked_programs(draw):
+    """A program with fractional data and an exact point to check on it.
+
+    Each row's rhs is the point's row sum plus a drawn offset, so rows
+    come out tight, satisfied, violated, or within a small tolerance.
+    Bounds and values are drawn apart, so bounds hold or fail as well.
+    """
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    pick = st.sampled_from(names)
+    lp = LinearProgram(sense=draw(st.sampled_from(["min", "max"])))
+    for name in names:
+        lo = draw(rationals())
+        hi = draw(st.none() | rationals(2).map(lambda d, lo=lo: lo + abs(d)))
+        lp.add_variable(name, lo, hi)
+    values = draw(st.dictionaries(pick | st.just("ghost"), rationals(6)))
+    point = Assignment.from_rationals(values)
+    lp.set_objective(draw(st.dictionaries(pick, rationals())))
+    offsets = st.sampled_from([0, Fraction(1, 100), Fraction(-1, 100), Fraction(-1, 50)])
+    for i in range(draw(st.integers(0, 5))):
+        coeffs = draw(st.dictionaries(pick, rationals(), min_size=1))
+        lhs = sum(c * point.get(n) for n, c in coeffs.items())
+        rhs = lhs + draw(offsets | rationals(1))
+        lp.add_row(f"r{i}", coeffs, draw(st.sampled_from(["<=", ">="])), rhs)
+    return lp, point
+
+
+class TestExactCheckAgainstReference:
+    """The one-denominator int check against a row-by-row Fraction check."""
+
+    @given(
+        checked_programs(),
+        st.booleans(),
+        st.sampled_from([None, 0, Fraction(1, 50), 1e-9]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_reference(self, case, through_text, tolerance):
+        lp, point = case
+        if through_text:
+            lp = read_lp(write_lp(lp))
+        report = check_feasible(lp, point, tolerance)
+        feasible, objective, found = reference_check(lp, point, tolerance)
+        assert report.feasible == feasible
+        assert report.objective == objective
+        assert [(v.kind, v.where, v.amount) for v in report.violations] == found
+        assert all(type(v.amount) is Fraction for v in report.violations)
 
 
 class TestRationalTokens:
