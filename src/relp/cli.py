@@ -162,7 +162,7 @@ def cmd_lp(args, cfg: RunConfig) -> int:
 
 def cmd_solve(args, cfg: RunConfig) -> int:
     lp = read_lp(Path(args.lp_file).read_text(encoding="utf-8"))
-    result = solve(lp, cfg, row_generation=args.row_generation)
+    result = solve(lp, cfg)
     sol = SolutionFile(
         status=result.status, objective=result.objective, assignment=result.assignment
     )
@@ -388,8 +388,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", parents=[common], help="solve an LP file exactly")
     p.add_argument("lp_file")
-    p.add_argument("--row-generation", choices=("auto", "never", "always"),
-                   default="auto")
     p.add_argument("-o", "--output", metavar="FILE")
     p.set_defaults(func=cmd_solve)
 

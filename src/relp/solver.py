@@ -1,21 +1,27 @@
 """Exact rational simplex with box bounds and built-in certification.
 
-A two-phase, dense-tableau, bounded-variable primal simplex.  All
-arithmetic is exact and fraction-free where it counts: each tableau row,
-the reduced-cost row included, is a list of Python int numerators over
-one positive int row denominator.  A row with fractional coefficients
-is scaled by the lcm of their denominators when the tableau is built.
-A pivot divides the pivot row by its pivot entry and eliminates the
-pivot column from every other row in integer arithmetic.  Where the
-pivot row's denominator divides the entry to eliminate (always when it
-is 1, the common case) the elimination is a sparse in-place update that
-keeps the row's denominator; otherwise the row moves to a larger
-denominator and is then divided by the gcd of its entries.  Pricing
-compares numerators over the reduced-cost row's one denominator, and the
-ratio test compares the same rationals by cross-multiplication, so the
-pivot sequence is that of a plain rational tableau.  Fractions appear
-only where values leave the tableau: basic values, bounds, the objective,
-multipliers and rays.
+A two-phase, condensed-tableau, bounded-variable primal simplex.  The
+tableau's columns are the nonbasic variables only, so a program with far
+more rows than variables (the strong program has one row per union or
+concatenation pair) costs n ints per row, not n + m: no row carries a
+column for its own slack or anyone else's.  A pivot swaps the entering
+and leaving variables, and the leaving one takes the entering one's slot.
+
+All arithmetic is exact and fraction-free where it counts: each tableau
+row, the reduced-cost row included, is a list of Python int numerators
+over one positive int row denominator.  A row with fractional
+coefficients is scaled by the lcm of their denominators when the tableau
+is built.  A pivot divides the pivot row by its pivot entry and
+eliminates the entering slot from every other row in integer
+arithmetic.  Where the pivot row's denominator divides the entry to
+eliminate (always when it is 1, the common case) the elimination is a
+sparse in-place update that keeps the row's denominator; otherwise the
+row moves to a larger denominator and is then divided by the gcd of its
+entries.  Pricing compares numerators over the reduced-cost row's one
+denominator, and the ratio test compares the same rationals by
+cross-multiplication, so the pivot sequence is that of a plain rational
+tableau.  Fractions appear only where values leave the tableau: basic
+values, bounds, the objective, multipliers and rays.
 
 So "optimal" here means: the returned point is feasible, the returned
 row multipliers are dual-feasible, and the two objective values agree as
@@ -25,20 +31,18 @@ certify that way.
 Multiplier sign convention (what ``SolveResult.duals`` means): for a max
 program a <= row carries y >= 0 and a >= row carries y <= 0; for a min
 program the signs flip.  ``certify_optimal`` is the reference
-implementation of that convention.
+implementation of that convention.  The tableau reads a row's multiplier
+off its slack's slot; a basic slack has multiplier 0.
 
-There are two paths to a candidate optimum: the direct tableau, and row
-generation for programs with many more rows than variables (a growing
-working set of rows, one direct solve per round).  Neither certifies
-anything itself.  ``solve`` is the one gate: it runs ``certify_optimal``
-once, against the original program, on whichever candidate came back,
-and raises ``SolverError`` if it fails.  A wrong round of row generation
-can therefore only steer which rows enter; it is never reported.
+There is one path to a candidate optimum, the tableau, and it certifies
+nothing itself.  ``solve`` is the one gate: it runs ``certify_optimal``
+once, against the original program, and raises ``SolverError`` if it
+fails.
 
-Pricing is Dantzig's rule; after ``stall_threshold`` consecutive
-degenerate steps it permanently downgrades to Bland's rule, which cannot
-cycle.  The pivot budget bounds the pivots of the whole solve: both
-phases and every row-generation round.
+Pricing is Dantzig's rule, ties to the lowest variable index; after
+``stall_threshold`` consecutive degenerate steps it permanently
+downgrades to Bland's rule (lowest variable index), which cannot cycle.
+The pivot budget bounds the pivots of the whole solve, both phases.
 """
 
 from __future__ import annotations
@@ -147,11 +151,12 @@ def _eliminate(
 ) -> tuple[list[int], int]:
     """row/den minus (f/den) times the pivot row prow/pden.
 
-    prow holds pden at the pivot column (its value there is 1) and f is
-    row's numerator in that column, so the result is 0 there.  pnz lists
-    the nonzeros of prow.  When pden divides f, the common case, the
-    update is sparse and in place and keeps den; otherwise row is first
-    rescaled to a larger denominator, and the result is reduced.
+    f is row's numerator in the entering variable's slot, and the caller
+    has zeroed that slot; prow holds the new pivot row, whose entry in
+    that slot is the leaving variable's.  pnz lists the nonzeros of prow.
+    When pden divides f, the common case, the update is sparse and in
+    place and keeps den; otherwise row is first rescaled to a larger
+    denominator, and the result is reduced.
     """
     g = gcd(f, pden)
     a, b = pden // g, f // g
@@ -166,13 +171,23 @@ def _eliminate(
 class _Tableau:
     """Internal canonical form: max c.x, Ax <= b, 0 <= x <= u.
 
-    Row i holds the rationals T[i][j] / den[i]: int numerators over one
-    positive int denominator.  A row is divided by the gcd of its entries
-    whenever its denominator grows; an update that keeps the denominator
-    skips that step, so den[i] is always a denominator the row once had
-    in lowest terms and cannot grow without bound.  The reduced-cost row
-    is d / dden in the same way.  Basic values beta, bounds, ratios and
-    the objective are Fractions.
+    Variables are numbered structural first (0..n-1), then one slack per
+    row (n..n+m-1), then the artificials.  The tableau is condensed: its
+    columns are the nonbasic variables only.  Slot s of every row belongs
+    to variable nonbasic[s], and row i reads
+    x[basis[i]] = beta[i] - sum over s of (T[i][s] / den[i]) x[nonbasic[s]]
+    in shifted coordinates, so each row holds n ints plus one per
+    artificial, however many rows there are.  A pivot swaps the entering
+    and leaving variables between basis and nonbasic, and the leaving
+    variable takes the entering one's slot.
+
+    Row i holds int numerators over one positive int denominator den[i].
+    A row is divided by the gcd of its entries whenever its denominator
+    grows; an update that keeps the denominator skips that step, so den[i]
+    is always a denominator the row once had in lowest terms and cannot
+    grow without bound.  The reduced-cost row is d / dden in the same way,
+    one entry per slot.  Basic values beta, bounds, ratios and the
+    objective are Fractions.
     """
 
     def __init__(self, lp: LinearProgram, rule: str, stall_threshold: int):
@@ -208,30 +223,27 @@ class _Tableau:
         self.T: list[list[int]] = []
         self.den: list[int] = []
         self.beta: list[Fraction] = []
-        ncols = n + m
-        for i, row in enumerate(lp.rows):
+        for row in lp.rows:
             srel = 1 if row.rel == LE else -1
             self.row_sign.append(srel)
-            # scaled by the lcm of its denominators, the row is all ints
+            # scaled by the lcm of its denominators, the row is all ints;
+            # the slack's coefficient, scale / scale, is implicit
             scale = lcm(*(coef.denominator for coef in row.coeffs.values()))
-            arr = [0] * ncols
+            arr = [0] * n
             rhs = row.rhs * srel
             for name, coef in row.coeffs.items():
                 j = self.col_of[name]
                 arr[j] = srel * coef.numerator * (scale // coef.denominator)
                 if self.lo[j]:
                     rhs -= srel * coef * self.lo[j]
-            arr[n + i] = scale
             self.T.append(arr)
             self.den.append(scale)
             self.beta.append(rhs)
 
         self.basis = [n + i for i in range(m)]
-        self.status = [AT_LO] * ncols
-        for i in range(m):
-            self.status[n + i] = BASIC
-        self.frozen = [False] * ncols
-        self.ncols = ncols
+        self.nonbasic = list(range(n))
+        self.status = [AT_LO] * n + [BASIC] * m
+        self.frozen = [False] * (n + m)
         self.d: list[int] = []
         self.dden = 1
         self.obj = Fraction(0)
@@ -240,35 +252,41 @@ class _Tableau:
     # -- phase handling -----------------------------------------------------
 
     def add_artificials(self) -> list[int]:
-        """Negate infeasible rows and give each a +1 artificial column."""
-        arts = []
+        """Negate infeasible rows and make a +1 artificial basic in each.
+
+        The row's slack leaves the basis and takes a new slot.
+        """
         bad = [i for i in range(self.m) if self.beta[i] < 0]
+        zeros = [0] * len(bad)
+        for row in self.T:
+            row.extend(zeros)
+        arts = []
         for i in bad:
             self.T[i] = [-v for v in self.T[i]]
+            self.T[i][len(self.nonbasic)] = -self.den[i]
             self.beta[i] = -self.beta[i]
-            col = self.ncols
-            for i2 in range(self.m):
-                self.T[i2].append(self.den[i] if i2 == i else 0)
+            slack, art = self.n + i, len(self.status)
+            self.nonbasic.append(slack)
+            self.status[slack] = AT_LO
+            self.basis[i] = art
+            self.status.append(BASIC)
             self.u.append(None)
-            self.status.append(AT_LO)
             self.frozen.append(False)
-            self.status[col] = BASIC
-            self.basis[i] = col
-            self.status[self.n + i] = AT_LO
-            self.ncols += 1
-            arts.append(col)
+            arts.append(art)
         return arts
 
     def set_costs(self, c_full: list) -> None:
         """Recompute the reduced-cost row and objective for new costs."""
-        costs = [Fraction(v) for v in c_full] + [Fraction(0)] * (self.ncols - len(c_full))
-        dden = lcm(*(v.denominator for v in costs))
-        d = [v.numerator * (dden // v.denominator) for v in costs]
+        costs = [Fraction(v) for v in c_full]
+        costs += [Fraction(0)] * (len(self.status) - len(costs))
+        cn = [costs[j] for j in self.nonbasic]
+        dden = lcm(*(v.denominator for v in cn))
+        d = [v.numerator * (dden // v.denominator) for v in cn]
         obj = Fraction(0)
-        # nonbasic columns parked at their upper bound (phase-1 flips)
+        # nonbasic variables parked at their upper bound (phase-1 flips)
         # contribute c_j u_j on top of the basic part c_B beta
-        for j, cj in enumerate(costs):
-            if self.status[j] == AT_UP and cj:
+        for j, cj in zip(self.nonbasic, cn):
+            if cj and self.status[j] == AT_UP:
                 obj += cj * self.u[j]
         for i in range(self.m):
             cb = costs[self.basis[i]]
@@ -287,39 +305,40 @@ class _Tableau:
     # -- pivoting -------------------------------------------------------------
 
     def _choose_entering(self):
+        """The entering slot and its direction, or None at an optimum.
+
+        Dantzig's ties and Bland's choice both go to the lowest variable
+        index, whichever slot it sits in.
+        """
         # d shares one positive denominator, so its numerators compare as d
         d, status, frozen = self.d, self.status, self.frozen
         bland = self.rule == "bland"
         best = None
-        best_score = 0
-        for j in range(self.ncols):
+        best_j = best_score = 0
+        for s, j in enumerate(self.nonbasic):
             if frozen[j]:
                 continue
-            st = status[j]
-            if st == BASIC:
-                continue
-            dj = d[j]
-            if st == AT_LO:
-                if dj > 0:
-                    if bland:
-                        return j, 1
-                    if dj > best_score:
-                        best, best_score, best_sigma = j, dj, 1
+            dj = d[s]
+            if status[j] == AT_LO:
+                if dj <= 0:
+                    continue
+                score, sigma = dj, 1
             else:
-                if dj < 0:
-                    if bland:
-                        return j, -1
-                    if -dj > best_score:
-                        best, best_score, best_sigma = j, -dj, -1
-        if best is None:
-            return None
-        return best, best_sigma
+                if dj >= 0:
+                    continue
+                score, sigma = -dj, -1
+            if bland:
+                score = 1
+            if score > best_score or (score == best_score and j < best_j):
+                best, best_j, best_score = (s, sigma), j, score
+        return best
 
     def _step(self) -> str | None:
         pick = self._choose_entering()
         if pick is None:
             return "optimal"
-        j, sigma = pick
+        s, sigma = pick
+        j = self.nonbasic[s]
         T, den, beta, u, basis = self.T, self.den, self.beta, self.u, self.basis
         bland = self.rule == "bland"
 
@@ -329,7 +348,7 @@ class _Tableau:
         leave_row = -1
         leave_to = AT_LO
         for i in range(self.m):
-            a = T[i][j]
+            a = T[i][s]
             if not a:
                 continue
             if (a > 0) == (sigma > 0):
@@ -348,15 +367,15 @@ class _Tableau:
                 if bland and basis[i] < basis[leave_row]:
                     leave_row, leave_to = i, to
         if t_num is None:
-            self.unbounded_col = (j, sigma)
+            self.unbounded_slot = (s, sigma)
             return "unbounded"
         t = Fraction(t_num, t_den)
 
         self.iterations += 1
-        dj0 = Fraction(self.d[j], self.dden)
+        dj0 = Fraction(self.d[s], self.dden)
         move = t if sigma > 0 else -t
         if move:
-            self._shift_beta(j, move, leave_row)
+            self._shift_beta(s, move, leave_row)
             self.obj += dj0 * move
             self.stall = 0
         else:
@@ -366,9 +385,11 @@ class _Tableau:
             self.status[j] = AT_UP if sigma > 0 else AT_LO
             return None
 
-        # the pivot row divided by its pivot entry: T_r / T_r[j]
+        # the pivot row solved for the entering variable: T_r / T_r[s],
+        # with den_r / T_r[s] in slot s for the leaving variable
         prow = T[leave_row]
-        p = prow[j]
+        p = prow[s]
+        prow[s] = den[leave_row]
         if p < 0:
             prow, p = [-v for v in prow], -p
         prow, pden = _reduce(prow, p)
@@ -377,26 +398,30 @@ class _Tableau:
         leaving = basis[leave_row]
         self.status[leaving] = leave_to
         basis[leave_row] = j
+        self.nonbasic[s] = leaving
         self.status[j] = BASIC
 
         pnz = [(jj, v) for jj, v in enumerate(prow) if v]
         for i in range(self.m):
             if i == leave_row:
                 continue
-            f = T[i][j]
+            row = T[i]
+            f = row[s]
             if f:
-                T[i], den[i] = _eliminate(T[i], den[i], f, prow, pden, pnz)
-        f = self.d[j]
+                row[s] = 0
+                T[i], den[i] = _eliminate(row, den[i], f, prow, pden, pnz)
+        f = self.d[s]
         if f:
+            self.d[s] = 0
             self.d, self.dden = _eliminate(self.d, self.dden, f, prow, pden, pnz)
         return None
 
-    def _shift_beta(self, j: int, move: Fraction, skip: int) -> None:
-        """beta -= move * column j, on every row but skip."""
+    def _shift_beta(self, s: int, move: Fraction, skip: int) -> None:
+        """beta -= move * slot s's column, on every row but skip."""
         T, den, beta = self.T, self.den, self.beta
         mn, md = move.numerator, move.denominator
         for i in range(self.m):
-            a = T[i][j]
+            a = T[i][s]
             if a and i != skip:
                 b = beta[i]
                 q = md * den[i]
@@ -430,7 +455,7 @@ def _solve_direct(
 
     if any(b < 0 for b in tab.beta):
         arts = tab.add_artificials()
-        c1 = [0] * tab.ncols
+        c1 = [0] * len(tab.status)
         for col in arts:
             c1[col] = -1
         tab.set_costs(c1)
@@ -451,15 +476,16 @@ def _solve_direct(
     if out == "resource":
         return SolveResult("resource", iterations=tab.iterations)
     if out == "unbounded":
-        # recover the improving ray: the entering column's direction in x-space
-        j, sigma = tab.unbounded_col
+        # recover the improving ray: the entering variable's direction in x-space
+        s, sigma = tab.unbounded_slot
+        j = tab.nonbasic[s]
         ray: dict[str, Fraction] = {}
         if j < n:
             ray[lp.variables[j]] = Fraction(sigma)
         for i in range(m):
             b = tab.basis[i]
             if b < n:
-                a = tab.T[i][j]
+                a = tab.T[i][s]
                 if a:
                     ray[lp.variables[b]] = Fraction(-sigma * a, tab.den[i])
         return SolveResult("unbounded", iterations=tab.iterations, ray=ray)
@@ -476,11 +502,14 @@ def _solve_direct(
         else:
             shifted = 0
         values[name] = shifted + tab.lo[j]
+    # a row's multiplier is minus its slack's reduced cost: 0 while the
+    # slack is basic, read off its slot otherwise
+    slot_of = {j: s for s, j in enumerate(tab.nonbasic)}
     duals: dict[str, Fraction] = {}
     for i, row in enumerate(lp.rows):
-        yhat = -tab.d[n + i]
-        if yhat:
-            duals[row.label] = Fraction(tab.sgn * tab.row_sign[i] * yhat, tab.dden)
+        s = slot_of.get(n + i)
+        if s is not None and tab.d[s]:
+            duals[row.label] = Fraction(-tab.sgn * tab.row_sign[i] * tab.d[s], tab.dden)
     assignment = Assignment.from_rationals(values)
     objective = tab.sgn * (tab.obj + tab.const)
 
@@ -495,81 +524,6 @@ def _solve_direct(
     )
 
 
-def _row_generation_worthwhile(lp: LinearProgram) -> bool:
-    return lp.n_rows > 1000 and lp.n_rows > 8 * lp.n_vars
-
-
-def _solve_row_generation(
-    lp: LinearProgram,
-    rule: str,
-    budget: int,
-    stall_threshold: int,
-    batch: int = 300,
-    max_rounds: int = 200,
-) -> SolveResult:
-    """Solve against a growing working set of rows.
-
-    Each round solves the program restricted to the active rows, then
-    scans the inactive ones against the candidate point (or against the
-    improving ray, if the restriction was unbounded) and activates the
-    most violated.  A round with no violations ends it: the restricted
-    optimum is feasible for everything, and its multipliers (zero on
-    every inactive row) are the candidate certificate for the full
-    program.
-    """
-    active: list = []
-    active_idx: set[int] = set()
-    iterations = 0
-    for _ in range(max_rounds):
-        sub = LinearProgram(
-            sense=lp.sense,
-            variables=lp.variables,
-            bounds=lp.bounds,
-            objective=lp.objective,
-            rows=list(active),
-        )
-        res = _solve_direct(sub, rule, budget - iterations, stall_threshold)
-        iterations += res.iterations
-        res.iterations = iterations
-        if res.status == "optimal":
-            values = res.assignment.values
-            found: list[tuple[Fraction, int]] = []
-            for idx, row in enumerate(lp.rows):
-                if idx in active_idx:
-                    continue
-                lhs = sum(
-                    (c * values[name] for name, c in row.coeffs.items() if name in values),
-                    Fraction(0),
-                )
-                amt = lhs - row.rhs if row.rel == LE else row.rhs - lhs
-                if amt > 0:
-                    found.append((amt, idx))
-            if not found:
-                return res
-        elif res.status == "unbounded":
-            ray = res.ray or {}
-            found = []
-            for idx, row in enumerate(lp.rows):
-                if idx in active_idx:
-                    continue
-                along = sum(
-                    (c * ray[name] for name, c in row.coeffs.items() if name in ray),
-                    Fraction(0),
-                )
-                amt = along if row.rel == LE else -along
-                if amt > 0:
-                    found.append((amt, idx))
-            if not found:
-                return res
-        else:  # infeasible with fewer rows stays infeasible; resource is resource
-            return res
-        found.sort(key=lambda pair: (-pair[0], pair[1]))
-        for _, idx in found[:batch]:
-            active.append(lp.rows[idx])
-            active_idx.add(idx)
-    return SolveResult("resource", iterations=iterations)
-
-
 def solve(
     lp: LinearProgram,
     config: RunConfig | None = None,
@@ -577,15 +531,11 @@ def solve(
     pivot_rule: str | None = None,
     max_pivots: int | None = None,
     stall_threshold: int | None = None,
-    row_generation: str = "auto",
 ) -> SolveResult:
     """Solve to a certified optimum (or infeasible/unbounded/resource).
 
-    row_generation: "auto" attacks programs with vastly more rows than
-    variables through a growing working set of rows; "never"/"always"
-    force either path.  Whichever path ran, an optimum is returned only
-    after ``certify_optimal`` accepts it against ``lp`` itself; otherwise
-    ``SolverError`` is raised.
+    An optimum is returned only after ``certify_optimal`` accepts it
+    against ``lp`` itself; otherwise ``SolverError`` is raised.
     """
     cfg = config or DEFAULT_CONFIG
     rule = pivot_rule if pivot_rule is not None else cfg.pivot_rule
@@ -593,17 +543,10 @@ def solve(
         raise ValueError(f"unknown pivot rule {rule!r}")
     budget = max_pivots if max_pivots is not None else cfg.solver_max_pivots
     stall = stall_threshold if stall_threshold is not None else cfg.stall_threshold
-    if row_generation not in ("auto", "never", "always"):
-        raise ValueError(f"unknown row generation mode {row_generation!r}")
     labels = [row.label for row in lp.rows]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate row labels; solve needs them unique")
-    if row_generation == "always" or (
-        row_generation == "auto" and _row_generation_worthwhile(lp)
-    ):
-        res = _solve_row_generation(lp, rule, budget, stall)
-    else:
-        res = _solve_direct(lp, rule, budget, stall)
+    res = _solve_direct(lp, rule, budget, stall)
     if res.status == "optimal":
         ok, why = certify_optimal(lp, res.assignment, res.duals)
         if not ok:

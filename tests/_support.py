@@ -210,10 +210,10 @@ def reference_check(lp, assignment, tolerance=None):
 
 
 def negate_one_multiplier(monkeypatch) -> None:
-    """Make every direct solve return one nonzero multiplier negated.
+    """Make every tableau solve return one nonzero multiplier negated.
 
-    The point stays intact, so row generation still finishes its rounds;
-    only the final pair is wrong.
+    The point stays intact and is still optimal; only the pair is wrong,
+    so the certificate gate in ``solve`` is the one thing that can refuse it.
     """
     real = solver._solve_direct
 

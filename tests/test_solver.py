@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from relp import (
@@ -13,12 +13,15 @@ from relp import (
     Language,
     LinearProgram,
     SolverError,
+    build_reduced_weak_primal_b_n1,
+    build_relaxed_binomial,
     build_strong_primal,
     build_weak_dual,
     build_weak_primal,
     certify_optimal,
     compute_closure,
     solve,
+    solver,
 )
 
 from _support import negate_one_multiplier, vertex_optimum
@@ -148,8 +151,6 @@ class TestEdgeStatuses:
         lp = paired_bound_lp()
         with pytest.raises(ValueError):
             solve(lp, pivot_rule="steepest")
-        with pytest.raises(ValueError):
-            solve(lp, row_generation="sometimes")
 
 
 class TestPathsAgree:
@@ -158,14 +159,6 @@ class TestPathsAgree:
         Language(["01", "10", "11"]),
         Language(["0011", "0101"]),
     ]
-
-    @pytest.mark.parametrize("lang", LANGS)
-    def test_row_generation_paths(self, lang):
-        lp = build_weak_primal(compute_closure(lang))
-        base = solve(lp, row_generation="never")
-        grown = solve(lp, row_generation="always")
-        assert base.status == grown.status == "optimal"
-        assert base.objective == grown.objective
 
     @pytest.mark.parametrize("rule", ["bland", "dantzig", "auto"])
     def test_pivot_rules(self, rule):
@@ -188,7 +181,7 @@ class TestAgainstVertexEnumeration:
     def test_random_boxed_lps(self, data, n_vars, n_rows, sense, transposable):
         # all variables boxed, so the oracle's vertex enumeration is complete.
         # Fractional data makes the tableau scale rows to ints, and nonzero
-        # lower bounds make it shift them; both paths must agree.  Half the
+        # lower bounds make it shift them.  Half the
         # draws are max programs with <= rows and lower bounds 0.
         frac = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3]))
         lower = st.just(Fraction(0)) if transposable else st.one_of(st.just(Fraction(0)), frac)
@@ -204,34 +197,123 @@ class TestAgainstVertexEnumeration:
             coeffs = {name: data.draw(frac) for name in names}
             lp.add_row(f"r{r}", coeffs, data.draw(rel), data.draw(frac))
         status, objective = vertex_optimum(lp)
-        direct = solve(lp, row_generation="never")
-        grown = solve(lp, row_generation="always")
-        for res in (direct, grown):
-            assert res.status == status
-            if status == "optimal":
-                assert res.objective == objective
-                report_ok, why = certify_optimal(lp, res.assignment, res.duals)
-                assert report_ok, why
+        res = solve(lp)
+        assert res.status == status
+        if status == "optimal":
+            assert res.objective == objective
+            report_ok, why = certify_optimal(lp, res.assignment, res.duals)
+            assert report_ok, why
+
+
+class TestUnboundedVariables:
+    """Random programs with unbounded variables and mixed rows.
+
+    Rows of both senses with rhs of both signs send most draws through
+    phase 1, where artificials enter the basis and the rows' slacks move
+    into the tableau's slots.
+    """
+
+    @given(data=st.data(), n_vars=st.integers(2, 4), n_rows=st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_random_lps(self, data, n_vars, n_rows):
+        frac = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3]))
+        span = st.builds(Fraction, st.integers(1, 10), st.sampled_from([1, 2]))
+        free = data.draw(st.lists(st.booleans(), min_size=n_vars, max_size=n_vars))
+        free[data.draw(st.integers(0, n_vars - 1))] = True
+        lp = LinearProgram(sense=data.draw(st.sampled_from(["max", "min"])))
+        names = [f"v{i}" for i in range(n_vars)]
+        for name, unbounded in zip(names, free):
+            lo = data.draw(frac)
+            lp.add_variable(name, lo, None if unbounded else lo + data.draw(span))
+        lp.set_objective({name: data.draw(frac) for name in names})
+        for r in range(n_rows):
+            coeffs = {name: data.draw(frac) for name in names}
+            lp.add_row(f"r{r}", coeffs, data.draw(st.sampled_from(["<=", ">="])), data.draw(frac))
+        res = solve(lp)
+        event(res.status)
+        if res.status == "optimal":
+            ok, why = certify_optimal(lp, res.assignment, res.duals)
+            assert ok, why
+        elif res.status == "unbounded":
+            ray = res.ray
+            gain = sum(c * ray.get(name, 0) for name, c in lp.objective.items())
+            assert gain > 0 if lp.sense == "max" else gain < 0
+            for row in lp.rows:
+                drift = sum(c * ray.get(name, 0) for name, c in row.coeffs.items())
+                assert drift <= 0 if row.rel == "<=" else drift >= 0
+            for name, v in ray.items():
+                assert v >= 0
+                assert v == 0 or lp.bounds[name][1] is None
+        else:
+            assert res.status == "infeasible"
+
+
+class TestCondensedTableau:
+    def test_rows_hold_nonbasic_slots_only(self, monkeypatch):
+        # each row has one entry per structural variable and artificial,
+        # none per slack; basis and slots partition the variables
+        seen = []
+        real_run = solver._Tableau.run
+
+        def run(tab, budget):
+            out = real_run(tab, budget)
+            seen.append(tab)
+            return out
+
+        monkeypatch.setattr(solver._Tableau, "run", run)
+        closure = compute_closure(Language(["1", "00", "000", "110", "111"]))
+        for lp in (build_strong_primal(closure), build_weak_dual(closure), paired_bound_lp()):
+            assert solve(lp).status == "optimal"
+        assert any(len(tab.status) > tab.n + tab.m for tab in seen)
+        for tab in seen:
+            width = len(tab.status) - tab.m
+            assert len(tab.T) == tab.m
+            assert all(len(row) == width for row in tab.T)
+            assert len(tab.nonbasic) == len(tab.d) == width
+            assert sorted(tab.basis + tab.nonbasic) == list(range(len(tab.status)))
+
+    @pytest.mark.parametrize(
+        "build, objective, pivots",
+        [
+            (lambda: build_reduced_weak_primal_b_n1(6), 22, 135),
+            (lambda: build_relaxed_binomial(7, 3), 66, 131),
+            (
+                lambda: build_strong_primal(
+                    compute_closure(Language(["1", "00", "000", "110", "111"]))
+                ),
+                9,
+                62,
+            ),
+        ],
+        ids=["reduced-b1-6", "relaxed-7-3", "strong-anchor"],
+    )
+    def test_pivot_counts_pinned(self, build, objective, pivots):
+        # captured on a tableau with a column per slack; dropping those
+        # columns must not change a single pivot
+        res = solve(build())
+        assert res.status == "optimal"
+        assert res.objective == objective
+        assert res.iterations == pivots
 
 
 class TestPivotBudget:
-    """max_pivots caps the pivots of the whole solve, on every path."""
+    """max_pivots caps the pivots of the whole solve, both phases."""
 
     @pytest.mark.parametrize("cap", [1, 2, 5, 13])
     def test_direct_path(self, cap):
         lp = build_weak_primal(compute_closure(Language(["0011", "0101", "0110"])))
-        res = solve(lp, max_pivots=cap, row_generation="never")
+        res = solve(lp, max_pivots=cap)
         assert res.status == "resource"
         assert res.iterations <= cap
 
     @pytest.mark.parametrize("cap", [1, 5, 50])
     def test_row_generation_path(self, cap):
-        # row generation solves one restricted program per round; the cap
-        # holds across the rounds, not per round
+        # a strong program with far more rows than variables (40 x 1 041);
+        # its solve makes 62 pivots, so every cap stops it
         lp = build_strong_primal(
             compute_closure(Language(["1", "00", "000", "110", "111"]))
         )
-        res = solve(lp, max_pivots=cap, row_generation="always")
+        res = solve(lp, max_pivots=cap)
         assert res.status == "resource"
         assert res.iterations <= cap
 
@@ -287,22 +369,26 @@ class TestCertification:
 
 
 class TestCertificateGate:
-    """solve runs certify_optimal on every optimum, whichever path ran."""
+    """solve runs certify_optimal on every optimum.
 
-    @pytest.mark.parametrize("mode", ["never", "always"])
+    ``mode`` takes one value; it keeps the test ids stable from when
+    ``solve`` had a second path (row generation) to parametrize over.
+    """
+
+    @pytest.mark.parametrize("mode", ["never"])
     def test_bad_pair_is_refused(self, monkeypatch, mode):
         lp = paired_bound_lp()
-        assert solve(lp, row_generation=mode).status == "optimal"
+        assert solve(lp).status == "optimal"
         negate_one_multiplier(monkeypatch)
         with pytest.raises(SolverError, match="failed certification"):
-            solve(lp, row_generation=mode)
+            solve(lp)
 
-    @pytest.mark.parametrize("mode", ["never", "always"])
+    @pytest.mark.parametrize("mode", ["never"])
     def test_duplicate_row_labels_refused(self, mode):
         lp = paired_bound_lp()
         lp.add_row("r1", {"x2": 1}, "<=", 5)
         with pytest.raises(ValueError, match="duplicate row labels"):
-            solve(lp, row_generation=mode)
+            solve(lp)
 
 
 class TestResultInvariants:
