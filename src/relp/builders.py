@@ -130,10 +130,10 @@ def build_strong_primal(closure: Closure) -> LinearProgram:
 def build_relaxed_binomial(n: int, k: int) -> LinearProgram:
     """The block-indexed relaxation: rows only for full block products.
 
-    Variables are the strings of every block B(m, l) with m <= n and
-    l <= min(m, k); for each quadruple (n1, k1, n2, k2) the row compares
-    the product block's mass against its two factor blocks.  Objective:
-    total mass on the top block B(n, k).
+    Variables are the strings of every fitted block B(m, l) of
+    ``BinomialIndex(n, k)``, which is C0(B(n, k)); for each quadruple
+    (n1, k1, n2, k2) the row compares the product block's mass against
+    its two factor blocks.  Objective: total mass on the top block B(n, k).
     """
     index = BinomialIndex(n, k)
     rows = (

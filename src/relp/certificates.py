@@ -192,21 +192,15 @@ def check_weak_dual_support(
 # -- relaxed (block program) dual certificates --------------------------------
 
 
-def _fits(m: int, l: int, n: int, k: int) -> bool:
-    """Whether block (m, l) can appear inside the weight-k universe of
-    length n: the block must fit and so must its missing suffix weight."""
-    return 1 <= m <= n and 0 <= l <= min(m, k) and k - l <= n - m
-
-
-def _block_of(lang: Language, n: int, k: int) -> tuple[int, int]:
+def _block_of(lang: Language, index: BinomialIndex) -> tuple[int, int]:
     m = lang.uniform_length()
     weights = {ones(s) for s in lang}
     if m is None or len(weights) != 1:
         raise ValueError(f"{lang.serialize()} is not a uniform block subset")
     l = weights.pop()
-    if not _fits(m, l, n, k):
+    if not index.fits(m, l):
         raise ValueError(
-            f"block ({m},{l}) of {lang.serialize()} does not fit inside B({n},{k})"
+            f"block ({m},{l}) of {lang.serialize()} does not fit inside B({index.n},{index.k})"
         )
     return m, l
 
@@ -243,9 +237,9 @@ def certify_relaxed_dual(r: Regex | str, n: int, k: int) -> RelaxedDualCert:
     Terms charge their own string bound, exactly as in the weak
     procedure; each concatenation split charges
     |L1||L2| / (|block1| * |block2|) to its block quadruple.  Requires
-    L(r) = B(n, k), and every sublanguage the recursion touches must
-    sit inside a single block that fits the weight-k universe of
-    length n.  The objective is always exactly the length of r.
+    L(r) = B(n, k), and every sublanguage the recursion touches, and
+    every split's product, must sit inside a block of
+    ``BinomialIndex(n, k)``.  The objective is always exactly the length of r.
 
     Feasibility in the transposed block program (at zero tolerance) is
     guaranteed when every split's factor languages fill their blocks —
@@ -260,20 +254,21 @@ def certify_relaxed_dual(r: Regex | str, n: int, k: int) -> RelaxedDualCert:
     lang = language_of(r)
     if lang != binomial(n, k):
         raise ValueError(f"expression denotes {lang.serialize()}, not B({n},{k})")
+    index = BinomialIndex(n, k)
     w: dict[str, Fraction] = {}
     y: dict[Quad, Fraction] = {}
     for step in _walk(r):
         if isinstance(step, str):
-            if not _fits(len(step), ones(step), n, k):
+            if not index.fits(len(step), ones(step)):
                 raise ValueError(
                     f"term {step!r} lies outside the universe of B({n},{k})"
                 )
             w[step] = w.get(step, _ZERO) + 1
             continue
         lang1, lang2 = step
-        m1, l1 = _block_of(lang1, n, k)
-        m2, l2 = _block_of(lang2, n, k)
-        if not _fits(m1 + m2, l1 + l2, n, k):
+        m1, l1 = _block_of(lang1, index)
+        m2, l2 = _block_of(lang2, index)
+        if not index.fits(m1 + m2, l1 + l2):
             raise ValueError(
                 f"product block ({m1 + m2},{l1 + l2}) does not fit inside B({n},{k})"
             )
@@ -407,6 +402,11 @@ def _alpha(alphas: AlphaTable | Sequence[float], j: int) -> float:
         raise ValueError(f"alpha_{j} is not available") from None
 
 
+def _span_unit(s: str, power: int) -> float:
+    span = s.rindex("1") - s.index("1") + 1
+    return (log(span) / span) ** power
+
+
 def g_value(s: str, alphas: AlphaTable | Sequence[float]) -> float:
     """The closed-form block-program value of one string: |s| at weight
     zero, 1 + ln|s| at weight one, and alpha_{k-1} (ln p / p)^(k-1) at
@@ -417,8 +417,7 @@ def g_value(s: str, alphas: AlphaTable | Sequence[float]) -> float:
         return float(len(s))
     if k == 1:
         return 1.0 + log(len(s))
-    span = s.rindex("1") - s.index("1") + 1
-    return _alpha(alphas, k - 1) * (log(span) / span) ** (k - 1)
+    return _alpha(alphas, k - 1) * _span_unit(s, k - 1)
 
 
 def analytic_g(n: int, k: int, alphas: AlphaTable | Sequence[float]) -> Assignment:
@@ -428,8 +427,18 @@ def analytic_g(n: int, k: int, alphas: AlphaTable | Sequence[float]) -> Assignme
 
 
 def g_objective(n: int, k: int, alphas: AlphaTable | Sequence[float]) -> float:
-    """Sum of g over B(n, k): the block-program objective of analytic_g."""
-    return sum(g_value(s, alphas) for s in binomial(n, k))
+    """Sum of g over B(n, k): the block-program objective of analytic_g.
+
+    g depends only on a string's weight and span (its length below weight
+    two), and for k >= 2 B(n, k) holds (n - p + 1) * C(p - 2, k - 2)
+    strings of span p, so the sum runs over spans instead of strings.
+    """
+    if k < 2:
+        return comb(n, k) * g_value("1" * k + "0" * (n - k), alphas)
+    return sum(
+        (n - p + 1) * comb(p - 2, k - 2) * g_value("1" * (k - 1) + "0" * (p - k) + "1", alphas)
+        for p in range(k, n + 1)
+    )
 
 
 def relaxed_row_margin(quad: Quad, g: Callable[[str], float]) -> float:
@@ -440,11 +449,6 @@ def relaxed_row_margin(quad: Quad, g: Callable[[str], float]) -> float:
     lhs = sum(g(u) for u in product_block(n1, k1, n2, k2))
     rhs = sum(g(s) for s in binomial(n1, k1)) + sum(g(s) for s in binomial(n2, k2))
     return rhs - lhs
-
-
-def _span_unit(s: str, power: int) -> float:
-    span = s.rindex("1") - s.index("1") + 1
-    return (log(span) / span) ** power
 
 
 def _row_affine(quad: Quad, fixed: Sequence[float], j: int) -> tuple[float, float]:
@@ -530,16 +534,17 @@ def calibrate_alphas(
             )
         alphas.append(2.0**exponent)
     table = tuple(alphas)
-    # belt and braces: re-verify everything the staged sweep reasoned about
-    index = BinomialIndex(nmax, kmax)
-    for m, l in index.blocks():
+    # belt and braces: re-verify everything the staged sweep reasoned about,
+    # over the union of the length-nmax programs of every weight up to kmax
+    indexes = [BinomialIndex(nmax, top) for top in range(kmax + 1)]
+    for m, l in sorted({block for index in indexes for block in index.blocks()}):
         if l < 2:
             continue
         for s in binomial(m, l):
             v = g_value(s, table)
             if v > m + tolerance:
                 raise CalibrationError(f"bound {var_x(s)} <= {m} fails: g = {v}")
-    for quad in index.quadruples():
+    for quad in sorted({quad for index in indexes for quad in index.quadruples()}):
         margin = relaxed_row_margin(quad, lambda s: g_value(s, table))
         if margin < -tolerance:
             raise CalibrationError(f"row {row_quad(*quad)} fails by {-margin}")

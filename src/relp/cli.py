@@ -48,6 +48,7 @@ from .closure import compute_closure
 from .config import ResourceCapError, RunConfig, load_config
 from .lang import Language, gen_family
 from .lp import (
+    FeasibilityReport,
     LinearProgram,
     SolutionFile,
     check_feasible,
@@ -109,11 +110,6 @@ def _parse_language_arg(text: str) -> Language:
     raise ValueError(
         f"expected '{{s1,s2,...}}' or 'family n [k]', got {text!r}"
     )
-
-
-def _parse_regex_for(lang: Language, text: str):
-    alphabet = "".join(sorted({c for s in lang.members for c in s})) or "01"
-    return parse(text, alphabet)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -181,34 +177,33 @@ def cmd_check(args, cfg: RunConfig) -> int:
     sol = read_solution(Path(args.solution_file).read_text(encoding="utf-8"))
     if sol.assignment is None:
         raise ValueError(f"{args.solution_file} carries no assignment to check")
-    report = check_feasible(lp, sol.assignment, args.tolerance)
+    return _print_report(check_feasible(lp, sol.assignment, args.tolerance), sys.stdout)
+
+
+def _print_report(report: FeasibilityReport, stream: TextIO) -> int:
+    """Print a feasibility check's violations, objective and verdict."""
     for violation in report.violations:
-        print(f"violated {violation.kind} {violation.where} by {violation.amount}")
+        print(f"violated {violation.kind} {violation.where} by {violation.amount}", file=stream)
     if report.unknown_names:
-        print(f"unknown names: {', '.join(report.unknown_names)}")
-    print(f"objective {_fmt(report.objective)}")
-    print("feasible" if report.feasible else "infeasible")
+        print(f"unknown names: {', '.join(report.unknown_names)}", file=stream)
+    print(f"objective {_fmt(report.objective)}", file=stream)
+    print("feasible" if report.feasible else "infeasible", file=stream)
     return 0 if report.feasible else 1
 
 
-def _report_certificate(report, assignment, output: str | None) -> int:
+def _report_certificate(report: FeasibilityReport, assignment, output: str | None) -> int:
     """Write a checked certificate as a solution file and report the check."""
     sol = SolutionFile(
         status="feasible" if report.feasible else "infeasible",
         objective=report.objective,
         assignment=assignment,
     )
-    stream = _emit(write_solution(sol), output)
-    for violation in report.violations:
-        print(f"violated {violation.kind} {violation.where} by {violation.amount}", file=stream)
-    print(f"objective {_fmt(report.objective)}", file=stream)
-    print("feasible" if report.feasible else "infeasible", file=stream)
-    return 0 if report.feasible else 1
+    return _print_report(report, _emit(write_solution(sol), output))
 
 
 def cmd_certify(args, cfg: RunConfig) -> int:
     lang = _parse_language_arg(args.lang)
-    cert = certify_weak_dual(_parse_regex_for(lang, args.regex), lang)
+    cert = certify_weak_dual(parse(args.regex, lang.infer_alphabet()), lang)
     report = check_weak_dual_support(cert)
     return _report_certificate(report, cert.as_assignment(), args.output)
 

@@ -24,13 +24,15 @@ and k - l <= n - m -- and materializing it is hopeless beyond small n.
 The last condition says a block must leave room for the missing ones: a
 length-m factor of a weight-k length-n string keeps at least k - (n - m)
 of its ones, so {00} is not in C({01,10}).  BinomialIndex is the
-implicit counterpart used by the relaxed programs: it enumerates blocks
-and block quadruples without ever listing subsets.
+implicit counterpart used by the relaxed programs and their certificates:
+it owns that fit rule, and enumerates exactly the fitted blocks and the
+block quadruples with a fitted product without ever listing subsets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from itertools import combinations
 
 from .config import ResourceCapError
@@ -142,49 +144,48 @@ class Closure:
             )
         return self._strings
 
-    def _buckets(self) -> dict[tuple[int, int], list[Language]]:
+    def _pair_join(
+        self,
+        combine: Callable[[Language, Language], Language],
+        signature: Callable[[int, int, int, int], tuple[int, int]],
+    ) -> list[tuple[Language, Language]]:
+        """Ordered member pairs whose combination is a member.
+
+        Members are bucketed by (min_len, max_len); two buckets are joined
+        only when ``signature(lo1, hi1, lo2, hi2)``, the signature every
+        combination of their members has, is some member's.
+        """
         buckets: dict[tuple[int, int], list[Language]] = {}
         for k in self.members:
             buckets.setdefault((k.min_len(), k.max_len()), []).append(k)
-        return buckets
+        pairs = []
+        for (lo1, hi1), group1 in buckets.items():
+            for (lo2, hi2), group2 in buckets.items():
+                if signature(lo1, hi1, lo2, hi2) not in buckets:
+                    continue
+                for k1 in group1:
+                    for k2 in group2:
+                        if combine(k1, k2) in self._member_set:
+                            pairs.append((k1, k2))
+        pairs.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+        return pairs
 
     def concat_pairs(self) -> list[tuple[Language, Language]]:
         """C_c(L): ordered member pairs whose concatenation is a member."""
-        if self._concat_pairs is not None:
-            return self._concat_pairs
-        buckets = self._buckets()
-        signatures = set(buckets)
-        pairs = []
-        for (lo1, hi1), group1 in buckets.items():
-            for (lo2, hi2), group2 in buckets.items():
-                if (lo1 + lo2, hi1 + hi2) not in signatures:
-                    continue
-                for k1 in group1:
-                    for k2 in group2:
-                        if k1.concat(k2) in self._member_set:
-                            pairs.append((k1, k2))
-        pairs.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-        self._concat_pairs = pairs
-        return pairs
+        if self._concat_pairs is None:
+            self._concat_pairs = self._pair_join(
+                Language.concat, lambda lo1, hi1, lo2, hi2: (lo1 + lo2, hi1 + hi2)
+            )
+        return self._concat_pairs
 
     def union_pairs(self) -> list[tuple[Language, Language]]:
         """C_u(L): ordered member pairs whose union is a member."""
-        if self._union_pairs is not None:
-            return self._union_pairs
-        buckets = self._buckets()
-        signatures = set(buckets)
-        pairs = []
-        for (lo1, hi1), group1 in buckets.items():
-            for (lo2, hi2), group2 in buckets.items():
-                if (min(lo1, lo2), max(hi1, hi2)) not in signatures:
-                    continue
-                for k1 in group1:
-                    for k2 in group2:
-                        if k1.union(k2) in self._member_set:
-                            pairs.append((k1, k2))
-        pairs.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-        self._union_pairs = pairs
-        return pairs
+        if self._union_pairs is None:
+            self._union_pairs = self._pair_join(
+                Language.union,
+                lambda lo1, hi1, lo2, hi2: (min(lo1, lo2), max(hi1, hi2)),
+            )
+        return self._union_pairs
 
 
 def compute_closure(
@@ -234,15 +235,12 @@ def compute_closure(
 class BinomialIndex:
     """Index sets of C(B(n,k)) in block form, without listing subsets.
 
-    blocks are the (m,l) with 0 < m <= n, 0 <= l <= min(m,k); quadruples
-    are the (n1,k1,n2,k2) with both halves blocks, n1+n2 <= n and
-    k1+k2 <= k.  One LP row per quadruple replaces the per-subset rows of
-    the full program.
-
-    blocks() deliberately lists this whole rectangle, including the unfit
-    blocks with k - l > n - m.  Those blocks are not closure members (see
-    the module docstring); the relaxed programs built from this index
-    carry variables and rows for them as well.
+    blocks are the fitted (m,l) -- 0 < m <= n, 0 <= l <= min(m,k) and
+    k - l <= n - m, decided by ``fits`` alone -- so ``strings()`` is
+    exactly C0(B(n,k)).  quadruples are the (n1,k1,n2,k2) whose product
+    block (n1+n2, k1+k2) fits; both halves then fit too, since a factor
+    of a fitted block leaves room for the product's missing ones.  One LP
+    row per quadruple replaces the per-subset rows of the full program.
     """
 
     n: int
@@ -254,9 +252,14 @@ class BinomialIndex:
         if not 0 <= self.k <= self.n:
             raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
 
+    def fits(self, m: int, l: int) -> bool:
+        """Whether block (m, l) is in C(B(n,k)): it fits the length and
+        weight, and leaves room for the ones it is missing."""
+        return 1 <= m <= self.n and 0 <= l <= min(m, self.k) and self.k - l <= self.n - m
+
     def blocks(self) -> list[tuple[int, int]]:
         return [
-            (m, l) for m in range(1, self.n + 1) for l in range(0, min(m, self.k) + 1)
+            (m, l) for m in range(1, self.n + 1) for l in range(self.k + 1) if self.fits(m, l)
         ]
 
     def quadruples(self) -> list[tuple[int, int, int, int]]:
@@ -265,20 +268,15 @@ class BinomialIndex:
             for n2 in range(1, self.n - n1 + 1):
                 for k1 in range(0, min(n1, self.k) + 1):
                     for k2 in range(0, min(n2, self.k - k1) + 1):
-                        quads.append((n1, k1, n2, k2))
+                        if self.fits(n1 + n2, k1 + k2):
+                            quads.append((n1, k1, n2, k2))
         quads.sort()
         return quads
 
-    def strings(self) -> list[str]:
-        """Strings of every listed block: length <= n, at most k ones.
-
-        A superset of C0(B(n,k)), which keeps only the fitting blocks.
-        """
-        out: list[str] = []
-        for m, l in self.blocks():
-            out.extend(binomial(m, l).members)
-        out.sort(key=canon_key)
-        return out
+    def strings(self) -> tuple[str, ...]:
+        """C0(B(n,k)): the strings of every fitted block."""
+        out = [s for m, l in self.blocks() for s in binomial(m, l).members]
+        return tuple(sorted(out, key=canon_key))
 
 
 def product_block(n1: int, k1: int, n2: int, k2: int) -> list[str]:

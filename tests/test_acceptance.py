@@ -13,7 +13,8 @@ C(B(n,k)) is every nonempty subset of every block B(m,l) with
 0 < m <= n, 0 <= l <= min(m,k) and k - l <= n - m, since no factor of a
 weight-k length-n string can drop more weight than length.  It also pins
 that the literal rectangle, without that fit condition, strictly
-over-approximates the closure for k >= 1.
+over-approximates the closure for k >= 1, and that ``BinomialIndex``
+lists exactly the fitted blocks and the closure's strings.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import pytest
 
 from relp import (
     Assignment,
+    BinomialIndex,
     Concat,
     Language,
     LinearProgram,
@@ -443,8 +445,13 @@ def test_criterion_10_structural_invariants():
             ]
             fitted = [(m_, l) for m_, l in rectangle if k - l <= n - m_]
             unfit = [(m_, l) for m_, l in rectangle if k - l > n - m_]
-            actual = set(compute_closure(binomial(n, k)).members)
+            closure = compute_closure(binomial(n, k))
+            actual = set(closure.members)
             assert actual == block_subsets(fitted), (n, k)
+            # the block index of the relaxed programs lists exactly this form
+            index = BinomialIndex(n, k)
+            assert index.blocks() == fitted, (n, k)
+            assert index.strings() == closure.strings(), (n, k)
             over = block_subsets(rectangle)
             assert over - actual == block_subsets(unfit), (n, k)
             assert (over > actual) == (k >= 1), (n, k)

@@ -97,18 +97,16 @@ class TestRelaxedBinomial:
             "sense max\n"
             "var x[0] in [0, 1]\n"
             "var x[1] in [0, 1]\n"
-            "var x[00] in [0, 2]\n"
             "var x[01] in [0, 2]\n"
             "var x[10] in [0, 2]\n"
             "obj 1 x[01] 1 x[10]\n"
-            "row q[1,0,1,0]: 1 x[00] -2 x[0] <= 0\n"
             "row q[1,0,1,1]: 1 x[01] -1 x[0] -1 x[1] <= 0\n"
             "row q[1,1,1,0]: 1 x[10] -1 x[1] -1 x[0] <= 0\n"
         )
 
     def test_counts_8_1(self):
         lp = build_relaxed_binomial(8, 1)
-        assert (lp.n_vars, lp.n_rows) == (44, 84)
+        assert (lp.n_vars, lp.n_rows) == (43, 77)
 
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 2), (6, 3)])
     def test_shape_matches_index(self, n, k):
@@ -240,18 +238,15 @@ class TestDualBuilders:
         assert write_lp(build_relaxed_binomial_dual(2, 1)) == (
             "relp-lp v1\n"
             "sense min\n"
-            "var y[1,0,1,0] in [0, inf]\n"
             "var y[1,0,1,1] in [0, inf]\n"
             "var y[1,1,1,0] in [0, inf]\n"
             "var w[0] in [0, inf]\n"
             "var w[1] in [0, inf]\n"
-            "var w[00] in [0, inf]\n"
             "var w[01] in [0, inf]\n"
             "var w[10] in [0, inf]\n"
-            "obj 1 w[0] 1 w[1] 2 w[00] 2 w[01] 2 w[10]\n"
-            "row s[0]: -2 y[1,0,1,0] -1 y[1,0,1,1] -1 y[1,1,1,0] 1 w[0] >= 0\n"
+            "obj 1 w[0] 1 w[1] 2 w[01] 2 w[10]\n"
+            "row s[0]: -1 y[1,0,1,1] -1 y[1,1,1,0] 1 w[0] >= 0\n"
             "row s[1]: -1 y[1,0,1,1] -1 y[1,1,1,0] 1 w[1] >= 0\n"
-            "row s[00]: 1 y[1,0,1,0] 1 w[00] >= 0\n"
             "row s[01]: 1 y[1,0,1,1] 1 w[01] >= 1\n"
             "row s[10]: 1 y[1,1,1,0] 1 w[10] >= 1\n"
         )
@@ -299,16 +294,16 @@ class TestDualBuilders:
 
     def test_relaxed_dual_counts_8_1(self):
         dual = build_relaxed_binomial_dual(8, 1)
-        assert (dual.n_vars, dual.n_rows) == (128, 44)
+        assert (dual.n_vars, dual.n_rows) == (120, 43)
 
 
-# sha256 of the write_lp text of each program, captured while the model
-# still stored every coefficient as a Fraction; int storage must not
-# move a byte of it
+# sha256 of the write_lp text of each program; the relaxed ones are over
+# the fitted blocks of C(B(n,k)).  Coefficient storage must not move a
+# byte of any of them.
 PINNED_LP_SHA256 = {
-    "relaxed(5,2)": "ed2280e6102bb96a146271dc87574f44f4a665e0ecb778894fa1e0a58d591a1c",
-    "relaxed(8,3)": "a1fcbac2085e9ca23efaac7fd87bb79a86db6779de07133da2d50514be6b761c",
-    "relaxed-dual(8,3)": "61de203163a79693e487a180833b2401a350c315e118809fc5ee1a6a68d551cb",
+    "relaxed(5,2)": "69582bbf6b6bcf15fd1a8a0cb45a64b287283b207766f2565e642146676d5563",
+    "relaxed(8,3)": "6f2fe05fdc2511bd890a4d828004d72b5e4f7e2c0d871ba5c0aa3dc3f30824eb",
+    "relaxed-dual(8,3)": "c003a98f584b738b1d3791dddc21d87d3dfe80a053d775232ec81f6fedc5f32d",
     "reduced-b1(6)": "0c45f54cb292ded9a000d0ee5f9f3f76d2a13f9232dcb276b9242a8e3facf903",
     "weak C(T(3,1))": "7ab7795f0d911395b47cc387da39fecb5aa485bc13fdc146f14282557e9c6dae",
     "weak-dual C(T(3,1))": "e2ac114d1b80a82a0e22df5617af453f49c051a6e28b8535ca6a748b2af2935f",

@@ -308,14 +308,20 @@ class TestCalibration:
 
     def test_row_margins_nonnegative(self):
         table = calibrate_alphas(2, 10)
-        for quad in BinomialIndex(10, 2).quadruples():
+        # every block row of length <= 10 and weight <= 2, fitted or not
+        quads = {q for k in range(3) for q in BinomialIndex(10, k).quadruples()}
+        assert len(quads) == 252
+        for quad in sorted(quads):
             margin = relaxed_row_margin(quad, lambda s: g_value(s, table))
             assert margin >= -1e-9
 
     def test_g_objective_matches_direct_sum(self):
-        table = calibrate_alphas(2, 10)
-        direct = sum(g_value(s, table) for s in binomial(8, 2))
-        assert g_objective(8, 2, table) == pytest.approx(direct)
+        # the sum over spans against g_value summed string by string
+        alphas = (2.0, 2.0)
+        for k in range(4):
+            for n in range(max(1, k), 25):
+                direct = sum(g_value(s, alphas) for s in binomial(n, k))
+                assert g_objective(n, k, alphas) == pytest.approx(direct, rel=1e-12), (n, k)
 
     def test_exponent_floor_unreachable(self):
         with pytest.raises(CalibrationError, match="2\\^10"):

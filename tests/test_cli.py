@@ -74,7 +74,7 @@ class TestLp:
         code, out, _ = run(capsys, "lp", "relaxed", "--n", "8", "--k", "1",
                            "-o", str(target))
         assert code == 0
-        assert "44 vars, 84 rows" in out
+        assert "43 vars, 77 rows" in out
 
     def test_reduced_b1(self, capsys, tmp_path):
         target = tmp_path / "red.lp"
@@ -125,6 +125,15 @@ class TestSolveCheck:
         sol.write_text(text)
         code, out, _ = run(capsys, "check", str(weak_lp_file), str(sol))
         assert code == 1
+
+    def test_check_lists_unknown_names(self, capsys, weak_lp_file, tmp_path):
+        sol = tmp_path / "weak.sol"
+        run(capsys, "solve", str(weak_lp_file), "-o", str(sol))
+        sol.write_text(sol.read_text() + "ghost = 0\n")
+        code, out, _ = run(capsys, "check", str(weak_lp_file), str(sol))
+        assert code == 0
+        assert "unknown names: ghost\n" in out
+        assert out.endswith("feasible\n")
 
     def test_solve_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "absent.lp"))

@@ -233,13 +233,14 @@ class TestBinomialIndex:
     def test_blocks_match_set_builder(self):
         index = BinomialIndex(4, 2)
         assert set(index.blocks()) == {
-            (m, l) for m in range(1, 5) for l in range(0, min(m, 2) + 1)
+            (m, l) for m in range(1, 5) for l in range(0, min(m, 2) + 1) if 2 - l <= 4 - m
         }
-        assert len(index.blocks()) == sum(min(m, 2) + 1 for m in range(1, 5))
+        # the rectangle's 11 blocks less the unfit (3,0), (4,0) and (4,1)
+        assert len(index.blocks()) == 8
 
     def test_quadruples_2_1(self):
+        # (1,0,1,0) would build {00}, which is not in C({01,10})
         assert set(BinomialIndex(2, 1).quadruples()) == {
-            (1, 0, 1, 0),
             (1, 0, 1, 1),
             (1, 1, 1, 0),
         }
@@ -251,10 +252,22 @@ class TestBinomialIndex:
         assert (2, 1, 2, 1) in BinomialIndex(4, 2).quadruples()
 
     def test_quadruple_constraints(self):
-        for n1, k1, n2, k2 in BinomialIndex(6, 2).quadruples():
+        # the union over the weights up to 2 is every block row of length
+        # at most 6 and weight at most 2, fitted or not
+        quads = {q for k in range(3) for q in BinomialIndex(6, k).quadruples()}
+        assert len(quads) == 80
+        for n1, k1, n2, k2 in quads:
             assert n1 >= 1 and n2 >= 1 and n1 + n2 <= 6
             assert 0 <= k1 <= min(n1, 2) and 0 <= k2 <= min(n2, 2)
             assert k1 + k2 <= 2
+
+    def test_fitted_quadruples_have_fitted_factors(self):
+        for n in range(1, 9):
+            for k in range(0, min(n, 3) + 1):
+                index = BinomialIndex(n, k)
+                for n1, k1, n2, k2 in index.quadruples():
+                    assert index.fits(n1 + n2, k1 + k2)
+                    assert index.fits(n1, k1) and index.fits(n2, k2)
 
     def test_strings_cover_all_blocks(self):
         index = BinomialIndex(3, 1)
@@ -262,8 +275,10 @@ class TestBinomialIndex:
             s
             for m in range(1, 4)
             for l in (0, 1)
+            if 1 - l <= 3 - m
             for s in binomial(m, l).members
         )
+        assert "000" not in index.strings()
 
     def test_product_block(self):
         assert sorted(product_block(1, 0, 1, 1)) == ["01"]
