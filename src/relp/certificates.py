@@ -35,7 +35,14 @@ from fractions import Fraction
 from math import comb, floor, log, log1p, log2
 
 from .builders import build_weak_support_dual
-from .closure import BinomialIndex, Closure, compute_closure, product_block
+from .closure import (
+    BinomialIndex,
+    Closure,
+    block_spans,
+    compute_closure,
+    product_block,
+    product_spans,
+)
 from .lang import Language, all_strings, binomial, ones, threshold
 from .lp import (
     Assignment,
@@ -402,9 +409,16 @@ def _alpha(alphas: AlphaTable | Sequence[float], j: int) -> float:
         raise ValueError(f"alpha_{j} is not available") from None
 
 
-def _span_unit(s: str, power: int) -> float:
-    span = s.rindex("1") - s.index("1") + 1
+def _unit(span: int, power: int) -> float:
     return (log(span) / span) ** power
+
+
+def _span_unit(s: str, power: int) -> float:
+    return _unit(s.rindex("1") - s.index("1") + 1, power)
+
+
+def _unit_sum(spans: dict[int, int], power: int) -> float:
+    return sum(count * _unit(p, power) for p, count in spans.items())
 
 
 def g_value(s: str, alphas: AlphaTable | Sequence[float]) -> float:
@@ -436,8 +450,8 @@ def g_objective(n: int, k: int, alphas: AlphaTable | Sequence[float]) -> float:
     if k < 2:
         return comb(n, k) * g_value("1" * k + "0" * (n - k), alphas)
     return sum(
-        (n - p + 1) * comb(p - 2, k - 2) * g_value("1" * (k - 1) + "0" * (p - k) + "1", alphas)
-        for p in range(k, n + 1)
+        count * g_value("1" * (k - 1) + "0" * (p - k) + "1", alphas)
+        for p, count in block_spans(n, k).items()
     )
 
 
@@ -451,23 +465,32 @@ def relaxed_row_margin(quad: Quad, g: Callable[[str], float]) -> float:
     return rhs - lhs
 
 
+def _product_g_sum(quad: Quad, alphas: AlphaTable | Sequence[float]) -> float:
+    """Sum of g over the product block of one row, through its spans."""
+    n1, k1, n2, k2 = quad
+    k = k1 + k2
+    if k < 2:
+        return comb(n1, k1) * comb(n2, k2) * g_value("1" * k + "0" * (n1 + n2 - k), alphas)
+    return _alpha(alphas, k - 1) * _unit_sum(product_spans(*quad), k - 1)
+
+
 def _row_affine(quad: Quad, fixed: Sequence[float], j: int) -> tuple[float, float]:
     """Margin of a product-weight-(j+1) row as A - B * alpha_j.
 
     The product block has weight j+1, so its whole sum scales with the
     candidate; a factor block scales too when it carries all the
     weight, and otherwise contributes a fixed amount through the
-    already-calibrated values.
+    already-calibrated values.  Every sum runs over spans.
     """
     n1, k1, n2, k2 = quad
     top = j + 1
-    scaled = sum(_span_unit(u, j) for u in product_block(n1, k1, n2, k2))
+    scaled = _unit_sum(product_spans(*quad), j)
     fixed_part = 0.0
     for side_n, side_k in ((n1, k1), (n2, k2)):
         if side_k == top:
-            scaled -= sum(_span_unit(s, j) for s in binomial(side_n, side_k))
+            scaled -= _unit_sum(block_spans(side_n, side_k), j)
         else:
-            fixed_part += sum(g_value(s, fixed) for s in binomial(side_n, side_k))
+            fixed_part += g_objective(side_n, side_k, fixed)
     return fixed_part, scaled
 
 
@@ -537,15 +560,20 @@ def calibrate_alphas(
     # belt and braces: re-verify everything the staged sweep reasoned about,
     # over the union of the length-nmax programs of every weight up to kmax
     indexes = [BinomialIndex(nmax, top) for top in range(kmax + 1)]
-    for m, l in sorted({block for index in indexes for block in index.blocks()}):
+    blocks = sorted({block for index in indexes for block in index.blocks()})
+    for m, l in blocks:
         if l < 2:
             continue
         for s in binomial(m, l):
             v = g_value(s, table)
             if v > m + tolerance:
                 raise CalibrationError(f"bound {var_x(s)} <= {m} fails: g = {v}")
+    # a row's margin is two factor-block sums less its product-block sum;
+    # each block is summed once, each product block over its spans
+    block_sums = {block: g_objective(*block, table) for block in blocks}
     for quad in sorted({quad for index in indexes for quad in index.quadruples()}):
-        margin = relaxed_row_margin(quad, lambda s: g_value(s, table))
+        n1, k1, n2, k2 = quad
+        margin = block_sums[n1, k1] + block_sums[n2, k2] - _product_g_sum(quad, table)
         if margin < -tolerance:
             raise CalibrationError(f"row {row_quad(*quad)} fails by {-margin}")
     grid_hi = max(grid_max, nmax)

@@ -11,6 +11,17 @@ with |K| > 1 has that property too, since any nonempty subset of K is
 reached from K by deleting one string at a time.  So we compute C(L) as
 the fixpoint of one-element deletions plus exact concatenation
 factorizations: |K| new languages per member instead of 2^|K| - 2.
+The fixpoint runs on canonical member tuples; a deletion keeps the
+order, so no member is re-sorted, and each member's Language is built
+once.
+
+The factorization search is anchored on the canonically first member
+of K: every factorization K1·K2 splits it as u0·v0 with u0 in K1, so at
+each cut of it only left sets holding u0 inside the prefix pool
+{u : u v0 in K} are tried.  They are enumerated depth first with the
+running intersection of their left quotients, which prunes every
+superset of a set whose quotients share nothing, and a cut at which
+some member has no proper prefix in the pool is skipped outright.
 
 Derived index sets used by the linear programs:
 
@@ -34,84 +45,101 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .config import ResourceCapError
 from .lang import Language, binomial, canon_key
 
 
-def _quotients(u: str, lang: Language) -> frozenset[str]:
-    """The left quotient u^{-1}K: suffixes v with u+v a member."""
-    lu = len(u)
-    return frozenset(s[lu:] for s in lang.members if len(s) > lu and s.startswith(u))
+def _factor_pairs(
+    lang: Language, max_prefix_pool: int
+) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The exact factorizations of lang as pairs of canonical member tuples.
 
-
-def factorizations(
-    lang: Language, max_prefix_pool: int = 20
-) -> list[tuple[Language, Language]]:
-    """All ordered pairs (K1, K2) of languages with K1·K2 == lang, exactly.
-
-    Every valid right factor K2 contains at least one proper suffix of the
-    canonically first member, so we anchor the search there: for each such
-    suffix v0, candidate left factors are subsets of {u : u v0 in K}.  For
-    each candidate K1 the inclusion-maximal right factor is the
-    intersection of left quotients; any subset of it whose product still
-    covers K is a valid K2.
-
-    The candidate pool per anchor is at most |K| strings; if it exceeds
-    max_prefix_pool the subset enumeration is refused as a resource cap.
+    At a cut u0·v0 of the first member, the prefix pool {u : u v0 in K}
+    comes out in canonical order with u0 first: u0 is the shortest, and
+    a u of the same length has u v0 after u0 v0.  So the left sets that
+    hold u0 are u0 plus subsets of the rest of the pool, each one built
+    in canonical order.
     """
     members = lang.members
     first = members[0]
-    member_set = set(members)
+    quots: dict[str, set[str]] = {}  # u -> u^{-1}K, filled as pools need it
     found: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-    out: list[tuple[Language, Language]] = []
 
     for cut in range(1, len(first)):
         v0 = first[cut:]
         lv = len(v0)
-        pool = sorted(
-            {s[:-lv] for s in members if len(s) > lv and s.endswith(v0)},
-            key=canon_key,
-        )
-        if not pool:
-            continue
+        # canonical order, since every u v0 shares the suffix v0
+        pool = [s[:-lv] for s in members if len(s) > lv and s.endswith(v0)]
         if len(pool) > max_prefix_pool:
             raise ResourceCapError(
                 f"factorization prefix pool has {len(pool)} candidates "
                 f"(cap {max_prefix_pool}) for {lang!r}"
             )
-        quots = {u: _quotients(u, lang) for u in pool}
-        for r in range(1, len(pool) + 1):
-            for left in combinations(pool, r):
-                right_max = frozenset.intersection(*(quots[u] for u in left))
-                if not right_max:
-                    continue
-                produced = {u + v for u in left for v in right_max}
-                if not member_set <= produced:
-                    continue  # even the maximal right factor cannot cover K
-                # forced suffixes: members writable in only one way over left
-                ways: dict[str, set[str]] = {s: set() for s in members}
-                for u in left:
-                    for v in right_max:
-                        ways[u + v].add(v)
-                forced: set[str] = set()
-                for s in members:
-                    if len(ways[s]) == 1:
-                        forced |= ways[s]
-                optional = sorted(right_max - forced, key=canon_key)
-                for r2 in range(len(optional) + 1):
-                    for extra in combinations(optional, r2):
-                        right = forced | set(extra)
-                        if not right:
-                            continue
-                        covered = {u + v for u in left for v in right}
-                        if covered != member_set:
-                            continue
-                        key = (tuple(left), tuple(sorted(right, key=canon_key)))
-                        if key not in found:
-                            found.add(key)
-                            out.append((Language(left), Language(right)))
+        in_pool = set(pool)
+        started = {
+            s for n in {len(u) for u in pool} for s in members if len(s) > n and s[:n] in in_pool
+        }
+        if len(started) < len(members):
+            continue  # some member cannot start with a left factor
+        for u in pool:
+            if u not in quots:
+                lu = len(u)
+                quots[u] = {s[lu:] for s in members if len(s) > lu and s.startswith(u)}
+        rest = pool[1:]
+        stack = [(0, (pool[0],), quots[pool[0]])]
+        while stack:
+            nxt, left, right_max = stack.pop()
+            for j in range(nxt, len(rest)):
+                shared = right_max & quots[rest[j]]
+                if shared:
+                    stack.append((j + 1, left + (rest[j],), shared))
+            if len(left) * len(right_max) < len(members):
+                continue  # too few products to cover K
+            # every u v with u in left, v in right_max is a member; ways[s]
+            # lists the v that produce member s
+            ways: dict[str, list[str]] = {}
+            for u in left:
+                for v in right_max:
+                    ways.setdefault(u + v, []).append(v)
+            if len(ways) < len(members):
+                continue  # even the maximal right factor cannot cover K
+            forced = {vs[0] for vs in ways.values() if len(vs) == 1}
+            open_ways = [vs for vs in ways.values() if forced.isdisjoint(vs)]
+            optional = sorted(right_max - forced, key=canon_key)
+            for r in range(len(optional) + 1):
+                for extra in combinations(optional, r):
+                    right = forced.union(extra)
+                    if right and all(not right.isdisjoint(vs) for vs in open_ways):
+                        found.add((left, tuple(sorted(right, key=canon_key))))
+    return found
 
+
+def factorizations(
+    lang: Language, max_prefix_pool: int = 20
+) -> list[tuple[Language, Language]]:
+    """All ordered pairs (K1, K2) of languages with K1·K2 == lang, exactly,
+    sorted by (K1, K2) in canonical order.
+
+    At each cut u0·v0 of the canonically first member, the left factors
+    tried are the sets holding u0 within the prefix pool {u : u v0 in K},
+    enumerated depth first and dropped, with all their supersets, once
+    their left quotients share no suffix; a cut is skipped when some
+    member has no proper prefix in the pool.  For each left set K1 the
+    inclusion-maximal right factor is that intersection; the suffixes in
+    it that are the only way to produce some string of K are forced, and
+    every superset of the forced ones within it whose product covers K
+    is a valid K2.
+
+    The prefix pool per cut is at most |K| strings; if it exceeds
+    max_prefix_pool the search is refused as a resource cap, before the
+    cut is checked for cover.
+    """
+    out = [
+        (Language._from_canonical(left), Language._from_canonical(right))
+        for left, right in _factor_pairs(lang, max_prefix_pool)
+    ]
     out.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
     return out
 
@@ -196,36 +224,40 @@ def compute_closure(
     Each member K contributes its one-element deletions (when |K| > 1)
     and the factors of its exact factorizations.  The deletions reach
     every nonempty proper subset of K through a chain of members, so the
-    fixpoint equals the definition's closure under all unions.
+    fixpoint equals the definition's closure under all unions.  The
+    fixpoint works on canonical member tuples: deleting one string keeps
+    canonical order, so a deletion needs no sort, and each new member's
+    Language is built once, straight from its tuple.
 
     Raises ResourceCapError as soon as the member count exceeds
     max_members; the block-language closures grow like 2^n, so the cap
     matters.
     """
-    seen: dict[Language, None] = {}
+    seen: dict[tuple[str, ...], Language] = {}
     queue: list[Language] = []
 
-    def add(lang: Language) -> None:
-        if lang in seen:
+    def add(members: tuple[str, ...]) -> None:
+        if members in seen:
             return
-        seen[lang] = None
+        lang = Language._from_canonical(members)
+        seen[members] = lang
         if len(seen) > max_members:
             raise ResourceCapError(
                 f"closure of {base!r} exceeds {max_members} members"
             )
         queue.append(lang)
 
-    add(base)
+    add(base.members)
     while queue:
         lang = queue.pop()
         members = lang.members
         if len(members) > 1:
             for i in range(len(members)):
-                add(Language(members[:i] + members[i + 1 :]))
-        for k1, k2 in factorizations(lang, max_prefix_pool=factor_pool_cap):
-            add(k1)
-            add(k2)
-    return Closure(base, list(seen))
+                add(members[:i] + members[i + 1 :])
+        for left, right in _factor_pairs(lang, factor_pool_cap):
+            add(left)
+            add(right)
+    return Closure(base, list(seen.values()))
 
 
 # -- implicit closure of the block languages B(n,k) --------------------------
@@ -283,3 +315,30 @@ def product_block(n1: int, k1: int, n2: int, k2: int) -> list[str]:
     """B(n1,k1)·B(n2,k2): length n1+n2, k1 ones in the first n1 positions."""
     right = binomial(n2, k2).members
     return [u + v for u in binomial(n1, k1).members for v in right]
+
+
+def block_spans(m: int, l: int) -> dict[int, int]:
+    """Span -> count over B(m, l), l >= 2: (m - p + 1) * C(p - 2, l - 2)
+    strings have span p."""
+    return {p: (m - p + 1) * comb(p - 2, l - 2) for p in range(l, m + 1)}
+
+
+def product_spans(n1: int, k1: int, n2: int, k2: int) -> dict[int, int]:
+    """Span -> count over B(n1,k1)·B(n2,k2), k1 + k2 >= 2.
+
+    With ones on both sides the span is d + t, where the first one of u
+    sits d places from u's end (C(d - 1, k1 - 1) strings u) and the last
+    one of v sits t places from v's start (C(t - 1, k2 - 1) strings v).
+    With all ones on one side the product has that side's spans.
+    """
+    if k2 == 0:
+        return block_spans(n1, k1)
+    if k1 == 0:
+        return block_spans(n2, k2)
+    right = [(t, comb(t - 1, k2 - 1)) for t in range(k2, n2 + 1)]
+    counts: dict[int, int] = {}
+    for d in range(k1, n1 + 1):
+        left = comb(d - 1, k1 - 1)
+        for t, c in right:
+            counts[d + t] = counts.get(d + t, 0) + left * c
+    return counts

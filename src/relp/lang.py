@@ -65,6 +65,17 @@ class Language:
         object.__setattr__(self, "_set", member_set)
         object.__setattr__(self, "_hash", hash(self.members))
 
+    @classmethod
+    def _from_canonical(cls, members: tuple[str, ...]) -> "Language":
+        """The language of a tuple that is already canonical: distinct,
+        nonempty strings in canonical order.  Nothing is checked or
+        sorted; the closure search builds its members through here."""
+        lang = object.__new__(cls)
+        object.__setattr__(lang, "members", members)
+        object.__setattr__(lang, "_set", frozenset(members))
+        object.__setattr__(lang, "_hash", hash(members))
+        return lang
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Language is immutable")
 

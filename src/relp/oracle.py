@@ -72,7 +72,7 @@ def _covers(lang: Language):
     members = lang.members
     for k1 in lang.subsets(proper=True):
         inside = k1.members
-        rest = tuple(m for m in members if m not in set(inside))
+        rest = tuple(m for m in members if m not in k1)
         for r in range(len(inside)):
             for extra in combinations(inside, r):
                 yield k1, Language(rest + extra)

@@ -41,7 +41,8 @@ from relp import (
     threshold,
     write_alpha_table,
 )
-from relp.closure import BinomialIndex
+from relp.certificates import _product_g_sum
+from relp.closure import BinomialIndex, product_block
 from relp.lang import canon_key
 
 
@@ -322,6 +323,24 @@ class TestCalibration:
             for n in range(max(1, k), 25):
                 direct = sum(g_value(s, alphas) for s in binomial(n, k))
                 assert g_objective(n, k, alphas) == pytest.approx(direct, rel=1e-12), (n, k)
+
+    def test_product_block_sums_match_direct_sums(self):
+        # calibrate_alphas sums each product block over its spans; the
+        # string-by-string sum is the reference
+        alphas = (2.0, 1.0, 0.5)
+        quads = {q for k in range(5) for q in BinomialIndex(10, k).quadruples()}
+        for quad in sorted(quads):
+            direct = sum(g_value(u, alphas) for u in product_block(*quad))
+            assert _product_g_sum(quad, alphas) == pytest.approx(direct, rel=1e-12), quad
+
+    def test_pinned_table_text(self):
+        table = calibrate_alphas(3, 14, grid_max=14)
+        assert write_alpha_table(table) == (
+            "relp-alphas v1\nkmax 3\nnmax 14\ngrid 14\nalpha 1 2.0\nalpha 2 2.0\n"
+            "ratio 1 1.3789231816899512 2.442695040888964\n"
+            "ratio 2 0.5378149795009108 0.7213475204444817\n"
+            "ratio 3 0.06742512789828424 0.19744461126876864\n"
+        )
 
     def test_exponent_floor_unreachable(self):
         with pytest.raises(CalibrationError, match="2\\^10"):

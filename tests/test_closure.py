@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relp import (
     BinomialIndex,
@@ -18,8 +19,28 @@ from relp import (
     threshold,
 )
 from relp.closure import product_block
+from relp.lang import canon_key
 
 from _support import brute_factorizations, languages, naive_closure
+
+# three-letter languages: the anchored search must not lean on a binary alphabet
+ternary_languages = st.sets(
+    st.text(alphabet="abc", min_size=1, max_size=3), min_size=1, max_size=5
+).map(Language)
+
+
+def _pair_key(pair):
+    return (pair[0].sort_key(), pair[1].sort_key())
+
+
+def _assert_canonical(k: Language) -> None:
+    # the search builds its languages without sorting or checking, so
+    # each must still be what the public constructor would build
+    assert k == Language(k.members)
+    assert hash(k) == hash(Language(k.members))
+    assert all(k.members), k
+    assert len(set(k.members)) == len(k.members), k
+    assert list(k.members) == sorted(k.members, key=canon_key), k
 
 
 class TestFactorizations:
@@ -66,6 +87,29 @@ class TestFactorizations:
     def test_pool_cap(self):
         with pytest.raises(ResourceCapError):
             factorizations(all_strings(3), max_prefix_pool=1)
+
+    @given(languages(6, 4) | ternary_languages)
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_list_and_closure_match_oracles(self, lang):
+        found = factorizations(lang)
+        assert found == sorted(brute_factorizations(lang), key=_pair_key)
+        for k1, k2 in found:
+            _assert_canonical(k1)
+            _assert_canonical(k2)
+        closure = compute_closure(lang)
+        assert set(closure.members) == naive_closure(lang)
+        for member in closure.members:
+            _assert_canonical(member)
+
+    def test_pool_cap_fires_before_the_cut_is_skipped(self):
+        # at the cut 00|0 the pool {00, 01} is over the cap, yet no proper
+        # prefix of 111 is in it, so that cut could never be covered; the
+        # cut 0|00 has the one-string pool {0} and is within the cap.  The
+        # cap still refuses the search
+        lang = Language(["000", "010", "111"])
+        assert factorizations(lang) == []
+        with pytest.raises(ResourceCapError):
+            factorizations(lang, max_prefix_pool=1)
 
 
 class TestComputeClosure:
