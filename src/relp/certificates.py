@@ -413,10 +413,6 @@ def _unit(span: int, power: int) -> float:
     return (log(span) / span) ** power
 
 
-def _span_unit(s: str, power: int) -> float:
-    return _unit(s.rindex("1") - s.index("1") + 1, power)
-
-
 def _unit_sum(spans: dict[int, int], power: int) -> float:
     return sum(count * _unit(p, power) for p, count in spans.items())
 
@@ -431,7 +427,7 @@ def g_value(s: str, alphas: AlphaTable | Sequence[float]) -> float:
         return float(len(s))
     if k == 1:
         return 1.0 + log(len(s))
-    return _alpha(alphas, k - 1) * _span_unit(s, k - 1)
+    return _alpha(alphas, k - 1) * _unit(s.rindex("1") - s.index("1") + 1, k - 1)
 
 
 def analytic_g(n: int, k: int, alphas: AlphaTable | Sequence[float]) -> Assignment:
@@ -526,12 +522,13 @@ def calibrate_alphas(
         k = j + 1
         cap = float(2**max_exponent)
         binding = f"the exponent ceiling 2^{max_exponent}"
+        # g depends on a string's span only, so the bounds g(s) <= |s| are
+        # checked once per span of each block B(m, k)
         for m in range(k, nmax + 1):
-            for s in binomial(m, k):
-                unit = _span_unit(s, j)
-                allowed = (m + tolerance) / unit
+            for span in block_spans(m, k):
+                allowed = (m + tolerance) / _unit(span, j)
                 if allowed < cap:
-                    cap, binding = allowed, f"bound {var_x(s)} <= {m}"
+                    cap, binding = allowed, f"bound g <= {m} at span {span} of B({m},{k})"
         for quad in BinomialIndex(nmax, k).quadruples():
             if quad[1] + quad[3] != k:
                 continue
@@ -564,10 +561,12 @@ def calibrate_alphas(
     for m, l in blocks:
         if l < 2:
             continue
-        for s in binomial(m, l):
-            v = g_value(s, table)
+        for span in block_spans(m, l):
+            v = _alpha(table, l - 1) * _unit(span, l - 1)
             if v > m + tolerance:
-                raise CalibrationError(f"bound {var_x(s)} <= {m} fails: g = {v}")
+                raise CalibrationError(
+                    f"bound g <= {m} fails at span {span} of B({m},{l}): g = {v}"
+                )
     # a row's margin is two factor-block sums less its product-block sum;
     # each block is summed once, each product block over its spans
     block_sums = {block: g_objective(*block, table) for block in blocks}

@@ -45,7 +45,7 @@ from .certificates import (
     write_alpha_table,
 )
 from .closure import compute_closure
-from .config import ResourceCapError, RunConfig, load_config
+from .config import SETTINGS, ResourceCapError, RunConfig, load_config
 from .lang import Language, gen_family
 from .lp import (
     FeasibilityReport,
@@ -329,32 +329,16 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
-_CONFIG_FIELDS = (
-    "tolerance",
-    "closure_max_members",
-    "factor_pool_cap",
-    "oracle_max_strings",
-    "oracle_max_len",
-    "solver_max_pivots",
-    "stall_threshold",
-    "pivot_rule",
-)
-
 
 def _common_options() -> _Parser:
+    """--config, and one override flag per RunConfig setting."""
     common = _Parser(add_help=False)
     group = common.add_argument_group("configuration")
     group.add_argument("--config", metavar="FILE",
                        help="config file (default: $RELP_CONFIG if set)")
-    group.add_argument("--tolerance", type=float,
-                       help="feasibility tolerance override")
-    group.add_argument("--closure-max-members", type=int, metavar="N")
-    group.add_argument("--factor-pool-cap", type=int, metavar="N")
-    group.add_argument("--oracle-max-strings", type=int, metavar="N")
-    group.add_argument("--oracle-max-len", type=int, metavar="N")
-    group.add_argument("--solver-max-pivots", type=int, metavar="N")
-    group.add_argument("--stall-threshold", type=int, metavar="N")
-    group.add_argument("--pivot-rule", choices=("auto", "bland", "dantzig"))
+    for name, kind in SETTINGS.items():
+        group.add_argument("--" + name.replace("_", "-"), type=kind,
+                           metavar=kind.__name__.upper())
     return common
 
 
@@ -432,9 +416,9 @@ def build_parser() -> _Parser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {name: getattr(args, name, None) for name in _CONFIG_FIELDS}
+    overrides = {name: getattr(args, name) for name in SETTINGS}
     try:
-        cfg = load_config(getattr(args, "config", None), **overrides)
+        cfg = load_config(args.config, **overrides)
         return args.func(args, cfg)
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

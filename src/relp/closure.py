@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .config import ResourceCapError
+from .config import DEFAULT_CONFIG, ResourceCapError
 from .lang import Language, binomial, canon_key
 
 
@@ -117,7 +117,7 @@ def _factor_pairs(
 
 
 def factorizations(
-    lang: Language, max_prefix_pool: int = 20
+    lang: Language, max_prefix_pool: int = DEFAULT_CONFIG.factor_pool_cap
 ) -> list[tuple[Language, Language]]:
     """All ordered pairs (K1, K2) of languages with K1·K2 == lang, exactly,
     sorted by (K1, K2) in canonical order.
@@ -217,7 +217,9 @@ class Closure:
 
 
 def compute_closure(
-    base: Language, max_members: int = 100_000, factor_pool_cap: int = 20
+    base: Language,
+    max_members: int = DEFAULT_CONFIG.closure_max_members,
+    factor_pool_cap: int = DEFAULT_CONFIG.factor_pool_cap,
 ) -> Closure:
     """Materialize C(base) by fixpoint iteration.
 

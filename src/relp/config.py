@@ -1,9 +1,12 @@
 """Run configuration: resource caps and numeric tolerance.
 
-Settings resolve in three layers: built-in defaults, then the key=value
-file named by the RELP_CONFIG environment variable, then explicit
-overrides (CLI flags).  The file format is one ``key = value`` per line,
-with ``#`` comments.
+``RunConfig`` is the one place run settings are declared: five caps
+(closure members, factor pool, oracle strings and length, solver
+pivots) and the feasibility tolerance.  Config-file keys and CLI flags
+are read off its fields.  Settings resolve in three layers: built-in
+defaults, then the key=value file named by the RELP_CONFIG environment
+variable, then explicit overrides (CLI flags).  The file format is one
+``key = value`` per line, with ``#`` comments.
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ class RunConfig:
     oracle_max_strings: int = 8
     oracle_max_len: int = 8
     solver_max_pivots: int = 1_000_000
-    # pivots without objective progress before Dantzig pricing hands over
-    # to Bland's rule (pivot_rule="auto")
-    stall_threshold: int = 200
-    pivot_rule: str = "auto"  # auto | bland | dantzig
     tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
@@ -45,33 +44,22 @@ class RunConfig:
         for name in _COUNT_CAPS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.stall_threshold < 0:
-            raise ValueError(f"stall_threshold must be >= 0, got {self.stall_threshold}")
-        if self.pivot_rule not in ("auto", "bland", "dantzig"):
-            raise ValueError(f"pivot_rule must be auto, bland or dantzig, got {self.pivot_rule!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 DEFAULT_CONFIG = RunConfig()
 
+# every setting's name and the type its text is read as, for config-file
+# keys and CLI flags alike (the annotations are strings, see __future__)
+SETTINGS = {
+    f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(RunConfig)
+}
+
 ENV_VAR = "RELP_CONFIG"
 
 
-def _coerce(name: str, kind: type, raw: str):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
-    except ValueError as exc:
-        raise ValueError(f"bad value for config key {name}: {raw!r}") from exc
-
-
 def parse_config_text(text: str, base: RunConfig = DEFAULT_CONFIG) -> RunConfig:
-    known = {f.name: f.type for f in fields(RunConfig)}
-    types = {"int": int, "float": float, "str": str}
     updates = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -82,9 +70,12 @@ def parse_config_text(text: str, base: RunConfig = DEFAULT_CONFIG) -> RunConfig:
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in known:
+        if key not in SETTINGS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        updates[key] = _coerce(key, types.get(known[key], str), raw)
+        try:
+            updates[key] = SETTINGS[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"bad value for config key {key}: {raw!r}") from exc
     return replace(base, **updates)
 
 

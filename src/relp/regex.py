@@ -14,18 +14,12 @@ the minimal parenthesization: unions are always parenthesized, symbols
 and concatenations never are.  Parsing folds n-ary unions to the right
 and concatenation chains to the left, so ``parse(render(r))`` recovers
 ``r`` up to those folds (see :func:`normalize`).
-
-A *term* is a maximal run of symbols not interrupted by a union, e.g.
-``(0+00)0`` has terms 0, 00 and 0 again.  Terms are what the dual
-certificate procedures count, so :func:`terms_of` returns a multiset.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, log2
 
 from .lang import FORBIDDEN_SYMBOLS, Language, check_alphabet, check_symbol
 
@@ -162,39 +156,6 @@ def language_of(r: Regex) -> Language:
     return language_of(r.left).union(language_of(r.right))
 
 
-def terms_of(r: Regex) -> Counter[str]:
-    """Multiset of the maximal symbol-only runs of r.
-
-    Adjacent symbol factors inside one concatenation chain merge into a
-    single term; a union boundary always ends a run.
-    """
-    out: Counter[str] = Counter()
-
-    def walk(node: Regex) -> None:
-        w = as_word(node)
-        if w is not None:
-            out[w] += 1
-            return
-        if isinstance(node, Union):
-            walk(node.left)
-            walk(node.right)
-            return
-        run = ""
-        for f in concat_factors(node):
-            if isinstance(f, Symbol):
-                run += f.ch
-            else:
-                if run:
-                    out[run] += 1
-                    run = ""
-                walk(f)
-        if run:
-            out[run] += 1
-
-    walk(r)
-    return out
-
-
 # -- text form ----------------------------------------------------------------
 
 
@@ -280,7 +241,7 @@ def _sigma_chain(m: int) -> Regex:
 
 
 def ellul_b_n1(n: int) -> Regex:
-    """Balanced construction for B(n,1), of length ceil(n*log2(2n)).
+    """Balanced construction for B(n,1), of length ellul_b_n1_length(n).
 
     R_1 = 1 and R_n = (0^(n//2) R_ceil + R_floor 0^ceil(n/2)): each half
     carries the single 1 in one branch and is all zeros in the other.
@@ -294,16 +255,22 @@ def ellul_b_n1(n: int) -> Regex:
 
 
 def ellul_b_n1_length(n: int) -> int:
-    """ceil(n*log2(2n)), the exact length of ellul_b_n1(n)."""
-    return ceil(n * log2(2 * n))
+    """n*ceil(lg n) + 2n - 2^ceil(lg n), the exact length of ellul_b_n1(n).
+
+    It solves L(1) = 1, L(n) = n + L(n//2) + L(ceil(n/2)).  The often
+    quoted ceil(n*log2(2n)) is only a lower bound on it: the two agree
+    for n <= 18, but not at n = 19 (101 against 100) and many n beyond.
+    """
+    c = (n - 1).bit_length()  # ceil(lg n)
+    return n * c + 2 * n - (1 << c)
 
 
 def ellul_t_n1(n: int) -> Regex:
     """The same halving idea for T(n,1), with (0+1) blocks for the free half.
 
-    The resulting length is exactly 2*ceil(n*log2(2n)) - n.  (It is often
-    quoted as ceil(2n*log2(2n)); that is only an upper bound -- the base
-    case contributes 1 symbol per leaf, not 2.)
+    Its length is exactly 2*ellul_b_n1_length(n) - n: each level costs 2n
+    symbols, twice the B(n,1) construction's n, and each of the n leaves
+    1, as there.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -317,7 +284,8 @@ def ellul_t_n1(n: int) -> Regex:
 
 
 def ellul_t_n1_length(n: int) -> int:
-    return 2 * ceil(n * log2(2 * n)) - n
+    """2*ellul_b_n1_length(n) - n, the exact length of ellul_t_n1(n)."""
+    return 2 * ellul_b_n1_length(n) - n
 
 
 @lru_cache(maxsize=None)

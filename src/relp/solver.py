@@ -39,10 +39,12 @@ nothing itself.  ``solve`` is the one gate: it runs ``certify_optimal``
 once, against the original program, and raises ``SolverError`` if it
 fails.
 
-Pricing is Dantzig's rule, ties to the lowest variable index; after
-``stall_threshold`` consecutive degenerate steps it permanently
-downgrades to Bland's rule (lowest variable index), which cannot cycle.
-The pivot budget bounds the pivots of the whole solve, both phases.
+There is one pivot rule.  Pricing is Dantzig's rule, ties to the lowest
+variable index; after ``_STALL_PIVOTS`` consecutive degenerate steps it
+hands over, for the rest of the solve, to Bland's rule (lowest variable
+index, and the lowest leaving variable among tied ratios), which cannot
+cycle (Bland 1977).  The pivot budget, ``RunConfig.solver_max_pivots``,
+bounds the pivots of the whole solve, both phases.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .lp import LE, Assignment, LinearProgram, check_feasible, objective_value
 
 AT_LO, AT_UP, BASIC = 0, 1, 2
+
+# consecutive degenerate pivots after which pricing hands over to Bland
+_STALL_PIVOTS = 200
 
 
 class SolverError(RuntimeError):
@@ -190,12 +195,10 @@ class _Tableau:
     objective are Fractions.
     """
 
-    def __init__(self, lp: LinearProgram, rule: str, stall_threshold: int):
+    def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.sgn = 1 if lp.sense == "max" else -1
-        self.rule = "bland" if rule == "bland" else "dantzig"
-        self.auto = rule == "auto"
-        self.stall_threshold = stall_threshold
+        self.bland = False  # set for good once the pivots stall
         self.iterations = 0
 
         n = len(lp.variables)
@@ -311,8 +314,7 @@ class _Tableau:
         index, whichever slot it sits in.
         """
         # d shares one positive denominator, so its numerators compare as d
-        d, status, frozen = self.d, self.status, self.frozen
-        bland = self.rule == "bland"
+        d, status, frozen, bland = self.d, self.status, self.frozen, self.bland
         best = None
         best_j = best_score = 0
         for s, j in enumerate(self.nonbasic):
@@ -340,7 +342,7 @@ class _Tableau:
         s, sigma = pick
         j = self.nonbasic[s]
         T, den, beta, u, basis = self.T, self.den, self.beta, self.u, self.basis
-        bland = self.rule == "bland"
+        bland = self.bland
 
         # ratio test on exact ints: the limit of row i is b * den[i] / |a|,
         # kept as the pair (t_num, t_den) and compared by cross-multiplying
@@ -379,7 +381,9 @@ class _Tableau:
             self.obj += dj0 * move
             self.stall = 0
         else:
-            self._count_stall()
+            self.stall += 1
+            if self.stall >= _STALL_PIVOTS:
+                self.bland = True
         if leave_row < 0:
             # bound flip: the entering variable crosses to its other bound
             self.status[j] = AT_UP if sigma > 0 else AT_LO
@@ -429,11 +433,6 @@ class _Tableau:
                     b.numerator * q - mn * a * b.denominator, b.denominator * q
                 )
 
-    def _count_stall(self) -> None:
-        self.stall += 1
-        if self.auto and self.rule != "bland" and self.stall >= self.stall_threshold:
-            self.rule = "bland"
-
     def run(self, budget: int) -> str:
         while True:
             if self.iterations >= budget:
@@ -446,11 +445,9 @@ class _Tableau:
 # -- solve proper -----------------------------------------------------------------
 
 
-def _solve_direct(
-    lp: LinearProgram, rule: str, budget: int, stall_threshold: int
-) -> SolveResult:
+def _solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
     """One tableau solve; an "optimal" result is an uncertified candidate."""
-    tab = _Tableau(lp, rule, stall_threshold)
+    tab = _Tableau(lp)
     n, m = tab.n, tab.m
 
     if any(b < 0 for b in tab.beta):
@@ -524,29 +521,18 @@ def _solve_direct(
     )
 
 
-def solve(
-    lp: LinearProgram,
-    config: RunConfig | None = None,
-    *,
-    pivot_rule: str | None = None,
-    max_pivots: int | None = None,
-    stall_threshold: int | None = None,
-) -> SolveResult:
+def solve(lp: LinearProgram, config: RunConfig | None = None) -> SolveResult:
     """Solve to a certified optimum (or infeasible/unbounded/resource).
 
-    An optimum is returned only after ``certify_optimal`` accepts it
-    against ``lp`` itself; otherwise ``SolverError`` is raised.
+    ``config.solver_max_pivots`` caps the pivots of the whole solve.  An
+    optimum is returned only after ``certify_optimal`` accepts it against
+    ``lp`` itself; otherwise ``SolverError`` is raised.
     """
-    cfg = config or DEFAULT_CONFIG
-    rule = pivot_rule if pivot_rule is not None else cfg.pivot_rule
-    if rule not in ("auto", "bland", "dantzig"):
-        raise ValueError(f"unknown pivot rule {rule!r}")
-    budget = max_pivots if max_pivots is not None else cfg.solver_max_pivots
-    stall = stall_threshold if stall_threshold is not None else cfg.stall_threshold
+    budget = (config or DEFAULT_CONFIG).solver_max_pivots
     labels = [row.label for row in lp.rows]
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate row labels; solve needs them unique")
-    res = _solve_direct(lp, rule, budget, stall)
+    res = _solve_direct(lp, budget)
     if res.status == "optimal":
         ok, why = certify_optimal(lp, res.assignment, res.duals)
         if not ok:

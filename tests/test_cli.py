@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import re
+from dataclasses import asdict, fields
 from fractions import Fraction
 
 import pytest
 
 from relp import read_alpha_table, read_lp, read_solution
 from relp.cli import build_parser, main
-from relp.config import RunConfig
+from relp.config import DEFAULT_CONFIG, RunConfig
 
 from _support import negate_one_multiplier
 
@@ -303,7 +304,6 @@ DEGENERATE_SETTINGS = [
     ("oracle_max_strings", "0"),
     ("oracle_max_len", "-1"),
     ("solver_max_pivots", "-5"),
-    ("stall_threshold", "-1"),
     ("tolerance", "-1"),
     ("tolerance", "nan"),
     ("tolerance", "inf"),
@@ -332,13 +332,39 @@ class TestDegenerateSettings:
         assert err.startswith(f"error: {key} must be")
 
     def test_unknown_pivot_rule_in_config_file(self, capsys, tmp_path, monkeypatch):
+        # the pivot rule is fixed; pivot_rule is not a setting
         cfg = tmp_path / "relp.conf"
-        cfg.write_text("pivot_rule = sideways\n")
+        cfg.write_text("pivot_rule = auto\n")
         monkeypatch.setenv("RELP_CONFIG", str(cfg))
         code, out, err = run(capsys, "sweep", "caveat", "--n-max", "2")
         assert code == 3
         assert out == ""
-        assert err.startswith("error: pivot_rule must be")
+        assert err.startswith("error: config line 1: unknown key 'pivot_rule'")
+
+    @pytest.mark.parametrize("key, value", [("pivot_rule", "x"), ("stall_threshold", "5")])
+    def test_not_a_setting_flag(self, capsys, key, value):
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "caveat", "--n-max", "2", flag, value])
+        assert exc.value.code == 3
+
+    def test_unknown_stall_threshold_in_config_file(self, capsys, tmp_path, monkeypatch):
+        # the stall limit is a solver constant, not a setting
+        cfg = tmp_path / "relp.conf"
+        cfg.write_text("stall_threshold = 5\n")
+        monkeypatch.setenv("RELP_CONFIG", str(cfg))
+        code, out, err = run(capsys, "sweep", "caveat", "--n-max", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: config line 1: unknown key 'stall_threshold'")
+
+    def test_one_flag_per_setting(self):
+        # every RunConfig field is a flag, read with the field's type
+        argv = ["solve", "x.lp"]
+        for f in fields(RunConfig):
+            argv += ["--" + f.name.replace("_", "-"), str(getattr(DEFAULT_CONFIG, f.name))]
+        args = build_parser().parse_args(argv)
+        assert {f.name: getattr(args, f.name) for f in fields(RunConfig)} == asdict(DEFAULT_CONFIG)
 
     def test_smallest_settings_accepted(self):
         cfg = RunConfig(
@@ -347,7 +373,6 @@ class TestDegenerateSettings:
             oracle_max_strings=1,
             oracle_max_len=1,
             solver_max_pivots=1,
-            stall_threshold=0,
             tolerance=0.0,
         )
         assert cfg.solver_max_pivots == 1 and cfg.tolerance == 0.0

@@ -33,7 +33,6 @@ from relp.regex import (
     ellul_t_n1_length,
     flip,
     normalize,
-    terms_of,
     union_branches,
     word,
 )
@@ -76,11 +75,6 @@ class TestAst:
         assert language_of(flip(r)) == Language(
             s.translate(str.maketrans("01", "10")) for s in language_of(r)
         )
-
-    def test_terms_of_merges_adjacent_symbols(self):
-        assert terms_of(parse("(0+00)0")) == {"0": 2, "00": 1}
-        assert terms_of(parse("0(0+1)1")) == {"0": 2, "1": 2}
-        assert terms_of(parse("00(01+10)")) == {"00": 1, "01": 1, "10": 1}
 
 
 class TestSemantics:
@@ -144,6 +138,14 @@ class TestBalancedFamilies:
         assert observed == [1, 4, 8, 12, 17, 22, 27, 32, 38, 44]
         assert observed == [ellul_b_n1_length(n) for n in range(1, 11)]
         assert observed == [math.ceil(n * math.log2(2 * n)) for n in range(1, 11)]
+
+    def test_closed_forms_match_built_lengths(self):
+        # ceil(n log2 2n) falls short from n = 19 (101 symbols against 100)
+        for n in range(1, 65):
+            assert ellul_b_n1_length(n) == length(ellul_b_n1(n))
+            assert ellul_t_n1_length(n) == length(ellul_t_n1(n))
+        assert [ellul_b_n1_length(n) for n in (19, 24, 40)] == [101, 136, 256]
+        assert ellul_t_n1_length(19) == 183
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_t_n1_language(self, n):

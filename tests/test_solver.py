@@ -12,6 +12,7 @@ from relp import (
     Assignment,
     Language,
     LinearProgram,
+    RunConfig,
     SolverError,
     build_reduced_weak_primal_b_n1,
     build_relaxed_binomial,
@@ -35,6 +36,19 @@ def paired_bound_lp() -> LinearProgram:
     lp.set_objective({"x1": 1})
     lp.add_row("r1", {"x1": 2, "x2": -1}, ">=", 1)
     lp.add_row("r2", {"x1": -1, "x2": 2}, ">=", 1)
+    return lp
+
+
+def beale_lp() -> LinearProgram:
+    """Beale's example: Dantzig pricing cycles on it; optimum -5/4 at
+    x4 = x6 = 1."""
+    lp = LinearProgram(sense="min")
+    for name in ("x4", "x5", "x6", "x7"):
+        lp.add_variable(name)
+    lp.set_objective({"x4": Fraction(-3, 4), "x5": 20, "x6": Fraction(-1, 2), "x7": 6})
+    lp.add_row("r1", {"x4": Fraction(1, 4), "x5": -8, "x6": -1, "x7": 9}, "<=", 0)
+    lp.add_row("r2", {"x4": Fraction(1, 2), "x5": -12, "x6": Fraction(-1, 2), "x7": 3}, "<=", 0)
+    lp.add_row("r3", {"x6": 1}, "<=", 1)
     return lp
 
 
@@ -144,13 +158,14 @@ class TestEdgeStatuses:
 
     def test_pivot_budget_exhaustion(self):
         lp = build_weak_primal(compute_closure(Language(["0011", "0101", "0110"])))
-        res = solve(lp, max_pivots=1)
+        res = solve(lp, RunConfig(solver_max_pivots=1))
         assert res.status == "resource"
 
     def test_invalid_modes_rejected(self):
-        lp = paired_bound_lp()
-        with pytest.raises(ValueError):
-            solve(lp, pivot_rule="steepest")
+        # settings come from a RunConfig only; solve takes no overrides
+        for override in ("pivot_rule", "max_pivots", "stall_threshold"):
+            with pytest.raises(TypeError):
+                solve(paired_bound_lp(), **{override: 5})
 
 
 class TestPathsAgree:
@@ -160,13 +175,35 @@ class TestPathsAgree:
         Language(["0011", "0101"]),
     ]
 
+    # the stall constant picks the rule: at 0 Bland's rule takes over at
+    # the first degenerate pivot, at 10**9 Dantzig pricing never hands over
+    STALL = {"bland": 0, "dantzig": 10**9, "auto": solver._STALL_PIVOTS}
+
     @pytest.mark.parametrize("rule", ["bland", "dantzig", "auto"])
-    def test_pivot_rules(self, rule):
+    def test_pivot_rules(self, rule, monkeypatch):
         for lang in self.LANGS:
             lp = build_weak_primal(compute_closure(lang))
-            res = solve(lp, pivot_rule=rule)
+            want = solve(lp).objective
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_STALL_PIVOTS", self.STALL[rule])
+                res = solve(lp)
             assert res.status == "optimal"
-            assert res.objective == solve(lp).objective
+            assert res.objective == want
+
+
+class TestAntiCycling:
+    def test_default_rule_solves_beale(self):
+        res = solve(beale_lp(), RunConfig(solver_max_pivots=1000))
+        assert res.status == "optimal"
+        assert res.objective == Fraction(-5, 4)
+        # Dantzig pricing stalls for _STALL_PIVOTS pivots, then Bland's rule
+        # finishes; the optimum passed solve's certificate gate
+        assert res.iterations > solver._STALL_PIVOTS
+
+    def test_dantzig_pricing_alone_cycles_on_beale(self, monkeypatch):
+        monkeypatch.setattr(solver, "_STALL_PIVOTS", 10**9)
+        res = solve(beale_lp(), RunConfig(solver_max_pivots=1000))
+        assert res.status == "resource"
 
 
 class TestAgainstVertexEnumeration:
@@ -297,12 +334,12 @@ class TestCondensedTableau:
 
 
 class TestPivotBudget:
-    """max_pivots caps the pivots of the whole solve, both phases."""
+    """solver_max_pivots caps the pivots of the whole solve, both phases."""
 
     @pytest.mark.parametrize("cap", [1, 2, 5, 13])
     def test_direct_path(self, cap):
         lp = build_weak_primal(compute_closure(Language(["0011", "0101", "0110"])))
-        res = solve(lp, max_pivots=cap)
+        res = solve(lp, RunConfig(solver_max_pivots=cap))
         assert res.status == "resource"
         assert res.iterations <= cap
 
@@ -313,7 +350,7 @@ class TestPivotBudget:
         lp = build_strong_primal(
             compute_closure(Language(["1", "00", "000", "110", "111"]))
         )
-        res = solve(lp, max_pivots=cap)
+        res = solve(lp, RunConfig(solver_max_pivots=cap))
         assert res.status == "resource"
         assert res.iterations <= cap
 
