@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor, log, log1p, log2
+from math import comb, floor, isfinite, log, log1p, log2
 
 from .builders import build_weak_support_dual
 from .closure import (
@@ -372,6 +372,12 @@ def analytic_threshold_strong(n: int, closure: Closure | None = None) -> Assignm
 
 ALPHA_HEADER = "relp-alphas v1"
 
+# calibration's float slack on every row and bound, and the range of
+# exponents an alpha_j = 2^e may take
+_SLACK = 1e-9
+_MAX_EXPONENT = 6
+_MIN_EXPONENT = -20
+
 
 @dataclass(frozen=True)
 class AlphaTable:
@@ -490,15 +496,7 @@ def _row_affine(quad: Quad, fixed: Sequence[float], j: int) -> tuple[float, floa
     return fixed_part, scaled
 
 
-def calibrate_alphas(
-    kmax: int,
-    nmax: int,
-    *,
-    tolerance: float = 1e-9,
-    max_exponent: int = 6,
-    min_exponent: int = -20,
-    grid_max: int = 64,
-) -> AlphaTable:
+def calibrate_alphas(kmax: int, nmax: int, *, grid_max: int = 64) -> AlphaTable:
     """Fix alpha_1 .. alpha_(kmax-1) to the largest feasible powers of two.
 
     alpha_j scales g on weight-(j+1) strings only, so with the earlier
@@ -520,13 +518,13 @@ def calibrate_alphas(
     alphas: list[float] = []
     for j in range(1, kmax):
         k = j + 1
-        cap = float(2**max_exponent)
-        binding = f"the exponent ceiling 2^{max_exponent}"
+        cap = float(2**_MAX_EXPONENT)
+        binding = f"the exponent ceiling 2^{_MAX_EXPONENT}"
         # g depends on a string's span only, so the bounds g(s) <= |s| are
         # checked once per span of each block B(m, k)
         for m in range(k, nmax + 1):
             for span in block_spans(m, k):
-                allowed = (m + tolerance) / _unit(span, j)
+                allowed = (m + _SLACK) / _unit(span, j)
                 if allowed < cap:
                     cap, binding = allowed, f"bound g <= {m} at span {span} of B({m},{k})"
         for quad in BinomialIndex(nmax, k).quadruples():
@@ -534,23 +532,23 @@ def calibrate_alphas(
                 continue
             fixed_part, scaled = _row_affine(quad, alphas, j)
             if scaled > 0:
-                allowed = (fixed_part + tolerance) / scaled
+                allowed = (fixed_part + _SLACK) / scaled
                 if allowed < cap:
                     cap, binding = allowed, f"row {row_quad(*quad)}"
-            elif fixed_part < -tolerance:
+            elif fixed_part < -_SLACK:
                 raise CalibrationError(
                     f"row {row_quad(*quad)} is infeasible for every alpha_{j}"
                 )
         if cap <= 0:
             raise CalibrationError(f"no positive alpha_{j} passes {binding}")
-        exponent = min(max_exponent, floor(log2(cap)))
+        exponent = min(_MAX_EXPONENT, floor(log2(cap)))
         while 2.0**exponent > cap:
             exponent -= 1
-        while 2.0 ** (exponent + 1) <= cap and exponent + 1 <= max_exponent:
+        while 2.0 ** (exponent + 1) <= cap and exponent + 1 <= _MAX_EXPONENT:
             exponent += 1
-        if exponent < min_exponent:
+        if exponent < _MIN_EXPONENT:
             raise CalibrationError(
-                f"alpha_{j} would need 2^{exponent} < 2^{min_exponent}; binding: {binding}"
+                f"alpha_{j} would need 2^{exponent} < 2^{_MIN_EXPONENT}; binding: {binding}"
             )
         alphas.append(2.0**exponent)
     table = tuple(alphas)
@@ -563,7 +561,7 @@ def calibrate_alphas(
             continue
         for span in block_spans(m, l):
             v = _alpha(table, l - 1) * _unit(span, l - 1)
-            if v > m + tolerance:
+            if v > m + _SLACK:
                 raise CalibrationError(
                     f"bound g <= {m} fails at span {span} of B({m},{l}): g = {v}"
                 )
@@ -573,7 +571,7 @@ def calibrate_alphas(
     for quad in sorted({quad for index in indexes for quad in index.quadruples()}):
         n1, k1, n2, k2 = quad
         margin = block_sums[n1, k1] + block_sums[n2, k2] - _product_g_sum(quad, table)
-        if margin < -tolerance:
+        if margin < -_SLACK:
             raise CalibrationError(f"row {row_quad(*quad)} fails by {-margin}")
     grid_hi = max(grid_max, nmax)
     ratios: dict[int, tuple[float, float]] = {}
@@ -610,6 +608,11 @@ def write_alpha_table(table: AlphaTable) -> str:
 
 
 def read_alpha_table(text: str) -> AlphaTable:
+    """Parse a table written by ``write_alpha_table``.
+
+    Refuses (ValueError) a table whose dimensions, alphas or ratio lines
+    could not have come from ``calibrate_alphas``.
+    """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != ALPHA_HEADER:
@@ -625,9 +628,9 @@ def read_alpha_table(text: str) -> AlphaTable:
             nmax = int(parts[1])
         elif parts[0] == "grid" and len(parts) == 2:
             grid = int(parts[1])
-        elif parts[0] == "alpha" and len(parts) == 3:
+        elif parts[0] == "alpha" and len(parts) == 3 and int(parts[1]) not in alphas:
             alphas[int(parts[1])] = float(parts[2])
-        elif parts[0] == "ratio" and len(parts) == 4:
+        elif parts[0] == "ratio" and len(parts) == 4 and int(parts[1]) not in ratios:
             ratios[int(parts[1])] = (float(parts[2]), float(parts[3]))
         else:
             raise ValueError(f"unrecognized line {ln!r}")
@@ -637,6 +640,20 @@ def read_alpha_table(text: str) -> AlphaTable:
         ordered = tuple(alphas[j] for j in range(1, len(alphas) + 1))
     except KeyError as exc:
         raise ValueError(f"alpha indices are not contiguous: missing {exc}") from None
+    if kmax < 1:
+        raise ValueError(f"kmax must be >= 1, got {kmax}")
+    if nmax < max(2, kmax):
+        raise ValueError(f"nmax must be >= max(2, kmax) = {max(2, kmax)}, got {nmax}")
+    if len(ordered) != kmax - 1:
+        raise ValueError(f"kmax {kmax} needs {kmax - 1} alphas, got {len(ordered)}")
+    for j, a in enumerate(ordered, start=1):
+        if not (isfinite(a) and a > 0):
+            raise ValueError(f"alpha {j} must be finite and positive, got {a!r}")
+    if sorted(ratios) != list(range(1, kmax + 1)):
+        raise ValueError(f"ratio lines must be k = 1..{kmax}, got {sorted(ratios)}")
+    for k, (lo, hi) in sorted(ratios.items()):
+        if not (isfinite(lo) and isfinite(hi) and lo <= hi):
+            raise ValueError(f"ratio {k} must be finite with low <= high, got {lo!r} {hi!r}")
     return AlphaTable(
         alphas=ordered,
         kmax=kmax,

@@ -173,11 +173,14 @@ def cmd_solve(args, cfg: RunConfig) -> int:
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
+    tol = args.tolerance
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     lp = read_lp(Path(args.lp_file).read_text(encoding="utf-8"))
     sol = read_solution(Path(args.solution_file).read_text(encoding="utf-8"))
     if sol.assignment is None:
         raise ValueError(f"{args.solution_file} carries no assignment to check")
-    return _print_report(check_feasible(lp, sol.assignment, args.tolerance), sys.stdout)
+    return _print_report(check_feasible(lp, sol.assignment, tol), sys.stdout)
 
 
 def _print_report(report: FeasibilityReport, stream: TextIO) -> int:
@@ -291,7 +294,7 @@ def _sweep_alphas(args, cfg: RunConfig) -> int:
     else:
         kmax = args.k_max if args.k_max is not None else 3
         nmax = args.n_max if args.n_max is not None else 24
-        table = calibrate_alphas(kmax, nmax, tolerance=cfg.tolerance)
+        table = calibrate_alphas(kmax, nmax)
     for j, value in enumerate(table.alphas, start=1):
         print(f"alpha[{j}] = {value!r}")
     limit = max(table.grid_max, table.nmax)
@@ -317,7 +320,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_calibrate(args, cfg: RunConfig) -> int:
-    table = calibrate_alphas(args.kmax, args.nmax, tolerance=cfg.tolerance)
+    table = calibrate_alphas(args.kmax, args.nmax)
     stream = _emit(write_alpha_table(table), args.output)
     for j, value in enumerate(table.alphas, start=1):
         print(f"alpha[{j}] = {value!r}", file=stream)
@@ -374,6 +377,9 @@ def build_parser() -> _Parser:
                        help="check a solution file against an LP file")
     p.add_argument("lp_file")
     p.add_argument("solution_file")
+    p.add_argument("--tolerance", type=float, metavar="FLOAT",
+                   help="allowed violation (default: 0 for exact values, "
+                        "1e-9 for floats)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("certify", parents=[common],

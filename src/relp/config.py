@@ -1,33 +1,25 @@
-"""Run configuration: resource caps and numeric tolerance.
+"""Run configuration: the resource caps.
 
 ``RunConfig`` is the one place run settings are declared: five caps
 (closure members, factor pool, oracle strings and length, solver
-pivots) and the feasibility tolerance.  Config-file keys and CLI flags
-are read off its fields.  Settings resolve in three layers: built-in
-defaults, then the key=value file named by the RELP_CONFIG environment
-variable, then explicit overrides (CLI flags).  The file format is one
-``key = value`` per line, with ``#`` comments.
+pivots).  Config-file keys and CLI flags are read off its fields.
+Settings resolve in three layers: built-in defaults, then the key=value
+file named by the RELP_CONFIG environment variable, then explicit
+overrides (CLI flags).  The file format is one ``key = value`` per
+line, with ``#`` comments.
+
+A feasibility tolerance is not a run setting: ``relp check`` takes its
+own ``--tolerance`` flag, and calibration uses a fixed slack.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields, replace
 
 
 class ResourceCapError(RuntimeError):
     """An enumeration or solve exceeded a configured cap (CLI exit code 2)."""
-
-
-# RunConfig fields that count something and must be at least 1
-_COUNT_CAPS = (
-    "closure_max_members",
-    "factor_pool_cap",
-    "oracle_max_strings",
-    "oracle_max_len",
-    "solver_max_pivots",
-)
 
 
 @dataclass(frozen=True)
@@ -37,15 +29,12 @@ class RunConfig:
     oracle_max_strings: int = 8
     oracle_max_len: int = 8
     solver_max_pivots: int = 1_000_000
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        """Refuse settings no run can honour, before any work starts."""
-        for name in _COUNT_CAPS:
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
+        """Refuse caps no run can honour, before any work starts."""
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
 
 
 DEFAULT_CONFIG = RunConfig()

@@ -21,7 +21,9 @@ entries.  Pricing compares numerators over the reduced-cost row's one
 denominator, and the ratio test compares the same rationals by
 cross-multiplication, so the pivot sequence is that of a plain rational
 tableau.  Fractions appear only where values leave the tableau: basic
-values, bounds, the objective, multipliers and rays.
+values, bounds, multipliers and rays.  The tableau keeps no objective
+value: the objective ``solve`` reports is that of the point it
+certifies, ``objective_value(lp, assignment)``.
 
 So "optimal" here means: the returned point is feasible, the returned
 row multipliers are dual-feasible, and the two objective values agree as
@@ -80,10 +82,6 @@ class SolveResult:
     ray: dict[str, Fraction] | None = None  # improving direction, if unbounded
 
 
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
 # -- certification --------------------------------------------------------------
 
 
@@ -136,7 +134,7 @@ def certify_optimal(
             dual_obj += rj * lo
     primal_obj = sgn * objective_value(lp, assignment)
     if dual_obj != primal_obj:
-        return False, f"duality gap {_frac(dual_obj - primal_obj)}"
+        return False, f"duality gap {dual_obj - primal_obj}"
     return True, "ok"
 
 
@@ -191,12 +189,11 @@ class _Tableau:
     grows; an update that keeps the denominator skips that step, so den[i]
     is always a denominator the row once had in lowest terms and cannot
     grow without bound.  The reduced-cost row is d / dden in the same way,
-    one entry per slot.  Basic values beta, bounds, ratios and the
-    objective are Fractions.
+    one entry per slot.  Basic values beta, bounds and ratios are
+    Fractions.  The tableau only pivots; it keeps no objective value.
     """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
         self.sgn = 1 if lp.sense == "max" else -1
         self.bland = False  # set for good once the pivots stall
         self.iterations = 0
@@ -215,12 +212,8 @@ class _Tableau:
 
         # c in internal (max) sign, over structural columns only
         self.c: list = [0] * n
-        const = Fraction(0)
         for name, coef in lp.objective.items():
-            j = self.col_of[name]
-            self.c[j] = coef * self.sgn
-            const += self.c[j] * self.lo[j]
-        self.const = const
+            self.c[self.col_of[name]] = coef * self.sgn
 
         self.row_sign = []
         self.T: list[list[int]] = []
@@ -249,7 +242,6 @@ class _Tableau:
         self.frozen = [False] * (n + m)
         self.d: list[int] = []
         self.dden = 1
-        self.obj = Fraction(0)
         self.stall = 0
 
     # -- phase handling -----------------------------------------------------
@@ -279,22 +271,15 @@ class _Tableau:
         return arts
 
     def set_costs(self, c_full: list) -> None:
-        """Recompute the reduced-cost row and objective for new costs."""
+        """Recompute the reduced-cost row for new costs."""
         costs = [Fraction(v) for v in c_full]
         costs += [Fraction(0)] * (len(self.status) - len(costs))
         cn = [costs[j] for j in self.nonbasic]
         dden = lcm(*(v.denominator for v in cn))
         d = [v.numerator * (dden // v.denominator) for v in cn]
-        obj = Fraction(0)
-        # nonbasic variables parked at their upper bound (phase-1 flips)
-        # contribute c_j u_j on top of the basic part c_B beta
-        for j, cj in zip(self.nonbasic, cn):
-            if cj and self.status[j] == AT_UP:
-                obj += cj * self.u[j]
         for i in range(self.m):
             cb = costs[self.basis[i]]
             if cb:
-                obj += cb * self.beta[i]
                 # d/dden - cb * T_i/den_i over the denominator dden * q * den_i
                 a, b = cb.denominator * self.den[i], cb.numerator * dden
                 g = gcd(a, b)
@@ -303,7 +288,6 @@ class _Tableau:
                     [a * x - b * y for x, y in zip(d, self.T[i])], dden * a
                 )
         self.d, self.dden = d, dden
-        self.obj = obj
 
     # -- pivoting -------------------------------------------------------------
 
@@ -343,16 +327,16 @@ class _Tableau:
         j = self.nonbasic[s]
         T, den, beta, u, basis = self.T, self.den, self.beta, self.u, self.basis
         bland = self.bland
+        # the entering slot's nonzeros, read once for the ratio test, the
+        # basic-value update and the elimination
+        col = [(i, row[s]) for i, row in enumerate(T) if row[s]]
 
         # ratio test on exact ints: the limit of row i is b * den[i] / |a|,
         # kept as the pair (t_num, t_den) and compared by cross-multiplying
         t_num, t_den = (None, 1) if u[j] is None else (u[j].numerator, u[j].denominator)
         leave_row = -1
         leave_to = AT_LO
-        for i in range(self.m):
-            a = T[i][s]
-            if not a:
-                continue
+        for i, a in col:
             if (a > 0) == (sigma > 0):
                 b = beta[i]
                 to = AT_LO
@@ -374,64 +358,57 @@ class _Tableau:
         t = Fraction(t_num, t_den)
 
         self.iterations += 1
-        dj0 = Fraction(self.d[s], self.dden)
         move = t if sigma > 0 else -t
         if move:
-            self._shift_beta(s, move, leave_row)
-            self.obj += dj0 * move
             self.stall = 0
         else:
             self.stall += 1
             if self.stall >= _STALL_PIVOTS:
                 self.bland = True
-        if leave_row < 0:
+        flip = leave_row < 0
+        if flip:
             # bound flip: the entering variable crosses to its other bound
             self.status[j] = AT_UP if sigma > 0 else AT_LO
-            return None
+        else:
+            # the pivot row solved for the entering variable: T_r / T_r[s],
+            # with den_r / T_r[s] in slot s for the leaving variable
+            prow = T[leave_row]
+            p = prow[s]
+            prow[s] = den[leave_row]
+            if p < 0:
+                prow, p = [-v for v in prow], -p
+            prow, pden = _reduce(prow, p)
+            T[leave_row], den[leave_row] = prow, pden
+            beta[leave_row] = t if sigma > 0 else u[j] - t
+            leaving = basis[leave_row]
+            self.status[leaving] = leave_to
+            basis[leave_row] = j
+            self.nonbasic[s] = leaving
+            self.status[j] = BASIC
+            pnz = [(jj, v) for jj, v in enumerate(prow) if v]
 
-        # the pivot row solved for the entering variable: T_r / T_r[s],
-        # with den_r / T_r[s] in slot s for the leaving variable
-        prow = T[leave_row]
-        p = prow[s]
-        prow[s] = den[leave_row]
-        if p < 0:
-            prow, p = [-v for v in prow], -p
-        prow, pden = _reduce(prow, p)
-        T[leave_row], den[leave_row] = prow, pden
-        beta[leave_row] = t if sigma > 0 else u[j] - t
-        leaving = basis[leave_row]
-        self.status[leaving] = leave_to
-        basis[leave_row] = j
-        self.nonbasic[s] = leaving
-        self.status[j] = BASIC
-
-        pnz = [(jj, v) for jj, v in enumerate(prow) if v]
-        for i in range(self.m):
+        # every other row with a nonzero in slot s: beta -= move * a / den,
+        # cross-multiplied in ints, then (on a pivot) eliminate the slot
+        mn, md = move.numerator, move.denominator
+        for i, a in col:
             if i == leave_row:
                 continue
-            row = T[i]
-            f = row[s]
-            if f:
-                row[s] = 0
-                T[i], den[i] = _eliminate(row, den[i], f, prow, pden, pnz)
-        f = self.d[s]
-        if f:
-            self.d[s] = 0
-            self.d, self.dden = _eliminate(self.d, self.dden, f, prow, pden, pnz)
-        return None
-
-    def _shift_beta(self, s: int, move: Fraction, skip: int) -> None:
-        """beta -= move * slot s's column, on every row but skip."""
-        T, den, beta = self.T, self.den, self.beta
-        mn, md = move.numerator, move.denominator
-        for i in range(self.m):
-            a = T[i][s]
-            if a and i != skip:
+            if mn:
                 b = beta[i]
                 q = md * den[i]
                 beta[i] = Fraction(
                     b.numerator * q - mn * a * b.denominator, b.denominator * q
                 )
+            if not flip:
+                row = T[i]
+                row[s] = 0
+                T[i], den[i] = _eliminate(row, den[i], a, prow, pden, pnz)
+        if not flip:
+            f = self.d[s]
+            if f:
+                self.d[s] = 0
+                self.d, self.dden = _eliminate(self.d, self.dden, f, prow, pden, pnz)
+        return None
 
     def run(self, budget: int) -> str:
         while True:
@@ -461,7 +438,9 @@ def _solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
             return SolveResult("resource", iterations=tab.iterations)
         if out == "unbounded":
             raise SolverError("phase 1 reported unbounded; its objective is capped")
-        if tab.obj != 0:
+        # artificials are unbounded above in phase 1, so a nonbasic one
+        # sits at 0, and the phase-1 optimum is 0 unless a basic one is not
+        if any(tab.beta[i] for i, b in enumerate(tab.basis) if b >= n + m):
             return SolveResult("infeasible", iterations=tab.iterations)
         for col in arts:
             tab.frozen[col] = True
@@ -508,13 +487,9 @@ def _solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
         if s is not None and tab.d[s]:
             duals[row.label] = Fraction(-tab.sgn * tab.row_sign[i] * tab.d[s], tab.dden)
     assignment = Assignment.from_rationals(values)
-    objective = tab.sgn * (tab.obj + tab.const)
-
-    if objective != objective_value(lp, assignment):
-        raise SolverError("tableau objective drifted from recomputed objective")
     return SolveResult(
         "optimal",
-        objective=objective,
+        objective=objective_value(lp, assignment),
         assignment=assignment,
         duals=duals,
         iterations=tab.iterations,

@@ -41,6 +41,7 @@ from relp import (
     threshold,
     write_alpha_table,
 )
+from relp import certificates
 from relp.certificates import _product_g_sum
 from relp.closure import BinomialIndex, product_block
 from relp.lang import canon_key
@@ -342,9 +343,11 @@ class TestCalibration:
             "ratio 3 0.06742512789828424 0.19744461126876864\n"
         )
 
-    def test_exponent_floor_unreachable(self):
+    def test_exponent_floor_unreachable(self, monkeypatch):
+        monkeypatch.setattr(certificates, "_MAX_EXPONENT", 20)
+        monkeypatch.setattr(certificates, "_MIN_EXPONENT", 10)
         with pytest.raises(CalibrationError, match="2\\^10"):
-            calibrate_alphas(2, 10, max_exponent=20, min_exponent=10)
+            calibrate_alphas(2, 10)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -403,3 +406,51 @@ class TestAlphaTableFormat:
     def test_rejects_unknown_lines(self):
         with pytest.raises(ValueError, match="unrecognized"):
             read_alpha_table("relp-alphas v1\nkmax 2\nnmax 10\ngrid 64\nbogus 1\n")
+
+    # a well-formed kmax 2 table, and the line edits that make it one no
+    # calibration could have written
+    GOOD = (
+        "relp-alphas v1\nkmax 2\nnmax 10\ngrid 64\nalpha 1 2.0\n"
+        "ratio 1 1.25 2.5\nratio 2 0.5 0.75\n"
+    )
+
+    @pytest.mark.parametrize(
+        "old, new, match",
+        [
+            ("kmax 2\n", "kmax 0\n", "kmax must be >= 1"),
+            ("nmax 10\n", "nmax 1\n", "nmax must be >= max"),
+            ("alpha 1 2.0\n", "", "needs 1 alphas, got 0"),
+            ("alpha 1 2.0\n", "alpha 1 2.0\nalpha 2 2.0\n", "needs 1 alphas, got 2"),
+            ("alpha 1 2.0", "alpha 1 nan", "alpha 1 must be finite and positive"),
+            ("alpha 1 2.0", "alpha 1 inf", "alpha 1 must be finite and positive"),
+            ("alpha 1 2.0", "alpha 1 0.0", "alpha 1 must be finite and positive"),
+            ("ratio 2 0.5 0.75\n", "", "ratio lines must be k = 1..2"),
+            ("ratio 2 0.5 0.75\n", "ratio 2 0.5 0.75\nratio 3 0.1 0.2\n",
+             "ratio lines must be k = 1..2"),
+            ("ratio 1 1.25 2.5", "ratio 1 nan nan", "ratio 1 must be finite"),
+            ("ratio 1 1.25 2.5", "ratio 1 1.25 inf", "ratio 1 must be finite"),
+            ("ratio 1 1.25 2.5", "ratio 1 2.5 1.25", "low <= high"),
+            ("alpha 1 2.0\n", "alpha 1 2.0\nalpha 1 4.0\n", "unrecognized"),
+            ("ratio 1 1.25 2.5\n", "ratio 1 1.25 2.5\nratio 1 1.0 2.0\n", "unrecognized"),
+        ],
+        ids=[
+            "kmax-below-1",
+            "nmax-too-small",
+            "too-few-alphas",
+            "too-many-alphas",
+            "alpha-nan",
+            "alpha-inf",
+            "alpha-zero",
+            "ratio-missing",
+            "ratio-extra",
+            "ratio-nan",
+            "ratio-inf",
+            "ratio-reversed",
+            "alpha-repeated",
+            "ratio-repeated",
+        ],
+    )
+    def test_rejects_impossible_tables(self, old, new, match):
+        assert old in self.GOOD
+        with pytest.raises(ValueError, match=match):
+            read_alpha_table(self.GOOD.replace(old, new))

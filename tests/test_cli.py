@@ -136,6 +136,26 @@ class TestSolveCheck:
         assert "unknown names: ghost\n" in out
         assert out.endswith("feasible\n")
 
+    @pytest.fixture()
+    def near_miss(self, tmp_path):
+        """x = 10001/10000 against x <= 1: over by 1/10000."""
+        lp = tmp_path / "x.lp"
+        lp.write_text("relp-lp v1\nsense max\nvar x in [0, inf]\nobj 1 x\nrow r: 1 x <= 1\n")
+        sol = tmp_path / "x.sol"
+        sol.write_text("status feasible\nx = 10001/10000\n")
+        return str(lp), str(sol)
+
+    def test_check_is_exact_by_default(self, capsys, near_miss):
+        code, out, _ = run(capsys, "check", *near_miss)
+        assert code == 1
+        assert "violated row r by 1/10000\n" in out
+        assert out.endswith("\ninfeasible\n")
+
+    def test_check_tolerance(self, capsys, near_miss):
+        code, out, _ = run(capsys, "check", *near_miss, "--tolerance", "0.01")
+        assert code == 0
+        assert out.endswith("\nfeasible\n")
+
     def test_solve_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "solve", str(tmp_path / "absent.lp"))
         assert code == 3
@@ -269,6 +289,15 @@ class TestSweeps:
         code, out, _ = run(capsys, "sweep", "alphas", "--table", str(table_file))
         assert code == 0
 
+    def test_alphas_with_malformed_table(self, capsys, tmp_path):
+        # dimensions but no alphas or ratio lines: refused as bad input
+        table_file = tmp_path / "alphas.txt"
+        table_file.write_text("relp-alphas v1\nkmax 2\nnmax 10\ngrid 10\n")
+        code, out, err = run(capsys, "sweep", "alphas", "--table", str(table_file))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: kmax 2 needs 1 alphas, got 0")
+
     def test_calibrate_to_stdout(self, capsys):
         code, out, _ = run(capsys, "calibrate", "--kmax", "2", "--nmax", "10")
         assert code == 0
@@ -304,10 +333,10 @@ DEGENERATE_SETTINGS = [
     ("oracle_max_strings", "0"),
     ("oracle_max_len", "-1"),
     ("solver_max_pivots", "-5"),
-    ("tolerance", "-1"),
-    ("tolerance", "nan"),
-    ("tolerance", "inf"),
 ]
+
+# tolerances no check can honour
+DEGENERATE_TOLERANCES = ["-1", "nan", "inf"]
 
 
 class TestDegenerateSettings:
@@ -331,6 +360,26 @@ class TestDegenerateSettings:
         assert out == ""
         assert err.startswith(f"error: {key} must be")
 
+    @pytest.mark.parametrize("value", DEGENERATE_TOLERANCES)
+    def test_check_tolerance_flag(self, capsys, tmp_path, value):
+        # refused before either file is read: neither exists
+        code, out, err = run(capsys, "check", str(tmp_path / "absent.lp"),
+                             str(tmp_path / "absent.sol"), "--tolerance", value)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: tolerance must be")
+
+    @pytest.mark.parametrize("value", DEGENERATE_TOLERANCES)
+    def test_tolerance_not_a_config_key(self, capsys, tmp_path, monkeypatch, value):
+        # only relp check takes a tolerance, as its own flag
+        cfg = tmp_path / "relp.conf"
+        cfg.write_text(f"tolerance = {value}\n")
+        monkeypatch.setenv("RELP_CONFIG", str(cfg))
+        code, out, err = run(capsys, "sweep", "bnk-conjecture", "--n-max", "2")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: config line 1: unknown key 'tolerance'")
+
     def test_unknown_pivot_rule_in_config_file(self, capsys, tmp_path, monkeypatch):
         # the pivot rule is fixed; pivot_rule is not a setting
         cfg = tmp_path / "relp.conf"
@@ -341,7 +390,9 @@ class TestDegenerateSettings:
         assert out == ""
         assert err.startswith("error: config line 1: unknown key 'pivot_rule'")
 
-    @pytest.mark.parametrize("key, value", [("pivot_rule", "x"), ("stall_threshold", "5")])
+    @pytest.mark.parametrize(
+        "key, value", [("pivot_rule", "x"), ("stall_threshold", "5"), ("tolerance", "0.01")]
+    )
     def test_not_a_setting_flag(self, capsys, key, value):
         flag = "--" + key.replace("_", "-")
         with pytest.raises(SystemExit) as exc:
@@ -373,9 +424,8 @@ class TestDegenerateSettings:
             oracle_max_strings=1,
             oracle_max_len=1,
             solver_max_pivots=1,
-            tolerance=0.0,
         )
-        assert cfg.solver_max_pivots == 1 and cfg.tolerance == 0.0
+        assert cfg.solver_max_pivots == 1
 
 
 class TestArgumentErrors:

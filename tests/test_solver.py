@@ -16,6 +16,7 @@ from relp import (
     SolverError,
     build_reduced_weak_primal_b_n1,
     build_relaxed_binomial,
+    build_relaxed_binomial_dual,
     build_strong_primal,
     build_weak_dual,
     build_weak_primal,
@@ -321,12 +322,31 @@ class TestCondensedTableau:
                 9,
                 62,
             ),
+            # the last three start with negative right-hand sides and so
+            # pass through phase 1
+            (
+                lambda: build_weak_dual(
+                    compute_closure(Language(["1", "00", "000", "110", "111"]))
+                ),
+                9,
+                13,
+            ),
+            (lambda: build_relaxed_binomial_dual(6, 3), 44, 135),
+            (lambda: build_relaxed_binomial_dual(7, 2), 51, 155),
         ],
-        ids=["reduced-b1-6", "relaxed-7-3", "strong-anchor"],
+        ids=[
+            "reduced-b1-6",
+            "relaxed-7-3",
+            "strong-anchor",
+            "weak-dual-anchor",
+            "relaxed-dual-6-3",
+            "relaxed-dual-7-2",
+        ],
     )
     def test_pivot_counts_pinned(self, build, objective, pivots):
-        # captured on a tableau with a column per slack; dropping those
-        # columns must not change a single pivot
+        # the first three were captured on a tableau with a column per
+        # slack, the phase-1 cases on one that tracked its own objective;
+        # neither change may move a single pivot
         res = solve(build())
         assert res.status == "optimal"
         assert res.objective == objective
