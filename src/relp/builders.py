@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Iterator
 
-from .closure import BinomialIndex, Closure, product_block
+from .closure import BinomialIndex, Closure, _concat_set, product_block
 from .lang import Language, binomial, canon_key
 from .lp import (
     GE,
@@ -34,27 +34,24 @@ from .lp import (
     LinearProgram,
     row_concat,
     row_quad,
-    row_union,
-    var_big_x,
     var_d,
     var_x,
 )
 
 
 def _net_row(plus: Iterable[str], minus: Iterable[str]) -> dict[str, int]:
-    """+1 per name in plus, then -1 per name in minus, as int coefficients.
+    """+1 per name in plus, which are distinct, then -1 per name in minus.
 
     A name whose coefficient nets to 0 leaves the row, and enters again
     at the end if it comes back; write_lp's term order follows this.
     """
-    acc: dict[str, int] = {}
-    for names, delta in ((plus, 1), (minus, -1)):
-        for name in names:
-            c = acc.get(name, 0) + delta
-            if c:
-                acc[name] = c
-            else:
-                del acc[name]
+    acc = dict.fromkeys(plus, 1)
+    for name in minus:
+        c = acc.get(name, 0) - 1
+        if c:
+            acc[name] = c
+        else:
+            del acc[name]
     return acc
 
 
@@ -75,11 +72,12 @@ def _string_program(
     both sides nets out.
     """
     lp = LinearProgram(sense="max")
-    for s in strings:
-        lp.add_variable(var_x(s), 0, len(s))
-    lp.set_objective({var_x(s): 1 for s in objective})
+    name = {s: lp.add_variable(var_x(s), 0, len(s)) for s in strings}
+    lp.set_objective({name[s]: 1 for s in objective})
     for label, product, left, right in rows:
-        acc = _net_row(map(var_x, product), map(var_x, chain(left, right)))
+        acc = _net_row(
+            map(name.__getitem__, product), map(name.__getitem__, chain(left, right))
+        )
         lp.add_row(label, acc, LE, 0)
     return lp
 
@@ -111,16 +109,24 @@ def build_strong_primal(closure: Closure) -> LinearProgram:
     concatenation- and union-compatible pair contributes a row.
     """
     lp = LinearProgram(sense="max")
+    # each member serialized once, named as var_big_x names it; a pair's
+    # product and union are found by their string sets, rows named as
+    # row_concat and row_union name them
+    text: dict[frozenset[str], str] = {}
+    name: dict[frozenset[str], str] = {}
     for k in closure.members:
+        text[k._set] = k.serialize()
         hi = len(k.only) if k.is_singleton else None
-        lp.add_variable(var_big_x(k), 0, hi)
-    lp.set_objective({var_big_x(closure.base): 1})
+        name[k._set] = lp.add_variable(f"X[{text[k._set]}]", 0, hi)
+    lp.set_objective({name[closure.base._set]: 1})
     for k1, k2 in closure.concat_pairs():
-        acc = _net_row((var_big_x(k1.concat(k2)),), (var_big_x(k1), var_big_x(k2)))
-        lp.add_row(row_concat(k1, k2), acc, LE, 0)
+        a, b = k1._set, k2._set
+        acc = _net_row((name[_concat_set(k1, k2)],), (name[a], name[b]))
+        lp.add_row(f"c[{text[a]},{text[b]}]", acc, LE, 0)
     for k1, k2 in closure.union_pairs():
-        acc = _net_row((var_big_x(k1.union(k2)),), (var_big_x(k1), var_big_x(k2)))
-        lp.add_row(row_union(k1, k2), acc, LE, 0)
+        a, b = k1._set, k2._set
+        acc = _net_row((name[a | b],), (name[a], name[b]))
+        lp.add_row(f"u[{text[a]},{text[b]}]", acc, LE, 0)
     return lp
 
 

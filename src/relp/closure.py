@@ -144,13 +144,20 @@ def factorizations(
     return out
 
 
+def _concat_set(k1: Language, k2: Language) -> frozenset[str]:
+    """The strings of K1·K2, without building its Language."""
+    return frozenset([u + v for u in k1.members for v in k2.members])
+
+
 class Closure:
     """The materialized closure C(L), with its index sets computed lazily."""
 
     def __init__(self, base: Language, members: list[Language]):
         self.base = base
         self.members: tuple[Language, ...] = tuple(sorted(members, key=Language.sort_key))
-        self._member_set = frozenset(self.members)
+        # each member's set of strings: membership and the pair joins
+        # test a string set against these, without building a Language
+        self._member_sets = frozenset(k._set for k in self.members)
         self._strings: tuple[str, ...] | None = None
         self._concat_pairs: list[tuple[Language, Language]] | None = None
         self._union_pairs: list[tuple[Language, Language]] | None = None
@@ -159,7 +166,7 @@ class Closure:
         return len(self.members)
 
     def __contains__(self, lang: Language) -> bool:
-        return lang in self._member_set
+        return lang._set in self._member_sets
 
     def __repr__(self) -> str:
         return f"Closure(base={self.base.serialize()}, members={len(self.members)})"
@@ -174,14 +181,15 @@ class Closure:
 
     def _pair_join(
         self,
-        combine: Callable[[Language, Language], Language],
+        combine: Callable[[Language, Language], frozenset[str]],
         signature: Callable[[int, int, int, int], tuple[int, int]],
     ) -> list[tuple[Language, Language]]:
         """Ordered member pairs whose combination is a member.
 
-        Members are bucketed by (min_len, max_len); two buckets are joined
-        only when ``signature(lo1, hi1, lo2, hi2)``, the signature every
-        combination of their members has, is some member's.
+        ``combine`` gives the combination's set of strings.  Members are
+        bucketed by (min_len, max_len); two buckets are joined only when
+        ``signature(lo1, hi1, lo2, hi2)``, the signature every combination
+        of their members has, is some member's.
         """
         buckets: dict[tuple[int, int], list[Language]] = {}
         for k in self.members:
@@ -193,7 +201,7 @@ class Closure:
                     continue
                 for k1 in group1:
                     for k2 in group2:
-                        if combine(k1, k2) in self._member_set:
+                        if combine(k1, k2) in self._member_sets:
                             pairs.append((k1, k2))
         pairs.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
         return pairs
@@ -202,7 +210,7 @@ class Closure:
         """C_c(L): ordered member pairs whose concatenation is a member."""
         if self._concat_pairs is None:
             self._concat_pairs = self._pair_join(
-                Language.concat, lambda lo1, hi1, lo2, hi2: (lo1 + lo2, hi1 + hi2)
+                _concat_set, lambda lo1, hi1, lo2, hi2: (lo1 + lo2, hi1 + hi2)
             )
         return self._concat_pairs
 
@@ -210,7 +218,7 @@ class Closure:
         """C_u(L): ordered member pairs whose union is a member."""
         if self._union_pairs is None:
             self._union_pairs = self._pair_join(
-                Language.union,
+                lambda k1, k2: k1._set | k2._set,
                 lambda lo1, hi1, lo2, hi2: (min(lo1, lo2), max(hi1, hi2)),
             )
         return self._union_pairs

@@ -4,6 +4,9 @@ Programs are kept deliberately dumb: a sense, an ordered variable list
 with box bounds, a sparse objective, and a list of labeled sparse rows
 (<= or >=).  Builders emit rows one-to-one with the defining index sets;
 nothing is simplified on the way in, and no reduction is offered.
+``add_row`` checks a row's names against the declared variables in one
+set comparison, and stores a copy of its coefficients, normalized only
+when one of them is zero or not an ``int``.
 
 Every coefficient, bound and rhs is stored in one normal form: a plain
 ``int`` when the value is integral, a ``Fraction`` only when it is not.
@@ -39,7 +42,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import mul
 from typing import Mapping
 
 from .lang import Language
@@ -152,15 +157,13 @@ class LinearProgram:
     ) -> None:
         if rel not in (LE, GE):
             raise ValueError(f"relation must be {LE} or {GE}, got {rel!r}")
-        clean: dict[str, Fraction | int] = {}
-        bounds = self.bounds
-        for name, c in coeffs.items():
-            if name not in bounds:
-                raise ValueError(f"row {label} references undeclared variable {name}")
-            if type(c) is not int:
-                c = _normal(c)
-            if c:
-                clean[name] = c
+        if not coeffs.keys() <= self.bounds.keys():
+            name = next(n for n in coeffs if n not in self.bounds)
+            raise ValueError(f"row {label} references undeclared variable {name}")
+        clean = dict(coeffs)
+        values = clean.values()
+        if 0 in values or not {*map(type, values)} <= {int}:
+            clean = {n: c for n, c in zip(clean, map(_normal, values)) if c}
         self.rows.append(Row(label, clean, rel, _normal(rhs)))
 
     def set_objective(self, coeffs: Mapping[str, Fraction | int]) -> None:
@@ -297,8 +300,7 @@ def check_feasible(
 
 def _scaled_sum(coeffs: Mapping[str, Fraction | int], values: Mapping, zero):
     """sum of c * values[name] over coeffs, absent names counting as zero."""
-    get = values.get
-    return sum(c * get(n, zero) for n, c in coeffs.items())
+    return sum(map(mul, coeffs.values(), map(values.get, coeffs, repeat(zero))))
 
 
 # -- rational / float token helpers -------------------------------------------

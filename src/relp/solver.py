@@ -14,21 +14,26 @@ coefficients is scaled by the lcm of their denominators when the tableau
 is built.  A pivot divides the pivot row by its pivot entry and
 eliminates the entering slot from every other row in integer
 arithmetic.  Where the pivot row's denominator divides the entry to
-eliminate (always when it is 1, the common case) the elimination is a
-sparse in-place update that keeps the row's denominator; otherwise the
-row moves to a larger denominator and is then divided by the gcd of its
-entries.  Pricing compares numerators over the reduced-cost row's one
-denominator, and the ratio test compares the same rationals by
-cross-multiplication, so the pivot sequence is that of a plain rational
-tableau.  Fractions appear only where values leave the tableau: basic
-values, bounds, multipliers and rays.  The tableau keeps no objective
-value: the objective ``solve`` reports is that of the point it
-certifies, ``objective_value(lp, assignment)``.
+eliminate (always when it is 1, the common case) the pivot loop updates
+the row in place over the pivot row's nonzeros and keeps its
+denominator; otherwise ``_eliminate`` moves the row to a larger
+denominator and divides it by the gcd of its entries.  Pricing compares
+numerators over the reduced-cost row's one denominator, and the ratio
+test compares the same rationals by cross-multiplication, so the pivot
+sequence is that of a plain rational tableau.  Fractions appear only
+where values leave the tableau: basic values, bounds, multipliers and
+rays.  The tableau keeps no objective value: the objective ``solve``
+reports is that of the point it certifies,
+``objective_value(lp, assignment)``.
 
 So "optimal" here means: the returned point is feasible, the returned
 row multipliers are dual-feasible, and the two objective values agree as
 rational numbers.  ``solve`` refuses to report an optimum it cannot
-certify that way.
+certify that way.  The gate is cheap next to the solve: it skips rows
+whose multiplier is zero, scales the rest once by the lcm D of their
+denominators and sums the reduced costs and the dual objective as D
+times their value, in ints when the program's coefficients are ints,
+and it takes the primal objective from its feasibility check.
 
 Multiplier sign convention (what ``SolveResult.duals`` means): for a max
 program a <= row carries y >= 0 and a >= row carries y <= 0; for a min
@@ -96,7 +101,8 @@ def certify_optimal(
     objective (row multipliers against rhs, plus the bound terms implied
     by the reduced costs) equals the primal objective exactly.  Equality
     of the two objectives pins both points to the optimum; no trust in
-    the solver is required.
+    the solver is required.  Sums run over the nonzero multipliers only,
+    as D times their value for D the lcm of the multipliers' denominators.
     """
     if not assignment.exact:
         return False, "assignment is not exact"
@@ -109,22 +115,30 @@ def certify_optimal(
         if label not in known and y:
             return False, f"multiplier for unknown row {label}"
     sgn = 1 if lp.sense == "max" else -1
-    reduced: dict[str, Fraction] = {
-        name: sgn * coef for name, coef in lp.objective.items()
-    }
-    dual_obj = Fraction(0)
+    # (row, sgn * y) per nonzero multiplier y, in row order: the weight
+    # of the row's coefficients and rhs in the reduced costs and dual objective
+    active = []
+    get = duals.get
     for row in lp.rows:
-        y = Fraction(duals.get(row.label, 0))
+        y = get(row.label)
+        if not y:
+            continue
+        if type(y) is not int:
+            y = Fraction(y)
         srel = 1 if row.rel == LE else -1
-        yhat = sgn * srel * y
-        if yhat < 0:
+        if sgn * srel * y < 0:
             return False, f"multiplier for row {row.label} has the wrong sign"
-        if yhat:
-            dual_obj += yhat * srel * row.rhs
-            for name, coef in row.coeffs.items():
-                reduced[name] = reduced.get(name, Fraction(0)) - yhat * srel * coef
+        active.append((row, sgn * y))
+    scale = lcm(*(y.denominator for _, y in active))
+    reduced = {name: sgn * coef * scale for name, coef in lp.objective.items()}
+    dual_obj = 0
+    for row, y in active:
+        w = y.numerator * (scale // y.denominator)
+        dual_obj += w * row.rhs
+        for name, coef in row.coeffs.items():
+            reduced[name] = reduced.get(name, 0) - w * coef
     for name in lp.variables:
-        rj = reduced.get(name, Fraction(0))
+        rj = reduced.get(name, 0)
         lo, hi = lp.bounds[name]
         if rj > 0:
             if hi is None:
@@ -132,9 +146,9 @@ def certify_optimal(
             dual_obj += rj * hi
         elif rj < 0:
             dual_obj += rj * lo
-    primal_obj = sgn * objective_value(lp, assignment)
-    if dual_obj != primal_obj:
-        return False, f"duality gap {dual_obj - primal_obj}"
+    gap = Fraction(dual_obj, scale) - sgn * rep.objective
+    if gap:
+        return False, f"duality gap {gap}"
     return True, "ok"
 
 
@@ -150,25 +164,22 @@ def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
 
 
 def _eliminate(
-    row: list[int], den: int, f: int, prow: list[int], pden: int, pnz: list
+    row: list[int], den: int, f: int, pden: int, pnz: list
 ) -> tuple[list[int], int]:
-    """row/den minus (f/den) times the pivot row prow/pden.
+    """row/den minus (f/den) times the pivot row, when pden does not divide f.
 
     f is row's numerator in the entering variable's slot, and the caller
-    has zeroed that slot; prow holds the new pivot row, whose entry in
-    that slot is the leaving variable's.  pnz lists the nonzeros of prow.
-    When pden divides f, the common case, the update is sparse and in
-    place and keeps den; otherwise row is first rescaled to a larger
-    denominator, and the result is reduced.
+    has zeroed that slot; pnz lists the nonzeros (slot, value) of the new
+    pivot row, over pden.  The row moves to a larger denominator, takes
+    the update, and is reduced.  When pden divides f, the common case,
+    callers instead update the row sparsely in place, keeping den.
     """
     g = gcd(f, pden)
     a, b = pden // g, f // g
-    if a != 1:
-        row = [a * x for x in row]
-        den *= a
+    row = [a * x for x in row]
     for jj, v in pnz:
         row[jj] -= b * v
-    return (row, den) if a == 1 else _reduce(row, den)
+    return _reduce(row, den * a)
 
 
 class _Tableau:
@@ -402,12 +413,23 @@ class _Tableau:
             if not flip:
                 row = T[i]
                 row[s] = 0
-                T[i], den[i] = _eliminate(row, den[i], a, prow, pden, pnz)
+                if a % pden:
+                    T[i], den[i] = _eliminate(row, den[i], a, pden, pnz)
+                else:
+                    b = a // pden
+                    for jj, v in pnz:
+                        row[jj] -= b * v
         if not flip:
-            f = self.d[s]
+            d = self.d
+            f = d[s]
             if f:
-                self.d[s] = 0
-                self.d, self.dden = _eliminate(self.d, self.dden, f, prow, pden, pnz)
+                d[s] = 0
+                if f % pden:
+                    self.d, self.dden = _eliminate(d, self.dden, f, pden, pnz)
+                else:
+                    b = f // pden
+                    for jj, v in pnz:
+                        d[jj] -= b * v
         return None
 
     def run(self, budget: int) -> str:

@@ -8,7 +8,8 @@ vertices of a fully bounded polytope by exact Gaussian elimination.
 ``negate_one_multiplier`` corrupts the solver's candidate optima, so
 tests can check that ``solve`` refuses them.  ``reference_check``
 recomputes ``check_feasible``'s exact verdict in plain ``Fraction``
-arithmetic, one row at a time, without the common denominator.
+arithmetic, one row at a time, without the common denominator, and
+``reference_certify`` does the same for ``certify_optimal``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,19 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from relp import Concat, Language, Symbol, Union, solver
+from relp.lp import LE, check_feasible, objective_value
 
 # -- hypothesis strategies --------------------------------------------------
+
+# coprime and mixed denominators for program data and points
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 11, 12)
+
+
+def rationals(bound: int = 4):
+    return st.builds(
+        Fraction, st.integers(-12 * bound, 12 * bound), st.sampled_from(DENOMINATORS)
+    )
+
 
 
 def binary_strings(max_len: int = 3):
@@ -204,6 +216,52 @@ def reference_check(lp, assignment, tolerance=None):
         if slack < -tol:
             found.append(("row", row.label, Fraction(-slack)))
     return not found, dot(lp.objective), found
+
+
+# -- Fraction reference for the certificate gate ----------------------------
+
+
+def reference_certify(lp, assignment, duals) -> tuple[bool, str]:
+    """certify_optimal as it was written in Fraction arithmetic: every row
+    visited, one Fraction per multiplier and per coefficient product."""
+    if not assignment.exact:
+        return False, "assignment is not exact"
+    rep = check_feasible(lp, assignment, tolerance=0)
+    if not rep.feasible:
+        v = rep.violations[0]
+        return False, f"primal infeasible ({v.kind} {v.where} by {v.amount})"
+    known = {row.label for row in lp.rows}
+    for label, y in duals.items():
+        if label not in known and y:
+            return False, f"multiplier for unknown row {label}"
+    sgn = 1 if lp.sense == "max" else -1
+    reduced: dict[str, Fraction] = {
+        name: sgn * coef for name, coef in lp.objective.items()
+    }
+    dual_obj = Fraction(0)
+    for row in lp.rows:
+        y = Fraction(duals.get(row.label, 0))
+        srel = 1 if row.rel == LE else -1
+        yhat = sgn * srel * y
+        if yhat < 0:
+            return False, f"multiplier for row {row.label} has the wrong sign"
+        if yhat:
+            dual_obj += yhat * srel * row.rhs
+            for name, coef in row.coeffs.items():
+                reduced[name] = reduced.get(name, Fraction(0)) - yhat * srel * coef
+    for name in lp.variables:
+        rj = reduced.get(name, Fraction(0))
+        lo, hi = lp.bounds[name]
+        if rj > 0:
+            if hi is None:
+                return False, f"positive reduced cost on unbounded variable {name}"
+            dual_obj += rj * hi
+        elif rj < 0:
+            dual_obj += rj * lo
+    primal_obj = sgn * objective_value(lp, assignment)
+    if dual_obj != primal_obj:
+        return False, f"duality gap {dual_obj - primal_obj}"
+    return True, "ok"
 
 
 # -- fault injection ----------------------------------------------------------

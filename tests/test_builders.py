@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from relp import (
     Language,
@@ -27,6 +28,9 @@ from relp import (
 )
 from relp.builders import build_weak_support_dual
 from relp.closure import BinomialIndex
+from relp.lp import row_concat, row_union, var_big_x
+
+from _support import languages
 
 
 def closure_00_000():
@@ -61,6 +65,13 @@ class TestWeakPrimal:
         assert lp.objective == {"x[00]": Fraction(1), "x[000]": Fraction(1)}
         assert lp.n_rows == len(closure.concat_pairs())
 
+    def test_netting_row_pinned(self):
+        # {0}{0,00} = {00,000}: x[00] is in the product and on the right,
+        # so it nets out, and the two x[0] terms merge
+        lp = build_weak_primal(compute_closure(Language(["0", "00", "000"])))
+        lines = write_lp(lp).splitlines()
+        assert "row c[{0},{0,00}]: 1 x[000] -2 x[0] <= 0" in lines
+
 
 class TestStrongPrimal:
     def test_frozen_unary_instance(self):
@@ -88,6 +99,28 @@ class TestStrongPrimal:
     def test_counts_simple_instance(self):
         lp = build_strong_primal(closure_00_000())
         assert (lp.n_vars, lp.n_rows) == (5, 22)
+
+    @given(languages(max_strings=3, max_len=3))
+    @settings(max_examples=40, deadline=None)
+    def test_names_follow_the_naming_contract(self, lang):
+        # the builder names members from one serialization each and finds
+        # products and unions by their sets; the formatters and Language
+        # algebra must give the same program
+        closure = compute_closure(lang)
+        lp = build_strong_primal(closure)
+        assert lp.variables == [var_big_x(k) for k in closure.members]
+        assert lp.objective == {var_big_x(lang): 1}
+        want = []
+        for label, combine, pairs in (
+            (row_concat, Language.concat, closure.concat_pairs()),
+            (row_union, Language.union, closure.union_pairs()),
+        ):
+            for k1, k2 in pairs:
+                coeffs = {var_big_x(combine(k1, k2)): 1}
+                for k in (k1, k2):
+                    coeffs[var_big_x(k)] = coeffs.get(var_big_x(k), 0) - 1
+                want.append((label(k1, k2), [(n, c) for n, c in coeffs.items() if c]))
+        assert [(row.label, list(row.coeffs.items())) for row in lp.rows] == want
 
 
 class TestRelaxedBinomial:

@@ -32,7 +32,7 @@ from relp.lp import (
     var_y_pair,
 )
 
-from _support import reference_check
+from _support import rationals, reference_check
 
 
 def toy_lp() -> LinearProgram:
@@ -69,10 +69,12 @@ class TestModel:
             lp.add_variable("x", lo=2, hi=1)
 
     def test_row_undeclared_variable(self):
+        # the error names the first undeclared variable, and no row is added
         lp = LinearProgram(sense="min")
         lp.add_variable("x")
-        with pytest.raises(ValueError, match="undeclared"):
-            lp.add_row("r", {"y": 1}, "<=", 0)
+        with pytest.raises(ValueError, match=r"^row r references undeclared variable b$"):
+            lp.add_row("r", {"x": 1, "b": 2, "a": 3}, "<=", 0)
+        assert lp.rows == []
 
     def test_bad_relation(self):
         lp = LinearProgram(sense="min")
@@ -108,6 +110,21 @@ class TestModel:
         assert lp.rows[0].coeffs == {"x": Fraction(1)}
         lp.set_objective({"x": 0, "y": 2})
         assert lp.objective == {"y": Fraction(2)}
+
+    def test_add_row_stores_normal_coefficients_in_a_copy(self):
+        lp = LinearProgram(sense="min")
+        for name in "abcd":
+            lp.add_variable(name)
+        ints = {"a": 3, "b": -1}
+        lp.add_row("ints", ints, "<=", 1)
+        mixed = {"a": 0, "b": Fraction(4, 2), "c": Fraction(0), "d": Fraction(1, 3)}
+        lp.add_row("mixed", mixed, ">=", Fraction(6, 3))
+        ints["a"] = 0
+        mixed["d"] = 5
+        first, second = lp.rows
+        assert first.coeffs == {"a": 3, "b": -1} and first.coeffs is not ints
+        assert list(second.coeffs.items()) == [("b", 2), ("d", Fraction(1, 3))]
+        assert type(second.coeffs["b"]) is int and type(second.rhs) is int
 
 
 class TestNaming:
@@ -183,16 +200,6 @@ class TestFeasibility:
         val = objective_value(lp, Assignment.from_floats({"x1": 0.5}))
         assert val == pytest.approx(0.5)
         assert isinstance(val, float)
-
-
-# coprime and mixed denominators for program data and points
-DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 11, 12)
-
-
-def rationals(bound: int = 4):
-    return st.builds(
-        Fraction, st.integers(-12 * bound, 12 * bound), st.sampled_from(DENOMINATORS)
-    )
 
 
 @st.composite

@@ -26,7 +26,12 @@ from relp import (
     solver,
 )
 
-from _support import negate_one_multiplier, vertex_optimum
+from _support import (
+    negate_one_multiplier,
+    rationals,
+    reference_certify,
+    vertex_optimum,
+)
 
 
 def paired_bound_lp() -> LinearProgram:
@@ -423,6 +428,92 @@ class TestCertification:
         duals["phantom"] = Fraction(1)
         ok, why = certify_optimal(lp, res.assignment, duals)
         assert not ok and "unknown row" in why
+
+    def test_rejects_wrong_sign(self):
+        # min program, >= rows: the multipliers must be >= 0
+        lp = paired_bound_lp()
+        res = solve(lp)
+        duals = {label: -y for label, y in res.duals.items()}
+        ok, why = certify_optimal(lp, res.assignment, duals)
+        assert (ok, why) == (False, f"multiplier for row {min(duals)} has the wrong sign")
+
+    def test_rejects_positive_reduced_cost_on_unbounded_variable(self):
+        # max x s.t. x <= 2 with x unbounded above: without the row's
+        # multiplier the reduced cost of x stays 1
+        lp = LinearProgram(sense="max")
+        lp.add_variable("x")
+        lp.set_objective({"x": 1})
+        lp.add_row("r", {"x": 1}, "<=", 2)
+        point = Assignment.from_rationals({"x": 2})
+        assert certify_optimal(lp, point, {"r": 1}) == (True, "ok")
+        assert certify_optimal(lp, point, {}) == (
+            False,
+            "positive reduced cost on unbounded variable x",
+        )
+
+
+@st.composite
+def certify_cases(draw):
+    """A program with Fraction data, a point on it and multipliers to judge.
+
+    Every row is drawn to hold at a drawn point inside the bounds, so the
+    program is feasible.  When it solves to an optimum, the solver's pair
+    is judged, exact or perturbed; otherwise the drawn point with drawn
+    multipliers.
+    """
+    names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    pick = st.sampled_from(names)
+    lp = LinearProgram(sense=draw(st.sampled_from(["min", "max"])))
+    values = {}
+    for name in names:
+        lo = draw(rationals(2))
+        hi = draw(st.none() | rationals(2).map(lambda d, lo=lo: lo + abs(d)))
+        lp.add_variable(name, lo, hi)
+        span = abs(draw(rationals(1)))
+        values[name] = lo + span if hi is None else min(lo + span, hi)
+    point = Assignment.from_rationals(values)
+    lp.set_objective(draw(st.dictionaries(pick, rationals())))
+    for i in range(draw(st.integers(0, 5))):
+        coeffs = draw(st.dictionaries(pick, rationals(), min_size=1))
+        rel = draw(st.sampled_from(["<=", ">="]))
+        lhs = sum(c * point.get(n) for n, c in coeffs.items())
+        slack = abs(draw(st.sampled_from([Fraction(0)]) | rationals(1)))
+        lp.add_row(f"r{i}", coeffs, rel, lhs + slack if rel == "<=" else lhs - slack)
+    labels = [row.label for row in lp.rows]
+    res = solve(lp)
+    if res.status == "optimal":
+        point, duals = res.assignment, dict(res.duals)
+    else:
+        event(f"solve: {res.status}")
+        duals = draw(st.dictionaries(st.sampled_from(labels), rationals(1))) if labels else {}
+    change = draw(st.sampled_from(["exact", "zeros", "wrong sign", "unknown row", "off"]))
+    event(f"multipliers: {change}")
+    if change == "zeros":
+        for label in labels:
+            if label not in duals:
+                duals[label] = draw(st.sampled_from([0, Fraction(0)]))
+    elif change == "wrong sign" and labels:
+        label = draw(st.sampled_from(labels))
+        y = duals.get(label, 0)
+        duals[label] = -y if y else draw(st.sampled_from([1, -1, Fraction(-1, 3)]))
+    elif change == "unknown row":
+        duals["ghost"] = Fraction(1, 7)
+    elif change == "off" and labels:
+        label = draw(st.sampled_from(labels))
+        duals[label] = duals.get(label, 0) + Fraction(1, 7)
+    return lp, point, duals
+
+
+class TestCertifyAgainstReference:
+    """The scaled gate against the Fraction gate it replaced."""
+
+    @given(certify_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_same_verdict_and_message(self, case):
+        lp, point, duals = case
+        verdict = certify_optimal(lp, point, duals)
+        event("verdict: " + " ".join(verdict[1].split()[:2]))
+        assert verdict == reference_certify(lp, point, duals)
 
 
 class TestCertificateGate:
