@@ -27,7 +27,8 @@ Derived index sets used by the linear programs:
 
 * strings: C0(L), the s with {s} in C(L) (one LP variable per string);
 * concat_pairs: ordered member pairs (K1,K2) with K1·K2 in C(L);
-* union_pairs: ordered member pairs (K1,K2) with K1+K2 in C(L).
+* union_pairs: unordered pairs {K1,K2} of incomparable members with
+  K1+K2 in C(L), each once, K1 first in canonical order.
 
 For the block languages B(n,k) the closure has a closed form -- all
 nonempty subsets of the blocks B(m,l) with 0 < m <= n, 0 <= l <= min(m,k)
@@ -42,7 +43,6 @@ block quadruples with a fitted product without ever listing subsets.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -179,48 +179,46 @@ class Closure:
             )
         return self._strings
 
-    def _pair_join(
-        self,
-        combine: Callable[[Language, Language], frozenset[str]],
-        signature: Callable[[int, int, int, int], tuple[int, int]],
-    ) -> list[tuple[Language, Language]]:
-        """Ordered member pairs whose combination is a member.
-
-        ``combine`` gives the combination's set of strings.  Members are
-        bucketed by (min_len, max_len); two buckets are joined only when
-        ``signature(lo1, hi1, lo2, hi2)``, the signature every combination
-        of their members has, is some member's.
-        """
-        buckets: dict[tuple[int, int], list[Language]] = {}
-        for k in self.members:
-            buckets.setdefault((k.min_len(), k.max_len()), []).append(k)
-        pairs = []
-        for (lo1, hi1), group1 in buckets.items():
-            for (lo2, hi2), group2 in buckets.items():
-                if signature(lo1, hi1, lo2, hi2) not in buckets:
-                    continue
-                for k1 in group1:
-                    for k2 in group2:
-                        if combine(k1, k2) in self._member_sets:
-                            pairs.append((k1, k2))
-        pairs.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-        return pairs
-
     def concat_pairs(self) -> list[tuple[Language, Language]]:
-        """C_c(L): ordered member pairs whose concatenation is a member."""
+        """C_c(L): ordered member pairs whose concatenation is a member, in
+        canonical order.  Two (min_len, max_len) buckets are joined only
+        when (lo1 + lo2, hi1 + hi2), the signature of their products, is
+        some member's."""
         if self._concat_pairs is None:
-            self._concat_pairs = self._pair_join(
-                _concat_set, lambda lo1, hi1, lo2, hi2: (lo1 + lo2, hi1 + hi2)
-            )
+            members = self.members
+            is_member = self._member_sets.__contains__
+            buckets: dict[tuple[int, int], list[int]] = {}
+            for i, k in enumerate(members):
+                buckets.setdefault((k.min_len(), k.max_len()), []).append(i)
+            found = []
+            for (lo1, hi1), group1 in buckets.items():
+                for (lo2, hi2), group2 in buckets.items():
+                    if (lo1 + lo2, hi1 + hi2) not in buckets:
+                        continue
+                    for i in group1:
+                        for j in group2:
+                            if is_member(_concat_set(members[i], members[j])):
+                                found.append((i, j))
+            found.sort()
+            self._concat_pairs = [(members[i], members[j]) for i, j in found]
         return self._concat_pairs
 
     def union_pairs(self) -> list[tuple[Language, Language]]:
-        """C_u(L): ordered member pairs whose union is a member."""
+        """C_u(L): the pairs of incomparable members whose union is a
+        member, each once as (K1, K2) with K1 first in ``members``.  Only
+        these give the strong program a new row: (K2, K1) repeats (K1, K2),
+        and with one member within the other the row nets to -X[K] <= 0."""
         if self._union_pairs is None:
-            self._union_pairs = self._pair_join(
-                lambda k1, k2: k1._set | k2._set,
-                lambda lo1, hi1, lo2, hi2: (min(lo1, lo2), max(hi1, hi2)),
-            )
+            members = self.members
+            sets = [k._set for k in members]
+            is_member = self._member_sets.__contains__
+            pairs = []
+            for i, (k1, a) in enumerate(zip(members, sets)):
+                for k2, b in zip(members[i + 1 :], sets[i + 1 :]):
+                    ab = a | b
+                    if is_member(ab) and ab not in (a, b):
+                        pairs.append((k1, k2))
+            self._union_pairs = pairs
         return self._union_pairs
 
 

@@ -10,6 +10,9 @@ tests can check that ``solve`` refuses them.  ``reference_check``
 recomputes ``check_feasible``'s exact verdict in plain ``Fraction``
 arithmetic, one row at a time, without the common denominator, and
 ``reference_certify`` does the same for ``certify_optimal``.
+``reference_strong_primal`` is the strong program as it was built over
+``reference_union_pairs``, every ordered member pair whose union is a
+member, comparable and repeated pairs included.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from relp import Concat, Language, Symbol, Union, solver
+from relp import Concat, Language, LinearProgram, Symbol, Union, solver
+from relp.builders import _net_row
+from relp.closure import Closure, _concat_set
 from relp.lp import LE, check_feasible, objective_value
 
 # -- hypothesis strategies --------------------------------------------------
@@ -262,6 +267,49 @@ def reference_certify(lp, assignment, duals) -> tuple[bool, str]:
     if dual_obj != primal_obj:
         return False, f"duality gap {dual_obj - primal_obj}"
     return True, "ok"
+
+
+# -- the strong program over ordered union pairs ---------------------------
+
+
+def reference_union_pairs(closure: Closure) -> list[tuple[Language, Language]]:
+    """Ordered member pairs whose union is a member, as the closure once
+    listed them: (K1, K2) and (K2, K1), K1 = K2 and K1 within K2 kept."""
+    buckets: dict[tuple[int, int], list[Language]] = {}
+    for k in closure.members:
+        buckets.setdefault((k.min_len(), k.max_len()), []).append(k)
+    pairs = []
+    for (lo1, hi1), group1 in buckets.items():
+        for (lo2, hi2), group2 in buckets.items():
+            if (min(lo1, lo2), max(hi1, hi2)) not in buckets:
+                continue
+            for k1 in group1:
+                for k2 in group2:
+                    if k1._set | k2._set in closure._member_sets:
+                        pairs.append((k1, k2))
+    pairs.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    return pairs
+
+
+def reference_strong_primal(closure: Closure) -> LinearProgram:
+    """build_strong_primal with one row per ordered union pair."""
+    lp = LinearProgram(sense="max")
+    text: dict[frozenset[str], str] = {}
+    name: dict[frozenset[str], str] = {}
+    for k in closure.members:
+        text[k._set] = k.serialize()
+        hi = len(k.only) if k.is_singleton else None
+        name[k._set] = lp.add_variable(f"X[{text[k._set]}]", 0, hi)
+    lp.set_objective({name[closure.base._set]: 1})
+    for k1, k2 in closure.concat_pairs():
+        a, b = k1._set, k2._set
+        acc = _net_row((name[_concat_set(k1, k2)],), (name[a], name[b]))
+        lp.add_row(f"c[{text[a]},{text[b]}]", acc, LE, 0)
+    for k1, k2 in reference_union_pairs(closure):
+        a, b = k1._set, k2._set
+        acc = _net_row((name[a | b],), (name[a], name[b]))
+        lp.add_row(f"u[{text[a]},{text[b]}]", acc, LE, 0)
+    return lp
 
 
 # -- fault injection ----------------------------------------------------------

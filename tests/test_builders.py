@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from relp import (
     build_weak_primal,
     compute_closure,
     singleton,
+    solve,
     threshold,
     transpose_lp,
     write_lp,
@@ -30,7 +32,7 @@ from relp.builders import build_weak_support_dual
 from relp.closure import BinomialIndex
 from relp.lp import row_concat, row_union, var_big_x
 
-from _support import languages
+from _support import languages, reference_strong_primal
 
 
 def closure_00_000():
@@ -75,12 +77,12 @@ class TestWeakPrimal:
 
 class TestStrongPrimal:
     def test_frozen_unary_instance(self):
+        # C({a}) has one member and no incomparable pair, so no rows
         assert write_lp(build_strong_primal(compute_closure(singleton("a")))) == (
             "relp-lp v1\n"
             "sense max\n"
             "var X[{a}] in [0, 1]\n"
             "obj 1 X[{a}]\n"
-            "row u[{a},{a}]: -1 X[{a}] <= 0\n"
         )
 
     def test_shape_invariants(self):
@@ -98,7 +100,8 @@ class TestStrongPrimal:
 
     def test_counts_simple_instance(self):
         lp = build_strong_primal(closure_00_000())
-        assert (lp.n_vars, lp.n_rows) == (5, 22)
+        # five concat rows and the union rows of {0},{00} and {00},{000}
+        assert (lp.n_vars, lp.n_rows) == (5, 7)
 
     @given(languages(max_strings=3, max_len=3))
     @settings(max_examples=40, deadline=None)
@@ -121,6 +124,60 @@ class TestStrongPrimal:
                     coeffs[var_big_x(k)] = coeffs.get(var_big_x(k), 0) - 1
                 want.append((label(k1, k2), [(n, c) for n, c in coeffs.items() if c]))
         assert [(row.label, list(row.coeffs.items())) for row in lp.rows] == want
+
+
+class TestStrongAgainstOrderedPairs:
+    """The strong program keeps one union row per incomparable pair.  The
+    program over every ordered union pair has the same optimum, and each
+    row it has beyond ours repeats a kept row or has no positive term."""
+
+    @given(languages(max_strings=4, max_len=3))
+    @settings(max_examples=40, deadline=None)
+    def test_union_pairs_are_the_incomparable_pairs(self, lang):
+        closure = compute_closure(lang)
+        want = sorted(
+            (
+                (k1, k2)
+                for k1, k2 in product(closure.members, repeat=2)
+                if k1 < k2
+                and Language.union(k1, k2) in closure
+                and not set(k1.members) <= set(k2.members)
+                and not set(k2.members) <= set(k1.members)
+            ),
+            key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()),
+        )
+        assert closure.union_pairs() == want
+
+    @given(languages(max_strings=4, max_len=3))
+    @settings(max_examples=40, deadline=None)
+    def test_dropped_rows_repeat_or_have_no_positive_term(self, lang):
+        closure = compute_closure(lang)
+        lp = build_strong_primal(closure)
+        ref = reference_strong_primal(closure)
+        assert (lp.variables, lp.bounds, lp.objective) == (
+            ref.variables,
+            ref.bounds,
+            ref.objective,
+        )
+        kept = {row.label: (row.coeffs, row.rel, row.rhs) for row in lp.rows}
+        for row in ref.rows:
+            if row.label in kept:
+                assert kept[row.label] == (row.coeffs, row.rel, row.rhs), row.label
+            else:
+                assert (row.rel, row.rhs) == ("<=", 0), row.label
+                assert row.coeffs in [c for c, _, _ in kept.values()] or all(
+                    c <= 0 for c in row.coeffs.values()
+                ), row.label
+        assert kept.keys() <= {row.label for row in ref.rows}
+
+    @given(languages(max_strings=4, max_len=3))
+    @settings(max_examples=25, deadline=None)
+    def test_same_optimum_as_ordered_pairs(self, lang):
+        closure = compute_closure(lang)
+        new = solve(build_strong_primal(closure))
+        ref = solve(reference_strong_primal(closure))
+        assert new.status == ref.status == "optimal"
+        assert new.objective == ref.objective
 
 
 class TestRelaxedBinomial:
@@ -340,8 +397,8 @@ PINNED_LP_SHA256 = {
     "reduced-b1(6)": "0c45f54cb292ded9a000d0ee5f9f3f76d2a13f9232dcb276b9242a8e3facf903",
     "weak C(T(3,1))": "7ab7795f0d911395b47cc387da39fecb5aa485bc13fdc146f14282557e9c6dae",
     "weak-dual C(T(3,1))": "e2ac114d1b80a82a0e22df5617af453f49c051a6e28b8535ca6a748b2af2935f",
-    "strong C({00,000})": "3e2b09af17317854f193935acaac569abcc7d8d77b30f2830eaa28fc32b1239c",
-    "strong-dual C({00,000})": "5c2b5fb44f1a94fe7beb95770235827dceb997205e63d0b19d0be6c2c43966c5",
+    "strong C({00,000})": "2b1e4effab93e7a02ee2e3e9c746c9192c4ee90d4730c17a99c6035a2adae23a",
+    "strong-dual C({00,000})": "efff02de3b8b31d150c894e0f944ae263b52e7f25b6dd9d37eb9572daeb13bdd",
 }
 
 
