@@ -5,23 +5,29 @@ for every member K and every way of writing K as a concatenation K1·K2 or
 a union K1+K2 of nonempty languages, contains K1 and K2 as well.
 
 Because K = K1 + K with any nonempty K1 subset of K, the union rule is
-equivalent to: every nonempty subset of a member is a member.  A family
-that contains every one-element deletion K minus {s} of each member K
-with |K| > 1 has that property too, since any nonempty subset of K is
-reached from K by deleting one string at a time.  So we compute C(L) as
-the fixpoint of one-element deletions plus exact concatenation
-factorizations: |K| new languages per member instead of 2^|K| - 2.
-The fixpoint runs on canonical member tuples; a deletion keeps the
-order, so no member is re-sorted, and each member's Language is built
-once.
+equivalent to: every nonempty subset of a member is a member.  So C(L)
+is every nonempty subset of a few *generators*, found as a fixpoint from
+L.  For a generator M, take the pair relation {(u,v) : uv in M} over all
+cuts at once, so mixed lengths are covered, and add both sides X and Y
+of each of its maximal rectangles X × Y.  Its intents Y are the nonempty
+intersections of the left quotients u^{-1}M, and X = {u : Y within
+u^{-1}M}.  These rectangles are the formal concepts of the relation
+(Ganter & Wille 1999, *Formal Concept Analysis*), the factors of
+Conway's factor matrix (Conway 1971, *Regular Algebra and Finite
+Machines*, ch. 5).  The subsets of the generators are exactly C(L):
 
-The factorization search is anchored on the canonically first member
-of K: every factorization K1·K2 splits it as u0·v0 with u0 in K1, so at
-each cut of it only left sets holding u0 inside the prefix pool
-{u : u v0 in K} are tried.  They are enumerated depth first with the
-running intersection of their left quotients, which prunes every
-superset of a set whose quotients share nothing, and a cut at which
-some member has no proper prefix in the pool is skipped outright.
+* if a member K within M factors as A·B, then A × B lies in M's pair
+  relation, so A and B lie within the sides of some maximal rectangle;
+* conversely X·Y is within M, so it is a member, and it factors as X·Y.
+
+The caps are those of a search over every member.  The member cap
+refuses a closure of more than max_members members; the factor pool cap
+refuses one where some generator M has a suffix v with more than
+factor_pool_cap nonempty prefixes u such that uv is in M.  That is the
+prefix pool the factorization search meets on the member {uv in M}.
+
+The factorization search below, ``factorizations``, serves the search
+oracle; the closure does not run it.
 
 Derived index sets used by the linear programs:
 
@@ -154,7 +160,7 @@ class Closure:
 
     def __init__(self, base: Language, members: list[Language]):
         self.base = base
-        self.members: tuple[Language, ...] = tuple(sorted(members, key=Language.sort_key))
+        self.members: tuple[Language, ...] = tuple(members)  # canonical order
         # each member's set of strings: membership and the pair joins
         # test a string set against these, without building a Language
         self._member_sets = frozenset(k._set for k in self.members)
@@ -227,45 +233,64 @@ def compute_closure(
     max_members: int = DEFAULT_CONFIG.closure_max_members,
     factor_pool_cap: int = DEFAULT_CONFIG.factor_pool_cap,
 ) -> Closure:
-    """Materialize C(base) by fixpoint iteration.
+    """Materialize C(base) as the nonempty subsets of its generators.
 
-    Each member K contributes its one-element deletions (when |K| > 1)
-    and the factors of its exact factorizations.  The deletions reach
-    every nonempty proper subset of K through a chain of members, so the
-    fixpoint equals the definition's closure under all unions.  The
-    fixpoint works on canonical member tuples: deleting one string keeps
-    canonical order, so a deletion needs no sort, and each new member's
-    Language is built once, straight from its tuple.
+    Each generator M not within an earlier one adds both sides of the
+    maximal rectangles of its pair relation: every nonempty intersection
+    Y of its left quotients, and X = {u : Y within u^{-1}M}.  Members are
+    listed as tuples of string ranks, whose native order is canonical.
 
-    Raises ResourceCapError as soon as the member count exceeds
-    max_members; the block-language closures grow like 2^n, so the cap
-    matters.
+    Raises ResourceCapError exactly when C(base) has more than
+    max_members members, checked while listing and up front against a
+    generator's 2^|M| - 1 subsets and its intents (each a member), or
+    when a factorization search over C(base) would meet a prefix pool of
+    more than factor_pool_cap strings.
     """
-    seen: dict[tuple[str, ...], Language] = {}
-    queue: list[Language] = []
+    def too_many() -> ResourceCapError:
+        return ResourceCapError(f"closure of {base!r} exceeds {max_members} members")
 
-    def add(members: tuple[str, ...]) -> None:
-        if members in seen:
-            return
-        lang = Language._from_canonical(members)
-        seen[members] = lang
-        if len(seen) > max_members:
-            raise ResourceCapError(
-                f"closure of {base!r} exceeds {max_members} members"
-            )
-        queue.append(lang)
-
-    add(base.members)
+    gens: list[frozenset[str]] = []
+    queue = [base._set]
     while queue:
-        lang = queue.pop()
-        members = lang.members
-        if len(members) > 1:
-            for i in range(len(members)):
-                add(members[:i] + members[i + 1 :])
-        for left, right in _factor_pairs(lang, factor_pool_cap):
-            add(left)
-            add(right)
-    return Closure(base, list(seen.values()))
+        m = queue.pop()
+        if any(m <= g for g in gens):
+            continue
+        if (1 << len(m)) - 1 > max_members:
+            raise too_many()
+        gens.append(m)
+        quots: dict[str, set[str]] = {}  # u -> u^{-1}M
+        pools: dict[str, int] = {}  # v -> |{u : uv in M}|, a factor search's prefix pool
+        for s in m:
+            for i in range(1, len(s)):
+                quots.setdefault(s[:i], set()).add(s[i:])
+                pools[s[i:]] = pools.get(s[i:], 0) + 1
+        widest = max(pools.values(), default=0)
+        if widest > factor_pool_cap:
+            raise ResourceCapError(
+                f"factorization prefix pool has {widest} candidates "
+                f"(cap {factor_pool_cap}) in the closure of {base!r}"
+            )
+        intents: set[frozenset[str]] = set()
+        for q in map(frozenset, quots.values()):
+            intents |= {q & y for y in intents} | {q}
+            intents.discard(frozenset())
+            if len(intents) > max_members:
+                raise too_many()
+        for y in intents:
+            queue.append(frozenset(u for u, q in quots.items() if y <= q))
+            queue.append(y)
+
+    strings = sorted(set().union(*gens), key=canon_key)
+    rank = {s: i for i, s in enumerate(strings)}
+    listed: set[tuple[int, ...]] = set()
+    for g in gens:
+        ranks = sorted(rank[s] for s in g)
+        for r in range(1, len(ranks) + 1):
+            listed.update(combinations(ranks, r))
+            if len(listed) > max_members:
+                raise too_many()
+    members = [Language._from_canonical(tuple([strings[i] for i in t])) for t in sorted(listed)]
+    return Closure(base, members)
 
 
 # -- implicit closure of the block languages B(n,k) --------------------------

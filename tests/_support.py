@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own search code:
 ``naive_closure`` runs the definitional fixpoint with a brute-force
-product scan, ``brute_factorizations`` enumerates subset pairs of
+product scan, ``reference_closure`` is the closure fixpoint of
+one-element deletions and factorization searches that the generator
+fixpoint replaced, ``brute_factorizations`` enumerates subset pairs of
 prefixes and suffixes, and ``vertex_optimum`` maximizes over the
 vertices of a fully bounded polytope by exact Gaussian elimination.
 ``negate_one_multiplier`` corrupts the solver's candidate optima, so
@@ -24,7 +26,8 @@ from hypothesis import strategies as st
 
 from relp import Concat, Language, LinearProgram, Symbol, Union, solver
 from relp.builders import _net_row
-from relp.closure import Closure, _concat_set
+from relp.closure import Closure, _concat_set, _factor_pairs
+from relp.config import DEFAULT_CONFIG, ResourceCapError
 from relp.lp import LE, check_feasible, objective_value
 
 # -- hypothesis strategies --------------------------------------------------
@@ -115,6 +118,43 @@ def naive_closure(lang: Language) -> set[Language]:
                 members.add(k)
                 queue.append(k)
     return members
+
+
+def reference_closure(
+    base: Language,
+    max_members: int = DEFAULT_CONFIG.closure_max_members,
+    factor_pool_cap: int = DEFAULT_CONFIG.factor_pool_cap,
+) -> tuple[Language, ...]:
+    """The members of C(base) in canonical order, from the fixpoint of
+    one-element deletions and exact factorizations, each member's
+    factorization search under its prefix pool cap.  The body is the
+    deleted ``compute_closure``'s; the sort at the end is the one its
+    ``Closure`` applied."""
+    seen: dict[tuple[str, ...], Language] = {}
+    queue: list[Language] = []
+
+    def add(members: tuple[str, ...]) -> None:
+        if members in seen:
+            return
+        lang = Language._from_canonical(members)
+        seen[members] = lang
+        if len(seen) > max_members:
+            raise ResourceCapError(
+                f"closure of {base!r} exceeds {max_members} members"
+            )
+        queue.append(lang)
+
+    add(base.members)
+    while queue:
+        lang = queue.pop()
+        members = lang.members
+        if len(members) > 1:
+            for i in range(len(members)):
+                add(members[:i] + members[i + 1 :])
+        for left, right in _factor_pairs(lang, factor_pool_cap):
+            add(left)
+            add(right)
+    return tuple(sorted(seen.values(), key=Language.sort_key))
 
 
 # -- exact vertex-enumeration LP oracle --------------------------------------

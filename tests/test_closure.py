@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relp import (
@@ -21,12 +21,31 @@ from relp import (
 from relp.closure import product_block
 from relp.lang import canon_key
 
-from _support import brute_factorizations, languages, naive_closure
+from _support import brute_factorizations, languages, naive_closure, reference_closure
 
 # three-letter languages: the anchored search must not lean on a binary alphabet
 ternary_languages = st.sets(
     st.text(alphabet="abc", min_size=1, max_size=3), min_size=1, max_size=5
 ).map(Language)
+
+
+# one length per language: the generators' rectangles then sit at one cut
+uniform_languages = st.integers(1, 4).flatmap(
+    lambda n: st.sets(st.text(alphabet="01", min_size=n, max_size=n), min_size=1, max_size=8)
+).map(Language)
+
+
+# two to six binary strings of lengths 1 to 3: the rectangles then mix cuts
+mixed_languages = st.sets(
+    st.text(alphabet="01", min_size=1, max_size=3), min_size=2, max_size=6
+).map(Language)
+
+
+def _members_or_refusal(closure, *args):
+    try:
+        return closure(*args)
+    except ResourceCapError:
+        return "refused"
 
 
 def _pair_key(pair):
@@ -205,6 +224,10 @@ class TestComputeClosure:
         assert len(compute_closure(all_strings(1).union(all_strings(3)))) == 1038
         assert len(compute_closure(all_strings(2).union(all_strings(3)))) == 4143
 
+    @pytest.mark.parametrize("lang,size", [(threshold(4, 1), 33_040), (binomial(6, 2), 33_922)])
+    def test_pinned_member_counts(self, lang, size):
+        assert len(compute_closure(lang)) == size
+
     @pytest.mark.parametrize("lang", [
         threshold(3, 1),
         binomial(5, 2),
@@ -234,6 +257,34 @@ class TestComputeClosure:
         # could be listed
         with pytest.raises(ResourceCapError):
             compute_closure(threshold(5, 1), max_members=1000)
+
+    def test_default_member_cap_refuses_threshold_5_1(self):
+        with pytest.raises(ResourceCapError):
+            compute_closure(threshold(5, 1))
+
+
+class TestAgainstDeletionFixpoint:
+    """The generator fixpoint against the deletion fixpoint it replaced:
+    the same members in the same order, and the same refusals."""
+
+    @given(uniform_languages | ternary_languages | mixed_languages)
+    # the rectangle {0,01} x {0} spans two cuts, and its intent {0} is
+    # the intersection of the quotients {0,10,11} and {0,1}
+    @example(Language(["00", "010", "011"]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_members_and_refusals(self, lang):
+        assert compute_closure(lang).members == reference_closure(lang)
+        members = lambda *args: compute_closure(*args).members
+        for max_members in (1, 5, 50, 500):
+            for pool_cap in (1, 2, 3, 5):
+                caps = (lang, max_members, pool_cap)
+                assert _members_or_refusal(members, *caps) == _members_or_refusal(
+                    reference_closure, *caps
+                ), caps[1:]
+
+    def test_sigma_level_union(self):
+        lang = all_strings(2).union(all_strings(3))
+        assert compute_closure(lang).members == reference_closure(lang)
 
 
 class TestPairs:
