@@ -14,9 +14,9 @@ construction per program family:
   over weight-limited binary strings, charging each split to its block
   quadruple.
 
-Both read the expression through one walk (``_walk``), which yields its
-terms and its term-safe concatenation splits; each keeps only its own
-charging rule and checks.
+Both read the expression through one walk (``_walk``), which gives L(r),
+its terms and its term-safe concatenation splits; each keeps only its
+own charging rule and checks.
 
 The primal half collects hand-derived feasible assignments whose
 objectives bound optima from below: ``analytic_sigma_primal`` for the
@@ -29,7 +29,7 @@ whose leading constants are fixed empirically by ``calibrate_alphas``.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor, isfinite, log, log1p, log2
@@ -56,7 +56,7 @@ from .lp import (
     var_y_pair,
     var_y_quad,
 )
-from .regex import Concat, Regex, Union, as_word, cat, concat_factors, language_of, parse, word
+from .regex import Concat, Regex, Symbol, Union, as_word, cat, concat_factors, parse, word
 
 _ZERO = Fraction(0)
 
@@ -100,29 +100,43 @@ def _split_concat(node: Concat) -> tuple[Regex, Regex]:
 Split = tuple[Language, Language]
 
 
-def _walk(r: Regex) -> Iterator[str | Split]:
-    """Every term occurrence of r, and the factor languages of every split.
+def _walk(r: Regex) -> tuple[Language, list[str | Split]]:
+    """L(r), and every term occurrence of r and the factor languages of every split.
 
     Union branches are walked in turn; a concatenation is split by
     ``_split_concat`` and both sides are walked.  Each term of r is
-    yielded exactly once, so charging |s| per yielded term s sums to
-    the length of r.
+    listed exactly once, so charging |s| per listed term s sums to the
+    length of r.  Node languages are memoized for the one walk.
     """
+    # id(node) -> (node, L(node)); holding the node keeps its id from reuse
+    memo: dict[int, tuple[Regex, Language]] = {}
+
+    def lang_of(node: Regex) -> Language:
+        if id(node) not in memo:
+            if isinstance(node, Symbol):
+                memo[id(node)] = (node, Language([node.ch]))
+            else:
+                a, b = lang_of(node.left), lang_of(node.right)
+                memo[id(node)] = (node, a.concat(b) if isinstance(node, Concat) else a.union(b))
+        return memo[id(node)][1]
+
+    steps: list[str | Split] = []
     stack: list[Regex] = [r]
     while stack:
         node = stack.pop()
         term = as_word(node)
         if term is not None:
-            yield term
+            steps.append(term)
         elif isinstance(node, Union):
             stack.append(node.left)
             stack.append(node.right)
         else:
             assert isinstance(node, Concat)
             left, right = _split_concat(node)
-            yield language_of(left), language_of(right)
+            steps.append((lang_of(left), lang_of(right)))
             stack.append(left)
             stack.append(right)
+    return lang_of(r), steps
 
 
 # -- weak dual certificates ---------------------------------------------------
@@ -164,14 +178,14 @@ def certify_weak_dual(r: Regex | str, target: Language | None = None) -> WeakDua
     """
     if isinstance(r, str):
         r = parse(r)
-    lang = language_of(r)
+    lang, steps = _walk(r)
     if target is not None and target != lang:
         raise ValueError(
             f"expression denotes {lang.serialize()}, not {target.serialize()}"
         )
     w: dict[str, Fraction] = {}
     y: dict[Split, Fraction] = {}
-    for step in _walk(r):
+    for step in steps:
         if isinstance(step, str):
             w[step] = w.get(step, _ZERO) + 1
         else:
@@ -258,13 +272,13 @@ def certify_relaxed_dual(r: Regex | str, n: int, k: int) -> RelaxedDualCert:
     """
     if isinstance(r, str):
         r = parse(r)
-    lang = language_of(r)
+    lang, steps = _walk(r)
     if lang != binomial(n, k):
         raise ValueError(f"expression denotes {lang.serialize()}, not B({n},{k})")
     index = BinomialIndex(n, k)
     w: dict[str, Fraction] = {}
     y: dict[Quad, Fraction] = {}
-    for step in _walk(r):
+    for step in steps:
         if isinstance(step, str):
             if not index.fits(len(step), ones(step)):
                 raise ValueError(

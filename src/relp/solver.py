@@ -18,12 +18,13 @@ eliminate (always when it is 1, the common case) the pivot loop updates
 the row in place over the pivot row's nonzeros and keeps its
 denominator; otherwise ``_eliminate`` moves the row to a larger
 denominator and divides it by the gcd of its entries.  Pricing compares
-numerators over the reduced-cost row's one denominator, and the ratio
-test compares the same rationals by cross-multiplication, so the pivot
-sequence is that of a plain rational tableau.  Fractions appear only
-where values leave the tableau: basic values, bounds, multipliers and
-rays.  The tableau keeps no objective value: the objective ``solve``
-reports is that of the point it certifies,
+numerators over the reduced-cost row's one denominator.  Each basic
+value is an int numerator over its own int denominator, reduced by one
+gcd when it changes, and the ratio test compares such rationals by
+cross-multiplication, so the pivot sequence is that of a plain rational
+tableau.  Fractions appear only where values leave the tableau: the
+point, multipliers and rays.  The tableau keeps no objective value: the
+objective ``solve`` reports is that of the point it certifies,
 ``objective_value(lp, assignment)``.
 
 So "optimal" here means: the returned point is feasible, the returned
@@ -200,8 +201,8 @@ class _Tableau:
     grows; an update that keeps the denominator skips that step, so den[i]
     is always a denominator the row once had in lowest terms and cannot
     grow without bound.  The reduced-cost row is d / dden in the same way,
-    one entry per slot.  Basic values beta, bounds and ratios are
-    Fractions.  The tableau only pivots; it keeps no objective value.
+    one entry per slot, and beta[i] is bnum[i] / bden[i] in lowest terms,
+    bden[i] > 0.  The tableau only pivots; it keeps no objective value.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -229,7 +230,8 @@ class _Tableau:
         self.row_sign = []
         self.T: list[list[int]] = []
         self.den: list[int] = []
-        self.beta: list[Fraction] = []
+        self.bnum: list[int] = []
+        self.bden: list[int] = []
         for row in lp.rows:
             srel = 1 if row.rel == LE else -1
             self.row_sign.append(srel)
@@ -245,7 +247,8 @@ class _Tableau:
                     rhs -= srel * coef * self.lo[j]
             self.T.append(arr)
             self.den.append(scale)
-            self.beta.append(rhs)
+            self.bnum.append(rhs.numerator)
+            self.bden.append(rhs.denominator)
 
         self.basis = [n + i for i in range(m)]
         self.nonbasic = list(range(n))
@@ -262,7 +265,7 @@ class _Tableau:
 
         The row's slack leaves the basis and takes a new slot.
         """
-        bad = [i for i in range(self.m) if self.beta[i] < 0]
+        bad = [i for i in range(self.m) if self.bnum[i] < 0]
         zeros = [0] * len(bad)
         for row in self.T:
             row.extend(zeros)
@@ -270,7 +273,7 @@ class _Tableau:
         for i in bad:
             self.T[i] = [-v for v in self.T[i]]
             self.T[i][len(self.nonbasic)] = -self.den[i]
-            self.beta[i] = -self.beta[i]
+            self.bnum[i] = -self.bnum[i]
             slack, art = self.n + i, len(self.status)
             self.nonbasic.append(slack)
             self.status[slack] = AT_LO
@@ -336,28 +339,28 @@ class _Tableau:
             return "optimal"
         s, sigma = pick
         j = self.nonbasic[s]
-        T, den, beta, u, basis = self.T, self.den, self.beta, self.u, self.basis
-        bland = self.bland
+        T, den, bnum, bden = self.T, self.den, self.bnum, self.bden
+        u, basis, bland = self.u, self.basis, self.bland
         # the entering slot's nonzeros, read once for the ratio test, the
         # basic-value update and the elimination
         col = [(i, row[s]) for i, row in enumerate(T) if row[s]]
 
-        # ratio test on exact ints: the limit of row i is b * den[i] / |a|,
-        # kept as the pair (t_num, t_den) and compared by cross-multiplying
+        # ratio test on exact ints: the limit of row i is b * den[i] / |a| for
+        # b = beta[i] or u - beta[i], kept as a pair and cross-multiplied
         t_num, t_den = (None, 1) if u[j] is None else (u[j].numerator, u[j].denominator)
         leave_row = -1
         leave_to = AT_LO
         for i, a in col:
             if (a > 0) == (sigma > 0):
-                b = beta[i]
+                ln, ld = bnum[i] * den[i], bden[i] * abs(a)
                 to = AT_LO
             else:
                 ub = u[basis[i]]
                 if ub is None:
                     continue
-                b = ub - beta[i]
+                ud = ub.denominator
+                ln, ld = (ub.numerator * bden[i] - bnum[i] * ud) * den[i], ud * bden[i] * abs(a)
                 to = AT_UP
-            ln, ld = b.numerator * den[i], b.denominator * abs(a)
             if t_num is None or ln * t_den < t_num * ld:
                 t_num, t_den, leave_row, leave_to = ln, ld, i, to
             elif leave_row >= 0 and ln * t_den == t_num * ld:
@@ -366,11 +369,12 @@ class _Tableau:
         if t_num is None:
             self.unbounded_slot = (s, sigma)
             return "unbounded"
-        t = Fraction(t_num, t_den)
+        g = gcd(t_num, t_den)
+        tn, td = t_num // g, t_den // g
+        mn = sigma * tn  # the step: the entering variable moves by mn / td
 
         self.iterations += 1
-        move = t if sigma > 0 else -t
-        if move:
+        if mn:
             self.stall = 0
         else:
             self.stall += 1
@@ -390,7 +394,11 @@ class _Tableau:
                 prow, p = [-v for v in prow], -p
             prow, pden = _reduce(prow, p)
             T[leave_row], den[leave_row] = prow, pden
-            beta[leave_row] = t if sigma > 0 else u[j] - t
+            # the entering variable's new value: from 0 or from u, by mn / td
+            un, ud = (0, 1) if sigma > 0 else (u[j].numerator, u[j].denominator)
+            x, y = un * td + mn * ud, ud * td
+            g = gcd(x, y)
+            bnum[leave_row], bden[leave_row] = x // g, y // g
             leaving = basis[leave_row]
             self.status[leaving] = leave_to
             basis[leave_row] = j
@@ -398,18 +406,16 @@ class _Tableau:
             self.status[j] = BASIC
             pnz = [(jj, v) for jj, v in enumerate(prow) if v]
 
-        # every other row with a nonzero in slot s: beta -= move * a / den,
-        # cross-multiplied in ints, then (on a pivot) eliminate the slot
-        mn, md = move.numerator, move.denominator
+        # every other row with a nonzero in slot s: beta -= (mn / td) * a / den,
+        # cross-multiplied in ints and reduced, then (on a pivot) eliminate the slot
         for i, a in col:
             if i == leave_row:
                 continue
             if mn:
-                b = beta[i]
-                q = md * den[i]
-                beta[i] = Fraction(
-                    b.numerator * q - mn * a * b.denominator, b.denominator * q
-                )
+                q = td * den[i]
+                x, y = bnum[i] * q - mn * a * bden[i], bden[i] * q
+                g = gcd(x, y)
+                bnum[i], bden[i] = x // g, y // g
             if not flip:
                 row = T[i]
                 row[s] = 0
@@ -449,7 +455,7 @@ def _solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
     tab = _Tableau(lp)
     n, m = tab.n, tab.m
 
-    if any(b < 0 for b in tab.beta):
+    if any(b < 0 for b in tab.bnum):
         arts = tab.add_artificials()
         c1 = [0] * len(tab.status)
         for col in arts:
@@ -462,7 +468,7 @@ def _solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
             raise SolverError("phase 1 reported unbounded; its objective is capped")
         # artificials are unbounded above in phase 1, so a nonbasic one
         # sits at 0, and the phase-1 optimum is 0 unless a basic one is not
-        if any(tab.beta[i] for i, b in enumerate(tab.basis) if b >= n + m):
+        if any(tab.bnum[i] for i, b in enumerate(tab.basis) if b >= n + m):
             return SolveResult("infeasible", iterations=tab.iterations)
         for col in arts:
             tab.frozen[col] = True
@@ -494,7 +500,7 @@ def _solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
     for name, j in tab.col_of.items():
         st = tab.status[j]
         if st == BASIC:
-            shifted = tab.beta[row_of[j]]
+            shifted = Fraction(tab.bnum[row_of[j]], tab.bden[row_of[j]])
         elif st == AT_UP:
             shifted = tab.u[j]
         else:

@@ -14,13 +14,16 @@ arithmetic, one row at a time, without the common denominator, and
 ``reference_certify`` does the same for ``certify_optimal``.
 ``reference_strong_primal`` is the strong program as it was built over
 ``reference_union_pairs``, every ordered member pair whose union is a
-member, comparable and repeated pairs included.
+member, comparable and repeated pairs included.  ``ReferenceTableau``
+and ``reference_solve_direct`` are the exact tableau as it was when its
+basic values were ``Fraction``s, for differential tests of the solver.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
@@ -28,7 +31,17 @@ from relp import Concat, Language, LinearProgram, Symbol, Union, solver
 from relp.builders import _net_row
 from relp.closure import Closure, _concat_set, _factor_pairs
 from relp.config import DEFAULT_CONFIG, ResourceCapError
-from relp.lp import LE, check_feasible, objective_value
+from relp.lp import LE, Assignment, check_feasible, objective_value
+from relp.solver import (
+    _STALL_PIVOTS,
+    AT_LO,
+    AT_UP,
+    BASIC,
+    SolveResult,
+    SolverError,
+    _eliminate,
+    _reduce,
+)
 
 # -- hypothesis strategies --------------------------------------------------
 
@@ -350,6 +363,346 @@ def reference_strong_primal(closure: Closure) -> LinearProgram:
         acc = _net_row((name[a | b],), (name[a], name[b]))
         lp.add_row(f"u[{text[a]},{text[b]}]", acc, LE, 0)
     return lp
+
+
+# -- the Fraction-valued tableau ------------------------------------------------
+
+# The exact tableau as it was when its basic values were Fractions:
+# ``_Tableau`` and ``_solve_direct`` verbatim, renamed, beside the
+# unchanged helpers and constants of ``relp.solver``.
+
+
+class ReferenceTableau:
+    """Internal canonical form: max c.x, Ax <= b, 0 <= x <= u.
+
+    Variables are numbered structural first (0..n-1), then one slack per
+    row (n..n+m-1), then the artificials.  The tableau is condensed: its
+    columns are the nonbasic variables only.  Slot s of every row belongs
+    to variable nonbasic[s], and row i reads
+    x[basis[i]] = beta[i] - sum over s of (T[i][s] / den[i]) x[nonbasic[s]]
+    in shifted coordinates, so each row holds n ints plus one per
+    artificial, however many rows there are.  A pivot swaps the entering
+    and leaving variables between basis and nonbasic, and the leaving
+    variable takes the entering one's slot.
+
+    Row i holds int numerators over one positive int denominator den[i].
+    A row is divided by the gcd of its entries whenever its denominator
+    grows; an update that keeps the denominator skips that step, so den[i]
+    is always a denominator the row once had in lowest terms and cannot
+    grow without bound.  The reduced-cost row is d / dden in the same way,
+    one entry per slot.  Basic values beta, bounds and ratios are
+    Fractions.  The tableau only pivots; it keeps no objective value.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.sgn = 1 if lp.sense == "max" else -1
+        self.bland = False  # set for good once the pivots stall
+        self.iterations = 0
+
+        n = len(lp.variables)
+        m = len(lp.rows)
+        self.n, self.m = n, m
+        self.col_of = {name: j for j, name in enumerate(lp.variables)}
+        self.lo: list[Fraction] = []
+        self.u: list = []  # shifted upper bounds; None = unbounded
+        for name in lp.variables:
+            lo, hi = lp.bounds[name]
+            self.lo.append(lo)
+            self.u.append(None if hi is None else hi - lo)
+        self.u.extend([None] * m)  # slacks
+
+        # c in internal (max) sign, over structural columns only
+        self.c: list = [0] * n
+        for name, coef in lp.objective.items():
+            self.c[self.col_of[name]] = coef * self.sgn
+
+        self.row_sign = []
+        self.T: list[list[int]] = []
+        self.den: list[int] = []
+        self.beta: list[Fraction] = []
+        for row in lp.rows:
+            srel = 1 if row.rel == LE else -1
+            self.row_sign.append(srel)
+            # scaled by the lcm of its denominators, the row is all ints;
+            # the slack's coefficient, scale / scale, is implicit
+            scale = lcm(*(coef.denominator for coef in row.coeffs.values()))
+            arr = [0] * n
+            rhs = row.rhs * srel
+            for name, coef in row.coeffs.items():
+                j = self.col_of[name]
+                arr[j] = srel * coef.numerator * (scale // coef.denominator)
+                if self.lo[j]:
+                    rhs -= srel * coef * self.lo[j]
+            self.T.append(arr)
+            self.den.append(scale)
+            self.beta.append(rhs)
+
+        self.basis = [n + i for i in range(m)]
+        self.nonbasic = list(range(n))
+        self.status = [AT_LO] * n + [BASIC] * m
+        self.frozen = [False] * (n + m)
+        self.d: list[int] = []
+        self.dden = 1
+        self.stall = 0
+
+    # -- phase handling -----------------------------------------------------
+
+    def add_artificials(self) -> list[int]:
+        """Negate infeasible rows and make a +1 artificial basic in each.
+
+        The row's slack leaves the basis and takes a new slot.
+        """
+        bad = [i for i in range(self.m) if self.beta[i] < 0]
+        zeros = [0] * len(bad)
+        for row in self.T:
+            row.extend(zeros)
+        arts = []
+        for i in bad:
+            self.T[i] = [-v for v in self.T[i]]
+            self.T[i][len(self.nonbasic)] = -self.den[i]
+            self.beta[i] = -self.beta[i]
+            slack, art = self.n + i, len(self.status)
+            self.nonbasic.append(slack)
+            self.status[slack] = AT_LO
+            self.basis[i] = art
+            self.status.append(BASIC)
+            self.u.append(None)
+            self.frozen.append(False)
+            arts.append(art)
+        return arts
+
+    def set_costs(self, c_full: list) -> None:
+        """Recompute the reduced-cost row for new costs."""
+        costs = [Fraction(v) for v in c_full]
+        costs += [Fraction(0)] * (len(self.status) - len(costs))
+        cn = [costs[j] for j in self.nonbasic]
+        dden = lcm(*(v.denominator for v in cn))
+        d = [v.numerator * (dden // v.denominator) for v in cn]
+        for i in range(self.m):
+            cb = costs[self.basis[i]]
+            if cb:
+                # d/dden - cb * T_i/den_i over the denominator dden * q * den_i
+                a, b = cb.denominator * self.den[i], cb.numerator * dden
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                d, dden = _reduce(
+                    [a * x - b * y for x, y in zip(d, self.T[i])], dden * a
+                )
+        self.d, self.dden = d, dden
+
+    # -- pivoting -------------------------------------------------------------
+
+    def _choose_entering(self):
+        """The entering slot and its direction, or None at an optimum.
+
+        Dantzig's ties and Bland's choice both go to the lowest variable
+        index, whichever slot it sits in.
+        """
+        # d shares one positive denominator, so its numerators compare as d
+        d, status, frozen, bland = self.d, self.status, self.frozen, self.bland
+        best = None
+        best_j = best_score = 0
+        for s, j in enumerate(self.nonbasic):
+            if frozen[j]:
+                continue
+            dj = d[s]
+            if status[j] == AT_LO:
+                if dj <= 0:
+                    continue
+                score, sigma = dj, 1
+            else:
+                if dj >= 0:
+                    continue
+                score, sigma = -dj, -1
+            if bland:
+                score = 1
+            if score > best_score or (score == best_score and j < best_j):
+                best, best_j, best_score = (s, sigma), j, score
+        return best
+
+    def _step(self) -> str | None:
+        pick = self._choose_entering()
+        if pick is None:
+            return "optimal"
+        s, sigma = pick
+        j = self.nonbasic[s]
+        T, den, beta, u, basis = self.T, self.den, self.beta, self.u, self.basis
+        bland = self.bland
+        # the entering slot's nonzeros, read once for the ratio test, the
+        # basic-value update and the elimination
+        col = [(i, row[s]) for i, row in enumerate(T) if row[s]]
+
+        # ratio test on exact ints: the limit of row i is b * den[i] / |a|,
+        # kept as the pair (t_num, t_den) and compared by cross-multiplying
+        t_num, t_den = (None, 1) if u[j] is None else (u[j].numerator, u[j].denominator)
+        leave_row = -1
+        leave_to = AT_LO
+        for i, a in col:
+            if (a > 0) == (sigma > 0):
+                b = beta[i]
+                to = AT_LO
+            else:
+                ub = u[basis[i]]
+                if ub is None:
+                    continue
+                b = ub - beta[i]
+                to = AT_UP
+            ln, ld = b.numerator * den[i], b.denominator * abs(a)
+            if t_num is None or ln * t_den < t_num * ld:
+                t_num, t_den, leave_row, leave_to = ln, ld, i, to
+            elif leave_row >= 0 and ln * t_den == t_num * ld:
+                if bland and basis[i] < basis[leave_row]:
+                    leave_row, leave_to = i, to
+        if t_num is None:
+            self.unbounded_slot = (s, sigma)
+            return "unbounded"
+        t = Fraction(t_num, t_den)
+
+        self.iterations += 1
+        move = t if sigma > 0 else -t
+        if move:
+            self.stall = 0
+        else:
+            self.stall += 1
+            if self.stall >= _STALL_PIVOTS:
+                self.bland = True
+        flip = leave_row < 0
+        if flip:
+            # bound flip: the entering variable crosses to its other bound
+            self.status[j] = AT_UP if sigma > 0 else AT_LO
+        else:
+            # the pivot row solved for the entering variable: T_r / T_r[s],
+            # with den_r / T_r[s] in slot s for the leaving variable
+            prow = T[leave_row]
+            p = prow[s]
+            prow[s] = den[leave_row]
+            if p < 0:
+                prow, p = [-v for v in prow], -p
+            prow, pden = _reduce(prow, p)
+            T[leave_row], den[leave_row] = prow, pden
+            beta[leave_row] = t if sigma > 0 else u[j] - t
+            leaving = basis[leave_row]
+            self.status[leaving] = leave_to
+            basis[leave_row] = j
+            self.nonbasic[s] = leaving
+            self.status[j] = BASIC
+            pnz = [(jj, v) for jj, v in enumerate(prow) if v]
+
+        # every other row with a nonzero in slot s: beta -= move * a / den,
+        # cross-multiplied in ints, then (on a pivot) eliminate the slot
+        mn, md = move.numerator, move.denominator
+        for i, a in col:
+            if i == leave_row:
+                continue
+            if mn:
+                b = beta[i]
+                q = md * den[i]
+                beta[i] = Fraction(
+                    b.numerator * q - mn * a * b.denominator, b.denominator * q
+                )
+            if not flip:
+                row = T[i]
+                row[s] = 0
+                if a % pden:
+                    T[i], den[i] = _eliminate(row, den[i], a, pden, pnz)
+                else:
+                    b = a // pden
+                    for jj, v in pnz:
+                        row[jj] -= b * v
+        if not flip:
+            d = self.d
+            f = d[s]
+            if f:
+                d[s] = 0
+                if f % pden:
+                    self.d, self.dden = _eliminate(d, self.dden, f, pden, pnz)
+                else:
+                    b = f // pden
+                    for jj, v in pnz:
+                        d[jj] -= b * v
+        return None
+
+    def run(self, budget: int) -> str:
+        while True:
+            if self.iterations >= budget:
+                return "resource"
+            out = self._step()
+            if out is not None:
+                return out
+
+
+def reference_solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
+    """One tableau solve; an "optimal" result is an uncertified candidate."""
+    tab = ReferenceTableau(lp)
+    n, m = tab.n, tab.m
+
+    if any(b < 0 for b in tab.beta):
+        arts = tab.add_artificials()
+        c1 = [0] * len(tab.status)
+        for col in arts:
+            c1[col] = -1
+        tab.set_costs(c1)
+        out = tab.run(budget)
+        if out == "resource":
+            return SolveResult("resource", iterations=tab.iterations)
+        if out == "unbounded":
+            raise SolverError("phase 1 reported unbounded; its objective is capped")
+        # artificials are unbounded above in phase 1, so a nonbasic one
+        # sits at 0, and the phase-1 optimum is 0 unless a basic one is not
+        if any(tab.beta[i] for i, b in enumerate(tab.basis) if b >= n + m):
+            return SolveResult("infeasible", iterations=tab.iterations)
+        for col in arts:
+            tab.frozen[col] = True
+            tab.u[col] = Fraction(0)
+
+    tab.set_costs(tab.c)
+    tab.stall = 0
+    out = tab.run(budget)
+    if out == "resource":
+        return SolveResult("resource", iterations=tab.iterations)
+    if out == "unbounded":
+        # recover the improving ray: the entering variable's direction in x-space
+        s, sigma = tab.unbounded_slot
+        j = tab.nonbasic[s]
+        ray: dict[str, Fraction] = {}
+        if j < n:
+            ray[lp.variables[j]] = Fraction(sigma)
+        for i in range(m):
+            b = tab.basis[i]
+            if b < n:
+                a = tab.T[i][s]
+                if a:
+                    ray[lp.variables[b]] = Fraction(-sigma * a, tab.den[i])
+        return SolveResult("unbounded", iterations=tab.iterations, ray=ray)
+
+    # extract primal values (unshifted) and row multipliers
+    values: dict[str, Fraction] = {}
+    row_of = {tab.basis[i]: i for i in range(m)}
+    for name, j in tab.col_of.items():
+        st = tab.status[j]
+        if st == BASIC:
+            shifted = tab.beta[row_of[j]]
+        elif st == AT_UP:
+            shifted = tab.u[j]
+        else:
+            shifted = 0
+        values[name] = shifted + tab.lo[j]
+    # a row's multiplier is minus its slack's reduced cost: 0 while the
+    # slack is basic, read off its slot otherwise
+    slot_of = {j: s for s, j in enumerate(tab.nonbasic)}
+    duals: dict[str, Fraction] = {}
+    for i, row in enumerate(lp.rows):
+        s = slot_of.get(n + i)
+        if s is not None and tab.d[s]:
+            duals[row.label] = Fraction(-tab.sgn * tab.row_sign[i] * tab.d[s], tab.dden)
+    assignment = Assignment.from_rationals(values)
+    return SolveResult(
+        "optimal",
+        objective=objective_value(lp, assignment),
+        assignment=assignment,
+        duals=duals,
+        iterations=tab.iterations,
+    )
 
 
 # -- fault injection ----------------------------------------------------------

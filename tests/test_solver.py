@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from _support import (
     negate_one_multiplier,
     rationals,
     reference_certify,
+    reference_solve_direct,
     vertex_optimum,
 )
 
@@ -358,6 +360,86 @@ class TestCondensedTableau:
         assert res.iterations == pivots
 
 
+class TestAgainstFractionTableau:
+    """The int-valued tableau against the Fraction-valued one it replaced.
+
+    Both run the same exact comparisons, so they must make the same pivots
+    and return the same point, multipliers and ray.  Rows of both senses
+    with rhs of both signs send draws through phase 1; boxed variables
+    give the ratio test its upper-bound case and bound flips.
+    """
+
+    @given(data=st.data(), n_vars=st.integers(2, 5), n_rows=st.integers(1, 6))
+    @settings(max_examples=250, deadline=None)
+    def test_same_pivots_and_points(self, data, n_vars, n_rows):
+        frac = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+        span = st.builds(Fraction, st.integers(1, 12), st.integers(1, 7))
+        lp = LinearProgram(sense=data.draw(st.sampled_from(["max", "min"])))
+        names = [f"v{i}" for i in range(n_vars)]
+        for name in names:
+            lo = data.draw(st.one_of(st.just(Fraction(0)), frac))
+            hi = data.draw(st.one_of(st.none(), span.map(lambda w, lo=lo: lo + w)))
+            lp.add_variable(name, lo, hi)
+        lp.set_objective({name: data.draw(frac) for name in names})
+        for r in range(n_rows):
+            coeffs = {name: data.draw(frac) for name in names}
+            lp.add_row(f"r{r}", coeffs, data.draw(st.sampled_from(["<=", ">="])), data.draw(frac))
+        event(self.assert_same(lp))
+
+    def test_entering_from_upper_bound(self):
+        # x1 flips to its upper bound, then enters the basis decreasing
+        # from it: the leaving row takes the value u - t, a step that
+        # random draws take in only a few percent of programs
+        lp = LinearProgram(sense="max")
+        lp.add_variable("x0", 0, 2)
+        lp.add_variable("x1", 0, 2)
+        lp.set_objective({"x0": -1, "x1": -4})
+        lp.add_row("r0", {"x1": 2}, ">=", 4)
+        assert self.assert_same(lp) == "optimal"
+
+    @staticmethod
+    def assert_same(lp: LinearProgram) -> str:
+        want = reference_solve_direct(lp, 1000)
+        got = solver._solve_direct(lp, 1000)
+        assert got.status == want.status
+        assert got.iterations == want.iterations
+        assert got.objective == want.objective
+        if want.assignment is not None:
+            assert got.assignment.values == want.assignment.values
+        assert got.duals == want.duals
+        assert got.ray == want.ray
+        return want.status
+
+
+class TestSolveDigest:
+    # sha256 over (status, objective, iterations, sorted assignment, sorted
+    # duals) of the paper's two conjecture sweeps (reduced-b1 n <= 7, the
+    # block program n <= 7, k <= 3) and the (8,3) block dual, captured on
+    # the tableau with Fraction basic values: any change to a pivot or to
+    # a returned point moves it
+    DIGEST = "1098fc466a51cf048751887640de8b5e0aa082f98afd8f1fb85e727f8178e30a"
+
+    def test_sweeps_and_block_dual(self):
+        programs = [build_reduced_weak_primal_b_n1(n) for n in range(1, 8)]
+        programs += [
+            build_relaxed_binomial(n, k) for n in range(1, 8) for k in range(min(n, 3) + 1)
+        ]
+        programs.append(build_relaxed_binomial_dual(8, 3))
+        h = hashlib.sha256()
+        for lp in programs:
+            res = solve(lp)
+            key = (
+                res.status,
+                str(res.objective),
+                res.iterations,
+                sorted((k, str(v)) for k, v in res.assignment.values.items()),
+                sorted((k, str(v)) for k, v in res.duals.items()),
+            )
+            h.update(repr(key).encode())
+        assert len(programs) == 33
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestPivotBudget:
     """solver_max_pivots caps the pivots of the whole solve, both phases."""
 
@@ -369,8 +451,8 @@ class TestPivotBudget:
         assert res.iterations <= cap
 
     @pytest.mark.parametrize("cap", [1, 5, 50])
-    def test_row_generation_path(self, cap):
-        # a strong program with far more rows than variables (40 x 1 041);
+    def test_many_more_rows_than_variables(self, cap):
+        # a strong program with far more rows than variables (40 x 313);
         # its solve makes 62 pivots, so every cap stops it
         lp = build_strong_primal(
             compute_closure(Language(["1", "00", "000", "110", "111"]))
