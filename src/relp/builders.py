@@ -5,10 +5,10 @@ Three program shapes:
 * the string program: one variable per string, bounded by the string's
   length, and one row per (product, left, right) triple of string sets.
   One builder serves the weak primal over a closure (a row per
-  concatenation-compatible pair), the relaxed program over the
-  weight-block index (n, k) (a row per block quadruple), and the weak
-  dual over a certificate's support, which is how expression
-  certificates are checked;
+  concatenation-compatible pair) and the weak dual over a certificate's
+  support, which is how expression certificates are checked; the
+  relaxed program over the weight-block index (n, k) (a row per block
+  quadruple) writes the same rows from block positions;
 * strong primal over a closure: one variable per closure member, rows for
   both concatenation- and union-compatible pairs;
 * a reduced formulation of the weak primal for single-1 blocks, which
@@ -18,15 +18,21 @@ Three program shapes:
 Every dual is produced by ``transpose_lp`` — a mechanical transpose of the
 built primal — so primal and dual can only disagree if the transpose
 itself is wrong, which the tests pin down separately.
+
+Variables are declared in one step per program and rows appended by
+position (``LinearProgram._add_index_row``); names are made once per
+variable and never looked up per nonzero.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
+from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .closure import BinomialIndex, Closure, _concat_set, product_block
+from .closure import BinomialIndex, Closure, _concat_set
 from .lang import Language, binomial, canon_key
 from .lp import (
     GE,
@@ -39,19 +45,19 @@ from .lp import (
 )
 
 
-def _net_row(plus: Iterable[str], minus: Iterable[str]) -> dict[str, int]:
-    """+1 per name in plus, which are distinct, then -1 per name in minus.
+def _net_row(plus: Iterable[int], minus: Iterable[int]) -> dict[int, int]:
+    """+1 per column in plus, which are distinct, then -1 per column in minus.
 
-    A name whose coefficient nets to 0 leaves the row, and enters again
+    A column whose coefficient nets to 0 leaves the row, and enters again
     at the end if it comes back; write_lp's term order follows this.
     """
     acc = dict.fromkeys(plus, 1)
-    for name in minus:
-        c = acc.get(name, 0) - 1
+    for j in minus:
+        c = acc.get(j, 0) - 1
         if c:
-            acc[name] = c
+            acc[j] = c
         else:
-            del acc[name]
+            del acc[j]
     return acc
 
 
@@ -59,6 +65,20 @@ def _net_row(plus: Iterable[str], minus: Iterable[str]) -> dict[str, int]:
 
 
 StringRow = tuple[str, Iterable[str], Iterable[str], Iterable[str]]
+
+
+def _string_variables(
+    strings: Iterable[str], objective: Iterable[str]
+) -> tuple[LinearProgram, dict[str, int]]:
+    """A max program over 0 <= x_s <= |s|, one variable per string in
+    order, maximizing the mass on the objective strings; and the column
+    of each string."""
+    lp = LinearProgram(sense="max")
+    strings = list(strings)
+    lp._add_variables([*map(var_x, strings)], [(0, len(s)) for s in strings])
+    col = {s: j for j, s in enumerate(strings)}
+    lp.set_objective({lp.variables[col[s]]: 1 for s in objective})
+    return lp, col
 
 
 def _string_program(
@@ -71,14 +91,11 @@ def _string_program(
     0 <= x_s <= |s|.  Coefficients accumulate, so a string appearing on
     both sides nets out.
     """
-    lp = LinearProgram(sense="max")
-    name = {s: lp.add_variable(var_x(s), 0, len(s)) for s in strings}
-    lp.set_objective({name[s]: 1 for s in objective})
+    lp, col = _string_variables(strings, objective)
+    at = col.__getitem__
     for label, product, left, right in rows:
-        acc = _net_row(
-            map(name.__getitem__, product), map(name.__getitem__, chain(left, right))
-        )
-        lp.add_row(label, acc, LE, 0)
+        acc = _net_row(map(at, product), map(at, chain(left, right)))
+        lp._add_index_row(label, [*acc], [*acc.values()], LE, 0)
     return lp
 
 
@@ -112,21 +129,21 @@ def build_strong_primal(closure: Closure) -> LinearProgram:
     # each member serialized once, named as var_big_x names it; a pair's
     # product and union are found by their string sets, rows named as
     # row_concat and row_union name them
-    text: dict[frozenset[str], str] = {}
-    name: dict[frozenset[str], str] = {}
-    for k in closure.members:
-        text[k._set] = k.serialize()
-        hi = len(k.only) if k.is_singleton else None
-        name[k._set] = lp.add_variable(f"X[{text[k._set]}]", 0, hi)
-    lp.set_objective({name[closure.base._set]: 1})
+    text = {k._set: k.serialize() for k in closure.members}
+    col = {a: j for j, a in enumerate(text)}
+    lp._add_variables(
+        [f"X[{t}]" for t in text.values()],
+        [(0, len(k.only) if k.is_singleton else None) for k in closure.members],
+    )
+    lp.set_objective({lp.variables[col[closure.base._set]]: 1})
     for k1, k2 in closure.concat_pairs():
         a, b = k1._set, k2._set
-        acc = _net_row((name[_concat_set(k1, k2)],), (name[a], name[b]))
-        lp.add_row(f"c[{text[a]},{text[b]}]", acc, LE, 0)
+        acc = _net_row((col[_concat_set(k1, k2)],), (col[a], col[b]))
+        lp._add_index_row(f"c[{text[a]},{text[b]}]", [*acc], [*acc.values()], LE, 0)
     for k1, k2 in closure.union_pairs():
         a, b = k1._set, k2._set
-        acc = _net_row((name[a | b],), (name[a], name[b]))
-        lp.add_row(f"u[{text[a]},{text[b]}]", acc, LE, 0)
+        acc = _net_row((col[a | b],), (col[a], col[b]))
+        lp._add_index_row(f"u[{text[a]},{text[b]}]", [*acc], [*acc.values()], LE, 0)
     return lp
 
 
@@ -140,18 +157,38 @@ def build_relaxed_binomial(n: int, k: int) -> LinearProgram:
     ``BinomialIndex(n, k)``, which is C0(B(n, k)); for each quadruple
     (n1, k1, n2, k2) the row compares the product block's mass against
     its two factor blocks.  Objective: total mass on the top block B(n, k).
+
+    The rows are those of the string program over the same triples, with
+    terms in the same order: the product block, then the left and the
+    right factor.  The product is longer than either factor, so only the
+    factors can share a column, when they are one block, and then each of
+    its strings has coefficient -2.  The product's columns are read off
+    as runs of its block's columns rather than spelled out as strings.
     """
     index = BinomialIndex(n, k)
-    rows = (
-        (
+    lp, col = _string_variables(index.strings(), binomial(n, k).members)
+    block = {b: [*map(col.__getitem__, binomial(*b).members)] for b in index.blocks()}
+    for n1, k1, n2, k2 in index.quadruples():
+        # the members of B(n1+n2, k1+k2) that start with a given u of
+        # B(n1, k1) are one run of it, ending in every v of B(n2, k2) in order
+        whole, top = binomial(n1 + n2, k1 + k2).members, block[n1 + n2, k1 + k2]
+        width = comb(n2, k2)
+        product: list[int] = []
+        for u in binomial(n1, k1).members:
+            at = bisect_left(whole, u)
+            product += top[at : at + width]
+        if (n1, k1) == (n2, k2):
+            minus, c = block[n1, k1], -2
+        else:
+            minus, c = block[n1, k1] + block[n2, k2], -1
+        lp._add_index_row(
             row_quad(n1, k1, n2, k2),
-            product_block(n1, k1, n2, k2),
-            binomial(n1, k1).members,
-            binomial(n2, k2).members,
+            product + minus,
+            [1] * len(product) + [c] * len(minus),
+            LE,
+            0,
         )
-        for n1, k1, n2, k2 in index.quadruples()
-    )
-    return _string_program(index.strings(), binomial(n, k).members, rows)
+    return lp
 
 
 # -- reduced weak program for single-1 blocks -------------------------------------
@@ -246,32 +283,44 @@ def transpose_lp(
     callbacks choose the dual names: row_var maps a row label to its
     multiplier's name, bound_var maps a bounded variable to its bound
     multiplier's name, dual_row labels the row transposed from a variable.
+
+    The dual's variables are the y_i in row order, then the v_j in
+    variable order.  One pass over the primal's rows gathers each
+    column's dual positions and values (row-major to column-major), so
+    dual row j holds column j's terms in row order, v_j last.
     """
     if lp.sense != "max":
         raise ValueError("transpose_lp expects a max program")
-    dual = LinearProgram(sense="min")
+    names: list[str] = []
     objective: dict[str, Fraction | int] = {}
-    columns: dict[str, dict[str, Fraction | int]] = {name: {} for name in lp.variables}
-    for row in lp.rows:
+    col_pos: list[list[int]] = [[] for _ in lp.variables]
+    col_val: list[list[Fraction | int]] = [[] for _ in lp.variables]
+    for i, row in enumerate(lp.rows):
         if row.rel != LE:
             raise ValueError(f"transpose_lp expects <= rows, got {row.rel} in {row.label}")
-        y = dual.add_variable(row_var(row.label), 0, None)
+        y = row_var(row.label)
+        names.append(y)
         if row.rhs:
             objective[y] = row.rhs
-        for name, c in row.coeffs.items():
-            columns[name][y] = c
-    for name in lp.variables:
+        for j, c in zip(row.cols, row.vals):
+            col_pos[j].append(i)
+            col_val[j].append(c)
+    for j, name in enumerate(lp.variables):
         lo, hi = lp.bounds[name]
         if lo != 0:
             raise ValueError(f"transpose_lp expects lower bounds 0, got {lo} on {name}")
         if hi is not None:
-            v = dual.add_variable(bound_var(name), 0, None)
-            columns[name][v] = 1
+            v = bound_var(name)
+            col_pos[j].append(len(names))
+            col_val[j].append(1)
+            names.append(v)
             if hi:
                 objective[v] = hi
+    dual = LinearProgram(sense="min")
+    dual._add_variables(names, repeat((0, None)))
     dual.set_objective(objective)
-    for name in lp.variables:
-        dual.add_row(dual_row(name), columns[name], GE, lp.objective.get(name, 0))
+    for name, pos, val in zip(lp.variables, col_pos, col_val):
+        dual._add_index_row(dual_row(name), pos, val, GE, lp.objective.get(name, 0))
     return dual
 
 

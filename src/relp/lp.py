@@ -2,19 +2,24 @@
 
 Programs are kept deliberately dumb: a sense, an ordered variable list
 with box bounds, a sparse objective, and a list of labeled sparse rows
-(<= or >=).  Builders emit rows one-to-one with the defining index sets;
-nothing is simplified on the way in, and no reduction is offered.
-``add_row`` checks a row's names against the declared variables in one
-set comparison, and stores a copy of its coefficients, normalized only
-when one of them is zero or not an ``int``.
+(<= or >=).  A row stores its nonzeros as two parallel lists, ``cols``
+(positions in the variable list) and ``vals``; ``Row.coeffs`` reads
+them by name, in stored order, for the text form and for callers that
+think in names.  Builders emit rows one-to-one with the defining index
+sets; nothing is simplified on the way in, and no reduction is offered.
+``add_row`` is the entry point for rows given by name: it checks the
+names against the declared variables in one set comparison.  The
+builders and the transpose append rows by position, and every row,
+however given, is refused if a position is out of range or repeated.
+Assignments, multipliers and the objective stay keyed by name.
 
 Every coefficient, bound and rhs is stored in one normal form: a plain
 ``int`` when the value is integral, a ``Fraction`` only when it is not.
 The builders' programs are all-integer, so their arithmetic never
 touches ``Fraction``.  The exact feasibility check scales an assignment
 once by the lcm D of its value denominators and then sums every row in
-ints, comparing against rhs*D; a violation is reported as the
-``Fraction`` amount/D.
+ints, over a list of values by position, comparing against rhs*D; a
+violation is reported as the ``Fraction`` amount/D.
 
 Text formats (both line-oriented, whitespace-separated, rationals as
 ``p/q``):
@@ -42,10 +47,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from collections.abc import ItemsView, Iterable, Mapping, ValuesView
+from itertools import count
 from math import lcm
 from operator import mul
-from typing import Mapping
 
 from .lang import Language
 
@@ -113,12 +118,83 @@ def _normal(value: Fraction | int) -> Fraction | int:
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass
 class Row:
-    label: str
-    coeffs: dict[str, Fraction | int]
-    rel: str
-    rhs: Fraction | int
+    """One sparse row: ``cols`` are positions in the program's variable
+    list, ``vals`` their nonzero coefficients in the same order.  Rows
+    are made by ``LinearProgram`` and not changed afterwards.
+
+    ``coeffs`` reads the row by variable name.  Two rows are equal when
+    their labels, relations, rhs and coefficients by name agree.
+    """
+
+    __slots__ = ("label", "cols", "vals", "rel", "rhs", "_names", "_position")
+
+    def __init__(self, label, cols, vals, rel, rhs, names, position):
+        self.label = label
+        self.cols: list[int] = cols
+        self.vals: list[Fraction | int] = vals
+        self.rel = rel
+        self.rhs = rhs
+        self._names: list[str] = names
+        self._position: dict[str, int] = position
+
+    @property
+    def coeffs(self) -> "RowCoeffs":
+        return RowCoeffs(self)
+
+    def __eq__(self, other):
+        if not isinstance(other, Row):
+            return NotImplemented
+        return (self.label, self.rel, self.rhs) == (
+            other.label,
+            other.rel,
+            other.rhs,
+        ) and self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"Row({self.label!r}, {self.coeffs!r}, {self.rel!r}, {self.rhs!r})"
+
+
+class RowCoeffs(Mapping):
+    """A row's coefficients by variable name, read-only, in stored order."""
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row: Row):
+        self._row = row
+
+    def __len__(self) -> int:
+        return len(self._row.cols)
+
+    def __iter__(self):
+        return map(self._row._names.__getitem__, self._row.cols)
+
+    def __getitem__(self, name: str) -> Fraction | int:
+        row = self._row
+        try:
+            return row.vals[row.cols.index(row._position[name])]
+        except ValueError:
+            raise KeyError(name) from None
+
+    def items(self) -> "_RowItems":
+        return _RowItems(self)
+
+    def values(self) -> "_RowValues":
+        return _RowValues(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _RowItems(ItemsView):
+    def __iter__(self):
+        row = self._mapping._row
+        return zip(map(row._names.__getitem__, row.cols), row.vals)
+
+
+class _RowValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._row.vals)
 
 
 @dataclass
@@ -130,23 +206,48 @@ class LinearProgram:
     )
     objective: dict[str, Fraction | int] = field(default_factory=dict)
     rows: list[Row] = field(default_factory=list)
+    # variable name -> its position in ``variables``, and the set of
+    # positions, against which an index row's columns are checked
+    position: dict[str, int] = field(init=False, repr=False, compare=False)
+    _columns: set[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sense not in ("max", "min"):
             raise ValueError(f"sense must be max or min, got {self.sense!r}")
+        self.position = {name: j for j, name in enumerate(self.variables)}
+        self._columns = set(range(len(self.variables)))
 
     def add_variable(
         self, name: str, lo: Fraction | int = 0, hi: Fraction | int | None = None
     ) -> str:
-        if name in self.bounds:
-            raise ValueError(f"variable {name} declared twice")
         lo = _normal(lo)
         hi = _normal(hi) if hi is not None else None
         if hi is not None and hi < lo:
             raise ValueError(f"empty bound interval for {name}: [{lo}, {hi}]")
-        self.variables.append(name)
-        self.bounds[name] = (lo, hi)
+        self._add_variables([name], [(lo, hi)])
         return name
+
+    def _add_variables(
+        self,
+        names: list[str],
+        bounds: Iterable[tuple[Fraction | int, Fraction | int | None]],
+    ) -> None:
+        """Declare the names in order, each with its (lo, hi) from bounds.
+
+        A name declared twice is refused.  The bounds must be in normal
+        form with lo <= hi (or hi None), as ``add_variable``, the builders
+        and the transpose give them.
+        """
+        position = self.position
+        if len(dict.fromkeys(names)) != len(names) or not position.keys().isdisjoint(names):
+            seen: set[str] = set()
+            name = next(n for n in names if n in position or n in seen or seen.add(n))
+            raise ValueError(f"variable {name} declared twice")
+        start = len(self.variables)
+        position.update(zip(names, count(start)))
+        self._columns.update(range(start, start + len(names)))
+        self.variables.extend(names)
+        self.bounds.update(zip(names, bounds))
 
     def add_row(
         self,
@@ -155,16 +256,46 @@ class LinearProgram:
         rel: str,
         rhs: Fraction | int,
     ) -> None:
+        """Append a row given by variable name; every name must be declared.
+
+        Coefficients are stored in normal form, zeros dropped.
+        """
         if rel not in (LE, GE):
             raise ValueError(f"relation must be {LE} or {GE}, got {rel!r}")
-        if not coeffs.keys() <= self.bounds.keys():
-            name = next(n for n in coeffs if n not in self.bounds)
+        position = self.position
+        if not coeffs.keys() <= position.keys():
+            name = next(n for n in coeffs if n not in position)
             raise ValueError(f"row {label} references undeclared variable {name}")
-        clean = dict(coeffs)
-        values = clean.values()
+        values = coeffs.values()
         if 0 in values or not {*map(type, values)} <= {int}:
-            clean = {n: c for n, c in zip(clean, map(_normal, values)) if c}
-        self.rows.append(Row(label, clean, rel, _normal(rhs)))
+            coeffs = {n: c for n, c in zip(coeffs, map(_normal, values)) if c}
+        self._add_index_row(
+            label, [*map(position.__getitem__, coeffs)], [*coeffs.values()], rel, rhs
+        )
+
+    def _add_index_row(
+        self,
+        label: str,
+        cols: list[int],
+        vals: list[Fraction | int],
+        rel: str,
+        rhs: Fraction | int,
+    ) -> None:
+        """Append a row given by variable position; the row keeps both lists.
+
+        A position out of range or repeated is refused.  The values must
+        be nonzero and in normal form already, as ``add_row``, the
+        builders and the transpose give them.
+        """
+        if rel not in (LE, GE):
+            raise ValueError(f"relation must be {LE} or {GE}, got {rel!r}")
+        if len(cols) != len(vals):
+            raise ValueError(f"row {label} has {len(cols)} columns, {len(vals)} values")
+        # one pass: the distinct in-range columns, as many as there are columns
+        if len(self._columns.intersection(cols)) != len(cols):
+            raise ValueError(f"row {label} has a column out of range or repeated: {cols}")
+        row = Row(label, cols, vals, rel, _normal(rhs), self.variables, self.position)
+        self.rows.append(row)
 
     def set_objective(self, coeffs: Mapping[str, Fraction | int]) -> None:
         for name in coeffs:
@@ -254,26 +385,37 @@ def check_feasible(
     if tolerance is None:
         tolerance = 0.0 if assignment.exact else 1e-9
     exact = assignment.exact
+    values = assignment.values
     if exact:
-        values = assignment.values
         scale = lcm(*(v.denominator for v in values.values()))
-        scaled = {n: v.numerator * (scale // v.denominator) for n, v in values.items()}
         zero = 0
         tol = _normal(Fraction(tolerance) * scale)
-        objective = Fraction(_scaled_sum(lp.objective, scaled, zero), scale)
     else:
         # scale 1.0 reads every bound and rhs as a float
-        scaled, scale, zero, tol = assignment.values, 1.0, 0.0, tolerance
+        scale, zero, tol = 1.0, 0.0, tolerance
+    # the (scaled) values by variable position; absent names count as zero
+    position = lp.position
+    xs = [zero] * len(lp.variables)
+    unknown = []
+    for name, v in values.items():
+        j = position.get(name)
+        if j is None:
+            unknown.append(name)
+        else:
+            xs[j] = v.numerator * (scale // v.denominator) if exact else v
+    if exact:
+        objective = Fraction(
+            _dot(map(position.__getitem__, lp.objective), lp.objective.values(), xs), scale
+        )
+    else:
         objective = objective_value(lp, assignment)
-    get = scaled.get
     violations: list[Violation] = []
 
     def amount(excess):
         return Fraction(excess, scale) if exact else excess
 
-    for name in lp.variables:
+    for name, v in zip(lp.variables, xs):
         lo, hi = lp.bounds[name]
-        v = get(name, zero)
         lo_s = lo * scale
         if v < lo_s - tol:
             violations.append(Violation("lower", name, amount(lo_s - v)))
@@ -283,24 +425,23 @@ def check_feasible(
                 violations.append(Violation("upper", name, amount(v - hi_s)))
 
     for row in lp.rows:
-        lhs = _scaled_sum(row.coeffs, scaled, zero)
+        lhs = _dot(row.cols, row.vals, xs)
         rhs = row.rhs * scale
         slack = rhs - lhs if row.rel == LE else lhs - rhs
         if slack < -tol:
             violations.append(Violation("row", row.label, amount(-slack)))
 
-    unknown = tuple(sorted(set(assignment.values) - set(lp.bounds)))
     return FeasibilityReport(
         feasible=not violations,
         violations=violations,
         objective=objective,
-        unknown_names=unknown,
+        unknown_names=tuple(sorted(unknown)),
     )
 
 
-def _scaled_sum(coeffs: Mapping[str, Fraction | int], values: Mapping, zero):
-    """sum of c * values[name] over coeffs, absent names counting as zero."""
-    return sum(map(mul, coeffs.values(), map(values.get, coeffs, repeat(zero))))
+def _dot(cols: Iterable[int], vals: Iterable, xs: list):
+    """sum of c * xs[j] over the paired cols and vals, in order."""
+    return sum(map(mul, vals, map(xs.__getitem__, cols)))
 
 
 # -- rational / float token helpers -------------------------------------------

@@ -91,31 +91,38 @@ def _best_for(
     # (shape 1) beats union (shape 2) at equal length, then the
     # lexicographically smaller left operand wins, so witnesses never
     # depend on enumeration order.  A single string is its own spelling
-    # (shape 0); splits of it are still searched but can only tie.
-    best: tuple[int, int, str, str] | None = None
+    # (shape 0); splits of it are still searched but can only tie.  The
+    # operands are serialized only to break a (length, shape) tie.
+    best: tuple[int, int] | None = None
     choice: _Choice = None
     if lang.is_singleton:
-        best = (len(lang.only), 0, "", "")
+        best = (len(lang.only), 0)
 
     for k1, k2 in factorizations(lang, pool_cap):
         total = (
             _best_for(k1, memo, pool_cap).length + _best_for(k2, memo, pool_cap).length
         )
-        cand = (total, 1, k1.serialize(), k2.serialize())
-        if best is None or cand < best:
-            best, choice = cand, ("cat", k1, k2)
+        if _beats((total, 1), k1, k2, best, choice):
+            best, choice = (total, 1), ("cat", k1, k2)
 
     for k1, k2 in _covers(lang):
         total = (
             _best_for(k1, memo, pool_cap).length + _best_for(k2, memo, pool_cap).length
         )
-        cand = (total, 2, k1.serialize(), k2.serialize())
-        if best is None or cand < best:
-            best, choice = cand, ("alt", k1, k2)
+        if _beats((total, 2), k1, k2, best, choice):
+            best, choice = (total, 2), ("alt", k1, k2)
 
     entry = _Entry(best[0], choice)
     memo[lang.members] = entry
     return entry
+
+
+def _beats(key, k1: Language, k2: Language, best, choice: _Choice) -> bool:
+    """Whether (key, K1, K2) comes before the best so far; a (length,
+    shape) tie has shape >= 1, so choice holds the tied operands."""
+    if key != best:
+        return best is None or key < best
+    return (k1.serialize(), k2.serialize()) < (choice[1].serialize(), choice[2].serialize())
 
 
 def _rebuild(lang: Language, memo: dict[tuple[str, ...], _Entry]) -> Regex:

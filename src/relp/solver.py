@@ -63,7 +63,7 @@ from math import gcd, lcm
 from typing import Mapping
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .lp import LE, Assignment, LinearProgram, check_feasible, objective_value
+from .lp import LE, ZERO, Assignment, LinearProgram, check_feasible, objective_value
 
 AT_LO, AT_UP, BASIC = 0, 1, 2
 
@@ -131,15 +131,17 @@ def certify_optimal(
             return False, f"multiplier for row {row.label} has the wrong sign"
         active.append((row, sgn * y))
     scale = lcm(*(y.denominator for _, y in active))
-    reduced = {name: sgn * coef * scale for name, coef in lp.objective.items()}
+    # the reduced costs, times D, by variable position
+    reduced = [0] * len(lp.variables)
+    for name, coef in lp.objective.items():
+        reduced[lp.position[name]] = sgn * coef * scale
     dual_obj = 0
     for row, y in active:
         w = y.numerator * (scale // y.denominator)
         dual_obj += w * row.rhs
-        for name, coef in row.coeffs.items():
-            reduced[name] = reduced.get(name, 0) - w * coef
-    for name in lp.variables:
-        rj = reduced.get(name, 0)
+        for j, coef in zip(row.cols, row.vals):
+            reduced[j] -= w * coef
+    for name, rj in zip(lp.variables, reduced):
         lo, hi = lp.bounds[name]
         if rj > 0:
             if hi is None:
@@ -213,7 +215,6 @@ class _Tableau:
         n = len(lp.variables)
         m = len(lp.rows)
         self.n, self.m = n, m
-        self.col_of = {name: j for j, name in enumerate(lp.variables)}
         self.lo: list[Fraction] = []
         self.u: list = []  # shifted upper bounds; None = unbounded
         for name in lp.variables:
@@ -225,7 +226,7 @@ class _Tableau:
         # c in internal (max) sign, over structural columns only
         self.c: list = [0] * n
         for name, coef in lp.objective.items():
-            self.c[self.col_of[name]] = coef * self.sgn
+            self.c[lp.position[name]] = coef * self.sgn
 
         self.row_sign = []
         self.T: list[list[int]] = []
@@ -237,11 +238,10 @@ class _Tableau:
             self.row_sign.append(srel)
             # scaled by the lcm of its denominators, the row is all ints;
             # the slack's coefficient, scale / scale, is implicit
-            scale = lcm(*(coef.denominator for coef in row.coeffs.values()))
+            scale = lcm(*(coef.denominator for coef in row.vals))
             arr = [0] * n
             rhs = row.rhs * srel
-            for name, coef in row.coeffs.items():
-                j = self.col_of[name]
+            for j, coef in zip(row.cols, row.vals):
                 arr[j] = srel * coef.numerator * (scale // coef.denominator)
                 if self.lo[j]:
                     rhs -= srel * coef * self.lo[j]
@@ -286,8 +286,8 @@ class _Tableau:
 
     def set_costs(self, c_full: list) -> None:
         """Recompute the reduced-cost row for new costs."""
-        costs = [Fraction(v) for v in c_full]
-        costs += [Fraction(0)] * (len(self.status) - len(costs))
+        # ints and Fractions alike carry numerator and denominator
+        costs = c_full + [0] * (len(self.status) - len(c_full))
         cn = [costs[j] for j in self.nonbasic]
         dden = lcm(*(v.denominator for v in cn))
         d = [v.numerator * (dden // v.denominator) for v in cn]
@@ -497,15 +497,19 @@ def _solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
     # extract primal values (unshifted) and row multipliers
     values: dict[str, Fraction] = {}
     row_of = {tab.basis[i]: i for i in range(m)}
-    for name, j in tab.col_of.items():
+    for j, name in enumerate(lp.variables):
         st = tab.status[j]
         if st == BASIC:
-            shifted = Fraction(tab.bnum[row_of[j]], tab.bden[row_of[j]])
-        elif st == AT_UP:
-            shifted = tab.u[j]
+            i = row_of[j]
+            v = Fraction(tab.bnum[i], tab.bden[i])
+            if tab.lo[j]:
+                v += tab.lo[j]
         else:
-            shifted = 0
-        values[name] = shifted + tab.lo[j]
+            # at a bound: lo, or lo + u, which is the upper bound
+            v = tab.lo[j] + tab.u[j] if st == AT_UP else tab.lo[j]
+            if type(v) is not Fraction:
+                v = Fraction(v) if v else ZERO
+        values[name] = v
     # a row's multiplier is minus its slack's reduced cost: 0 while the
     # slack is basic, read off its slot otherwise
     slot_of = {j: s for s, j in enumerate(tab.nonbasic)}
@@ -514,7 +518,7 @@ def _solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
         s = slot_of.get(n + i)
         if s is not None and tab.d[s]:
             duals[row.label] = Fraction(-tab.sgn * tab.row_sign[i] * tab.d[s], tab.dden)
-    assignment = Assignment.from_rationals(values)
+    assignment = Assignment(values)
     return SolveResult(
         "optimal",
         objective=objective_value(lp, assignment),

@@ -12,6 +12,8 @@ tests can check that ``solve`` refuses them.  ``reference_check``
 recomputes ``check_feasible``'s exact verdict in plain ``Fraction``
 arithmetic, one row at a time, without the common denominator, and
 ``reference_certify`` does the same for ``certify_optimal``.
+``named_check_feasible`` and ``named_certify_optimal`` are the check and
+the gate as they were when rows were dicts keyed by variable name.
 ``reference_strong_primal`` is the strong program as it was built over
 ``reference_union_pairs``, every ordered member pair whose union is a
 member, comparable and repeated pairs included.  ``ReferenceTableau``
@@ -22,8 +24,9 @@ basic values were ``Fraction``s, for differential tests of the solver.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import gcd, lcm
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -31,7 +34,15 @@ from relp import Concat, Language, LinearProgram, Symbol, Union, solver
 from relp.builders import _net_row
 from relp.closure import Closure, _concat_set, _factor_pairs
 from relp.config import DEFAULT_CONFIG, ResourceCapError
-from relp.lp import LE, Assignment, check_feasible, objective_value
+from relp.lp import (
+    LE,
+    Assignment,
+    FeasibilityReport,
+    Violation,
+    _normal,
+    check_feasible,
+    objective_value,
+)
 from relp.solver import (
     _STALL_PIVOTS,
     AT_LO,
@@ -319,6 +330,117 @@ def reference_certify(lp, assignment, duals) -> tuple[bool, str]:
     primal_obj = sgn * objective_value(lp, assignment)
     if dual_obj != primal_obj:
         return False, f"duality gap {dual_obj - primal_obj}"
+    return True, "ok"
+
+
+# -- the name-keyed feasibility check and gate ------------------------------
+
+# ``check_feasible`` and ``certify_optimal`` as they were when rows were
+# dicts keyed by variable name: verbatim, renamed, reading each row through
+# ``Row.coeffs``; the gate calls the name-keyed check.
+
+
+def named_check_feasible(
+    lp: LinearProgram, assignment: Assignment, tolerance: float | None = None
+) -> FeasibilityReport:
+    if tolerance is None:
+        tolerance = 0.0 if assignment.exact else 1e-9
+    exact = assignment.exact
+    if exact:
+        values = assignment.values
+        scale = lcm(*(v.denominator for v in values.values()))
+        scaled = {n: v.numerator * (scale // v.denominator) for n, v in values.items()}
+        zero = 0
+        tol = _normal(Fraction(tolerance) * scale)
+        objective = Fraction(_scaled_sum(lp.objective, scaled, zero), scale)
+    else:
+        # scale 1.0 reads every bound and rhs as a float
+        scaled, scale, zero, tol = assignment.values, 1.0, 0.0, tolerance
+        objective = objective_value(lp, assignment)
+    get = scaled.get
+    violations: list[Violation] = []
+
+    def amount(excess):
+        return Fraction(excess, scale) if exact else excess
+
+    for name in lp.variables:
+        lo, hi = lp.bounds[name]
+        v = get(name, zero)
+        lo_s = lo * scale
+        if v < lo_s - tol:
+            violations.append(Violation("lower", name, amount(lo_s - v)))
+        if hi is not None:
+            hi_s = hi * scale
+            if v > hi_s + tol:
+                violations.append(Violation("upper", name, amount(v - hi_s)))
+
+    for row in lp.rows:
+        lhs = _scaled_sum(row.coeffs, scaled, zero)
+        rhs = row.rhs * scale
+        slack = rhs - lhs if row.rel == LE else lhs - rhs
+        if slack < -tol:
+            violations.append(Violation("row", row.label, amount(-slack)))
+
+    unknown = tuple(sorted(set(assignment.values) - set(lp.bounds)))
+    return FeasibilityReport(
+        feasible=not violations,
+        violations=violations,
+        objective=objective,
+        unknown_names=unknown,
+    )
+
+
+def _scaled_sum(coeffs, values, zero):
+    """sum of c * values[name] over coeffs, absent names counting as zero."""
+    return sum(map(mul, coeffs.values(), map(values.get, coeffs, repeat(zero))))
+
+
+def named_certify_optimal(lp, assignment, duals) -> tuple[bool, str]:
+    if not assignment.exact:
+        return False, "assignment is not exact"
+    rep = named_check_feasible(lp, assignment, tolerance=0)
+    if not rep.feasible:
+        v = rep.violations[0]
+        return False, f"primal infeasible ({v.kind} {v.where} by {v.amount})"
+    known = {row.label for row in lp.rows}
+    for label, y in duals.items():
+        if label not in known and y:
+            return False, f"multiplier for unknown row {label}"
+    sgn = 1 if lp.sense == "max" else -1
+    # (row, sgn * y) per nonzero multiplier y, in row order: the weight
+    # of the row's coefficients and rhs in the reduced costs and dual objective
+    active = []
+    get = duals.get
+    for row in lp.rows:
+        y = get(row.label)
+        if not y:
+            continue
+        if type(y) is not int:
+            y = Fraction(y)
+        srel = 1 if row.rel == LE else -1
+        if sgn * srel * y < 0:
+            return False, f"multiplier for row {row.label} has the wrong sign"
+        active.append((row, sgn * y))
+    scale = lcm(*(y.denominator for _, y in active))
+    reduced = {name: sgn * coef * scale for name, coef in lp.objective.items()}
+    dual_obj = 0
+    for row, y in active:
+        w = y.numerator * (scale // y.denominator)
+        dual_obj += w * row.rhs
+        for name, coef in row.coeffs.items():
+            reduced[name] = reduced.get(name, 0) - w * coef
+    for name in lp.variables:
+        rj = reduced.get(name, 0)
+        lo, hi = lp.bounds[name]
+        if rj > 0:
+            if hi is None:
+                return False, f"positive reduced cost on unbounded variable {name}"
+            dual_obj += rj * hi
+        elif rj < 0:
+            dual_obj += rj * lo
+    gap = Fraction(dual_obj, scale) - sgn * rep.objective
+    if gap:
+        return False, f"duality gap {gap}"
     return True, "ok"
 
 

@@ -394,6 +394,8 @@ PINNED_LP_SHA256 = {
     "relaxed(5,2)": "69582bbf6b6bcf15fd1a8a0cb45a64b287283b207766f2565e642146676d5563",
     "relaxed(8,3)": "6f2fe05fdc2511bd890a4d828004d72b5e4f7e2c0d871ba5c0aa3dc3f30824eb",
     "relaxed-dual(8,3)": "c003a98f584b738b1d3791dddc21d87d3dfe80a053d775232ec81f6fedc5f32d",
+    "relaxed(14,3)": "2941903cc2557a17b4ad03cb39521e50c795835e056b7630de8d70be92ca822f",
+    "relaxed-dual(14,3)": "cc29353e0c146975ce640cc30177ecae1929ccf2d57cf5d6919a9ea07ddb4deb",
     "reduced-b1(6)": "0c45f54cb292ded9a000d0ee5f9f3f76d2a13f9232dcb276b9242a8e3facf903",
     "weak C(T(3,1))": "7ab7795f0d911395b47cc387da39fecb5aa485bc13fdc146f14282557e9c6dae",
     "weak-dual C(T(3,1))": "e2ac114d1b80a82a0e22df5617af453f49c051a6e28b8535ca6a748b2af2935f",
@@ -409,6 +411,8 @@ def pinned_programs() -> dict[str, LinearProgram]:
         "relaxed(5,2)": build_relaxed_binomial(5, 2),
         "relaxed(8,3)": build_relaxed_binomial(8, 3),
         "relaxed-dual(8,3)": build_relaxed_binomial_dual(8, 3),
+        "relaxed(14,3)": build_relaxed_binomial(14, 3),
+        "relaxed-dual(14,3)": build_relaxed_binomial_dual(14, 3),
         "reduced-b1(6)": build_reduced_weak_primal_b_n1(6),
         "weak C(T(3,1))": build_weak_primal(t31),
         "weak-dual C(T(3,1))": build_weak_dual(t31),

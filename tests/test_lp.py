@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -32,7 +34,7 @@ from relp.lp import (
     var_y_pair,
 )
 
-from _support import rationals, reference_check
+from _support import named_check_feasible, rationals, reference_check
 
 
 def toy_lp() -> LinearProgram:
@@ -125,6 +127,78 @@ class TestModel:
         assert first.coeffs == {"a": 3, "b": -1} and first.coeffs is not ints
         assert list(second.coeffs.items()) == [("b", 2), ("d", Fraction(1, 3))]
         assert type(second.coeffs["b"]) is int and type(second.rhs) is int
+
+
+class TestIndexRows:
+    """Rows are stored by variable position and read by name."""
+
+    @staticmethod
+    def program() -> LinearProgram:
+        lp = LinearProgram(sense="max")
+        for name in "abcd":
+            lp.add_variable(name)
+        return lp
+
+    def test_coeffs_view(self):
+        lp = self.program()
+        lp.add_row("r", {"c": 2, "a": Fraction(1, 3), "d": -1}, "<=", 1)
+        row = lp.rows[0]
+        assert (row.cols, row.vals) == ([2, 0, 3], [2, Fraction(1, 3), -1])
+        view = row.coeffs
+        assert isinstance(view, Mapping) and len(view) == 3
+        assert view == {"a": Fraction(1, 3), "c": 2, "d": -1}
+        assert view != {"a": Fraction(1, 3), "c": 2}
+        assert list(view) == ["c", "a", "d"]
+        assert list(view.items()) == [("c", 2), ("a", Fraction(1, 3)), ("d", -1)]
+        assert list(view.values()) == [2, Fraction(1, 3), -1]
+        assert view["d"] == -1 and view.get("b") is None and "b" not in view
+        with pytest.raises(KeyError):
+            view["b"]
+        with pytest.raises(KeyError):
+            view["ghost"]
+        with pytest.raises(TypeError):
+            view["a"] = 5
+        with pytest.raises(TypeError):
+            del view["a"]
+        assert row.coeffs["a"] == Fraction(1, 3)
+
+    def test_name_row_equals_index_row(self):
+        lp = self.program()
+        lp.add_row("r", {"d": 1, "b": -2}, ">=", Fraction(4, 2))
+        lp._add_index_row("r", [3, 1], [1, -2], ">=", 2)
+        by_name, by_index = lp.rows
+        assert by_name == by_index
+        assert (by_name.cols, by_name.vals) == (by_index.cols, by_index.vals)
+        lp._add_index_row("r", [1, 3], [-2, 1], ">=", 2)
+        assert lp.rows[2] == by_name  # the same coefficients in another order
+        lp._add_index_row("r", [3, 1], [1, -1], ">=", 2)
+        lp._add_index_row("s", [3, 1], [1, -2], ">=", 2)
+        assert lp.rows[3] != by_name and lp.rows[4] != by_name
+
+    @pytest.mark.parametrize("cols", [[0, 2, 0], [1, 4], [-1, 2], [3, 3]])
+    def test_bad_index_rows_refused(self, cols):
+        lp = self.program()
+        message = f"row r has a column out of range or repeated: {cols}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lp._add_index_row("r", cols, [1] * len(cols), "<=", 0)
+        with pytest.raises(ValueError, match="2 columns, 1 values"):
+            lp._add_index_row("r", [0, 1], [1], "<=", 0)
+        with pytest.raises(ValueError, match="relation"):
+            lp._add_index_row("r", [0], [1], "==", 0)
+        assert lp.rows == []
+
+    def test_variables_declared_in_one_step(self):
+        lp = self.program()
+        lp._add_variables(["e", "f"], [(0, 3), (0, None)])
+        assert lp.variables == ["a", "b", "c", "d", "e", "f"]
+        assert lp.position == {name: j for j, name in enumerate("abcdef")}
+        assert lp.bounds["e"] == (0, 3) and lp.bounds["f"] == (0, None)
+        for names in (["g", "g"], ["g", "a"]):
+            with pytest.raises(ValueError, match=f"variable {names[1]} declared twice"):
+                lp._add_variables(names, [(0, None)] * 2)
+        assert lp.n_vars == 6
+        lp._add_index_row("r", [5, 4], [1, 1], "<=", 0)
+        assert lp.rows[0].coeffs == {"e": 1, "f": 1}
 
 
 class TestNaming:
@@ -248,6 +322,24 @@ class TestExactCheckAgainstReference:
         assert report.objective == objective
         assert [(v.kind, v.where, v.amount) for v in report.violations] == found
         assert all(type(v.amount) is Fraction for v in report.violations)
+
+
+class TestIndexCheckAgainstNamedCopy:
+    """check_feasible over rows by position against the name-keyed check."""
+
+    @given(
+        checked_programs(),
+        st.booleans(),
+        st.sampled_from([None, 0, Fraction(1, 50), 1e-9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_report(self, case, floats, tolerance):
+        lp, point = case
+        if floats:
+            point = Assignment.from_floats({n: float(v) for n, v in point.values.items()})
+        assert check_feasible(lp, point, tolerance) == named_check_feasible(
+            lp, point, tolerance
+        )
 
 
 class TestRationalTokens:

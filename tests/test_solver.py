@@ -28,6 +28,7 @@ from relp import (
 )
 
 from _support import (
+    named_certify_optimal,
     negate_one_multiplier,
     rationals,
     reference_certify,
@@ -220,19 +221,23 @@ class TestAgainstVertexEnumeration:
         n_vars=st.integers(2, 3),
         n_rows=st.integers(2, 4),
         sense=st.sampled_from(["max", "min"]),
-        transposable=st.booleans(),
+        max_le_zero_lower=st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_random_boxed_lps(self, data, n_vars, n_rows, sense, transposable):
+    def test_random_boxed_lps(self, data, n_vars, n_rows, sense, max_le_zero_lower):
         # all variables boxed, so the oracle's vertex enumeration is complete.
         # Fractional data makes the tableau scale rows to ints, and nonzero
-        # lower bounds make it shift them.  Half the
-        # draws are max programs with <= rows and lower bounds 0.
+        # lower bounds make it shift them.  Half the draws
+        # (max_le_zero_lower) are max programs with <= rows and lower bounds 0.
         frac = st.builds(Fraction, st.integers(-8, 8), st.sampled_from([1, 2, 3]))
-        lower = st.just(Fraction(0)) if transposable else st.one_of(st.just(Fraction(0)), frac)
-        rel = st.just("<=") if transposable else st.sampled_from(["<=", ">="])
+        lower = (
+            st.just(Fraction(0))
+            if max_le_zero_lower
+            else st.one_of(st.just(Fraction(0)), frac)
+        )
+        rel = st.just("<=") if max_le_zero_lower else st.sampled_from(["<=", ">="])
         span = st.builds(Fraction, st.integers(1, 10), st.sampled_from([1, 2]))
-        lp = LinearProgram(sense="max" if transposable else sense)
+        lp = LinearProgram(sense="max" if max_le_zero_lower else sense)
         names = [f"v{i}" for i in range(n_vars)]
         for name in names:
             lo = data.draw(lower)
@@ -587,7 +592,8 @@ def certify_cases(draw):
 
 
 class TestCertifyAgainstReference:
-    """The scaled gate against the Fraction gate it replaced."""
+    """The scaled gate against the Fraction gate it replaced, and the gate
+    over rows by position against the same gate over rows by name."""
 
     @given(certify_cases())
     @settings(max_examples=150, deadline=None)
@@ -596,6 +602,7 @@ class TestCertifyAgainstReference:
         verdict = certify_optimal(lp, point, duals)
         event("verdict: " + " ".join(verdict[1].split()[:2]))
         assert verdict == reference_certify(lp, point, duals)
+        assert verdict == named_certify_optimal(lp, point, duals)
 
 
 class TestCertificateGate:
