@@ -15,9 +15,10 @@ Three program shapes:
   collapses the exponentially many subset rows into max-envelope
   variables without moving the optimum.
 
-Every dual is produced by ``transpose_lp`` — a mechanical transpose of the
-built primal — so primal and dual can only disagree if the transpose
-itself is wrong, which the tests pin down separately.
+The weak and strong duals are ``transpose_lp`` of the built primal, a
+mechanical transpose that the tests pin down separately.  The block dual
+gathers the block primal's rows straight into its own, and a test holds
+its text to that transpose of the block primal.
 
 Variables are declared in one step per program and rows appended by
 position (``LinearProgram._add_index_row``); names are made once per
@@ -40,8 +41,11 @@ from .lp import (
     LinearProgram,
     row_concat,
     row_quad,
+    row_string,
     var_d,
+    var_w,
     var_x,
+    var_y_quad,
 )
 
 
@@ -150,6 +154,27 @@ def build_strong_primal(closure: Closure) -> LinearProgram:
 # -- relaxed program over weight blocks ------------------------------------------
 
 
+def _block_rows(index: BinomialIndex, members: dict, col: dict[str, int]) -> Iterator[tuple]:
+    """Each quadruple with its row's product columns, factor columns and
+    factor coefficient, from each fitted block's members and each string's
+    column.  The product is longer than a factor and shares no column with
+    it; a block that is both factors has coefficient -2, else -1."""
+    block = {b: [*map(col.__getitem__, m)] for b, m in members.items()}
+    for n1, k1, n2, k2 in index.quadruples():
+        # the members of B(n1+n2, k1+k2) that start with a given u of
+        # B(n1, k1) are one run of it, ending in every v of B(n2, k2) in order
+        whole, top = members[n1 + n2, k1 + k2], block[n1 + n2, k1 + k2]
+        width = comb(n2, k2)
+        product: list[int] = []
+        for u in members[n1, k1]:
+            at = bisect_left(whole, u)
+            product += top[at : at + width]
+        if (n1, k1) == (n2, k2):
+            yield (n1, k1, n2, k2), product, block[n1, k1], -2
+        else:
+            yield (n1, k1, n2, k2), product, block[n1, k1] + block[n2, k2], -1
+
+
 def build_relaxed_binomial(n: int, k: int) -> LinearProgram:
     """The block-indexed relaxation: rows only for full block products.
 
@@ -158,36 +183,15 @@ def build_relaxed_binomial(n: int, k: int) -> LinearProgram:
     (n1, k1, n2, k2) the row compares the product block's mass against
     its two factor blocks.  Objective: total mass on the top block B(n, k).
 
-    The rows are those of the string program over the same triples, with
-    terms in the same order: the product block, then the left and the
-    right factor.  The product is longer than either factor, so only the
-    factors can share a column, when they are one block, and then each of
-    its strings has coefficient -2.  The product's columns are read off
-    as runs of its block's columns rather than spelled out as strings.
+    The rows are the string program's over the same triples, term for
+    term: the product block, then the left and the right factor.
     """
     index = BinomialIndex(n, k)
-    lp, col = _string_variables(index.strings(), binomial(n, k).members)
-    block = {b: [*map(col.__getitem__, binomial(*b).members)] for b in index.blocks()}
-    for n1, k1, n2, k2 in index.quadruples():
-        # the members of B(n1+n2, k1+k2) that start with a given u of
-        # B(n1, k1) are one run of it, ending in every v of B(n2, k2) in order
-        whole, top = binomial(n1 + n2, k1 + k2).members, block[n1 + n2, k1 + k2]
-        width = comb(n2, k2)
-        product: list[int] = []
-        for u in binomial(n1, k1).members:
-            at = bisect_left(whole, u)
-            product += top[at : at + width]
-        if (n1, k1) == (n2, k2):
-            minus, c = block[n1, k1], -2
-        else:
-            minus, c = block[n1, k1] + block[n2, k2], -1
-        lp._add_index_row(
-            row_quad(n1, k1, n2, k2),
-            product + minus,
-            [1] * len(product) + [c] * len(minus),
-            LE,
-            0,
-        )
+    members = {b: binomial(*b).members for b in index.blocks()}
+    lp, col = _string_variables(index.strings(), members[n, k])
+    for q, product, minus, c in _block_rows(index, members, col):
+        vals = [1] * len(product) + [c] * len(minus)
+        lp._add_index_row(row_quad(*q), product + minus, vals, LE, 0)
     return lp
 
 
@@ -388,5 +392,29 @@ def build_strong_dual(closure: Closure) -> LinearProgram:
 
 
 def build_relaxed_binomial_dual(n: int, k: int) -> LinearProgram:
-    """min sum |s| w_s with one y per block quadruple."""
-    return _weak_transpose(build_relaxed_binomial(n, k))
+    """min sum |s| w_s with one y per block quadruple: the transpose of
+    ``build_relaxed_binomial(n, k)`` under the weak names, without building it."""
+    index = BinomialIndex(n, k)
+    members = {b: binomial(*b).members for b in index.blocks()}
+    strings = index.strings()
+    col = {s: j for j, s in enumerate(strings)}
+    pos: list[list[int]] = [[] for _ in strings]
+    val: list[list[int]] = [[] for _ in strings]
+    names = []
+    for i, (q, product, minus, c) in enumerate(_block_rows(index, members, col)):
+        names.append(var_y_quad(*q))
+        for cols, v in ((product, 1), (minus, c)):
+            for j in cols:
+                pos[j].append(i)
+                val[j].append(v)
+    y = len(names)
+    names += map(var_w, strings)
+    dual = LinearProgram(sense="min")
+    dual._add_variables(names, repeat((0, None)))
+    dual.set_objective({w: len(s) for w, s in zip(names[y:], strings)})
+    top = set(members[n, k])
+    for j, s in enumerate(strings):
+        pos[j].append(y + j)
+        val[j].append(1)
+        dual._add_index_row(row_string(s), pos[j], val[j], GE, int(s in top))
+    return dual

@@ -382,6 +382,21 @@ class TestDualBuilders:
         for s in index.strings():
             assert dual.objective[f"w[{s}]"] == len(s)
 
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 10) for k in range(n + 1)])
+    def test_relaxed_dual_is_the_transpose(self, n, k):
+        # the block dual gathers the block rows itself; its text must be
+        # the mechanical transpose's, under the weak dual's names
+        transposed = transpose_lp(
+            build_relaxed_binomial(n, k),
+            lambda label: "y" + label[1:],
+            lambda name: "w" + name[1:],
+            lambda name: "s" + name[1:],
+        )
+        # compared as lists of lines: on a mismatch pytest names the first
+        # differing line, where a diff of the whole texts runs for minutes
+        gathered = write_lp(build_relaxed_binomial_dual(n, k)).splitlines()
+        assert gathered == write_lp(transposed).splitlines()
+
     def test_relaxed_dual_counts_8_1(self):
         dual = build_relaxed_binomial_dual(8, 1)
         assert (dual.n_vars, dual.n_rows) == (120, 43)
