@@ -3,35 +3,36 @@
 Three program shapes:
 
 * the string program: one variable per string, bounded by the string's
-  length, and one row per (product, left, right) triple of string sets.
-  One builder serves the weak primal over a closure (a row per
-  concatenation-compatible pair) and the weak dual over a certificate's
-  support, which is how expression certificates are checked; the
-  relaxed program over the weight-block index (n, k) (a row per block
-  quadruple) writes the same rows from block positions;
+  length, and one row per (product, left, right) triple of string sets:
+  the weak program over a closure or, for its dual, over a certificate's
+  support (a row per concatenation-compatible pair), and the relaxed
+  program over the weight-block index (n, k) (a row per block quadruple);
 * strong primal over a closure: one variable per closure member, rows for
   both concatenation- and union-compatible pairs;
 * a reduced formulation of the weak primal for single-1 blocks, which
   collapses the exponentially many subset rows into max-envelope
   variables without moving the optimum.
 
-The weak and strong duals are ``transpose_lp`` of the built primal, a
-mechanical transpose that the tests pin down separately.  The block dual
-gathers the block primal's rows straight into its own, and a test holds
-its text to that transpose of the block primal.
+Each family writes its rows once, in a generator of (name, columns,
+values) that takes the naming: a primal appends the rows under row
+names, and its dual gathers the same rows into columns, under multiplier
+names, through one transpose core.  No dual builds its primal.
+``transpose_lp`` is that core over a built program, and the tests hold
+every dual builder's text to it.
 
 Variables are declared in one step per program and rows appended by
 position (``LinearProgram._add_index_row``); names are made once per
-variable and never looked up per nonzero.
+variable and never looked up per nonzero.  The exception is
+``build_reduced_weak_primal_b_n1``, which declares each variable with
+``add_variable`` and appends rows by name with ``add_row``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .closure import BinomialIndex, Closure, _concat_set
 from .lang import Language, binomial, canon_key
@@ -45,8 +46,12 @@ from .lp import (
     var_d,
     var_w,
     var_x,
+    var_y_pair,
     var_y_quad,
 )
+
+# a row as (name, columns, values), named as the primal's row or the dual's multiplier
+IndexRow = tuple[str, list[int], list[int]]
 
 
 def _net_row(plus: Iterable[int], minus: Iterable[int]) -> dict[int, int]:
@@ -65,47 +70,131 @@ def _net_row(plus: Iterable[int], minus: Iterable[int]) -> dict[int, int]:
     return acc
 
 
+# -- the transpose ----------------------------------------------------------------
+
+
+def _transpose(
+    rows: Iterable[IndexRow],
+    caps: Iterable[tuple[str, Fraction | int] | None],
+    cons: Sequence[tuple[str, Fraction | int]],
+    costs: dict[str, Fraction | int] | None = None,
+) -> LinearProgram:
+    """The dual of max c.x s.t. A x <= b, 0 <= x <= u, from A's rows:
+    min b.y + u.v  s.t.  sum_i A_ij y_i + v_j >= c_j  per column j.
+
+    rows give each row's multiplier y_i >= 0 by name, with the row's
+    columns and values; costs holds b's nonzero entries by multiplier.
+    Per column j, caps give v_j >= 0 by name with u_j, or None when x_j
+    is unbounded, and cons give the dual row's name and c_j.  Variables
+    are the y_i in row order, then the v_j.  One pass over the rows
+    gathers each column's terms (row-major to column-major), so dual row
+    j holds them in row order, v_j last.
+    """
+    pos: list[list[int]] = [[] for _ in cons]
+    val: list[list[Fraction | int]] = [[] for _ in cons]
+    names: list[str] = []
+    for i, (y, cols, vals) in enumerate(rows):
+        names.append(y)
+        for j, c in zip(cols, vals):
+            pos[j].append(i)
+            val[j].append(c)
+    objective = dict(costs or {})
+    for j, cap in enumerate(caps):
+        if cap is not None:
+            v, hi = cap
+            pos[j].append(len(names))
+            val[j].append(1)
+            names.append(v)
+            if hi:
+                objective[v] = hi
+    dual = LinearProgram(sense="min")
+    dual._add_variables(names, repeat((0, None)))
+    dual.set_objective(objective)
+    for (name, c), p, v in zip(cons, pos, val):
+        dual._add_index_row(name, p, v, GE, c)
+    return dual
+
+
+def transpose_lp(
+    lp: LinearProgram,
+    row_var: Callable[[str], str],
+    bound_var: Callable[[str], str],
+    dual_row: Callable[[str], str],
+) -> LinearProgram:
+    """The dual of a (max, all-<=, lower-bounds-0) program, as ``_transpose``
+    gives it.  The three callbacks choose the dual names: row_var maps a
+    row label to its multiplier's name, bound_var maps a bounded variable
+    to its bound multiplier's name, dual_row labels the row transposed
+    from a variable.
+    """
+    if lp.sense != "max":
+        raise ValueError("transpose_lp expects a max program")
+    for row in lp.rows:
+        if row.rel != LE:
+            raise ValueError(f"transpose_lp expects <= rows, got {row.rel} in {row.label}")
+    caps = []
+    for name in lp.variables:
+        lo, hi = lp.bounds[name]
+        if lo != 0:
+            raise ValueError(f"transpose_lp expects lower bounds 0, got {lo} on {name}")
+        caps.append(None if hi is None else (bound_var(name), hi))
+    ys = [row_var(row.label) for row in lp.rows]
+    return _transpose(
+        ((y, row.cols, row.vals) for y, row in zip(ys, lp.rows)),
+        caps,
+        [(dual_row(n), lp.objective.get(n, 0)) for n in lp.variables],
+        {y: row.rhs for y, row in zip(ys, lp.rows) if row.rhs},
+    )
+
+
 # -- the string program ----------------------------------------------------------
 
 
-StringRow = tuple[str, Iterable[str], Iterable[str], Iterable[str]]
-
-
-def _string_variables(
-    strings: Iterable[str], objective: Iterable[str]
-) -> tuple[LinearProgram, dict[str, int]]:
-    """A max program over 0 <= x_s <= |s|, one variable per string in
-    order, maximizing the mass on the objective strings; and the column
-    of each string."""
-    lp = LinearProgram(sense="max")
-    strings = list(strings)
-    lp._add_variables([*map(var_x, strings)], [(0, len(s)) for s in strings])
-    col = {s: j for j, s in enumerate(strings)}
-    lp.set_objective({lp.variables[col[s]]: 1 for s in objective})
-    return lp, col
-
-
 def _string_program(
-    strings: Iterable[str], objective: Iterable[str], rows: Iterable[StringRow]
+    strings: Sequence[str], objective: Iterable[str], rows: Iterable[IndexRow]
 ) -> LinearProgram:
-    """Max the mass on the objective strings over one variable per string.
-
-    Each row (label, product, left, right) reads
-    sum_{product} x - sum_{left} x - sum_{right} x <= 0, with
-    0 <= x_s <= |s|.  Coefficients accumulate, so a string appearing on
-    both sides nets out.
-    """
-    lp, col = _string_variables(strings, objective)
-    at = col.__getitem__
-    for label, product, left, right in rows:
-        acc = _net_row(map(at, product), map(at, chain(left, right)))
-        lp._add_index_row(label, [*acc], [*acc.values()], LE, 0)
+    """Max the mass on the objective strings over 0 <= x_s <= |s|, one
+    variable per string in order, each row reading  A x <= 0."""
+    lp = LinearProgram(sense="max")
+    lp._add_variables([*map(var_x, strings)], [(0, len(s)) for s in strings])
+    lp.set_objective({var_x(s): 1 for s in objective})
+    for label, cols, vals in rows:
+        lp._add_index_row(label, cols, vals, LE, 0)
     return lp
 
 
-def _pair_rows(pairs: Iterable[tuple[Language, Language]]) -> Iterator[StringRow]:
+def _string_dual(
+    strings: Sequence[str], objective: Iterable[str], rows: Iterable[IndexRow]
+) -> LinearProgram:
+    """The transpose of ``_string_program`` over the same rows:
+    min sum |s| w_s  s.t. per string s:  sum_rows A y + w_s >= [s in objective]."""
+    top = set(objective)
+    return _transpose(
+        rows,
+        [(var_w(s), len(s)) for s in strings],
+        [(row_string(s), int(s in top)) for s in strings],
+    )
+
+
+def _pair_rows(
+    pairs: Iterable[tuple[Language, Language]],
+    strings: Sequence[str],
+    name: Callable[[Language, Language], str],
+) -> Iterator[IndexRow]:
+    """Per pair (K1, K2), named by name:  sum_{K1K2} x - sum_{K1} x -
+    sum_{K2} x, over one column per string in canonical order.
+    Coefficients accumulate, so a string on both sides nets out."""
+    at = {s: j for j, s in enumerate(strings)}.__getitem__
     for k1, k2 in pairs:
-        yield row_concat(k1, k2), k1.concat(k2).members, k1.members, k2.members
+        # columns are in canonical order: sorted, they list K1K2 in order
+        product = sorted(map(at, _concat_set(k1, k2)))
+        acc = _net_row(product, map(at, chain(k1.members, k2.members)))
+        yield name(k1, k2), [*acc], [*acc.values()]
+
+
+def _weak_program(closure: Closure, name: Callable[[Language, Language], str]) -> tuple:
+    strings = closure.strings()
+    return strings, closure.base.members, _pair_rows(closure.concat_pairs(), strings, name)
 
 
 def build_weak_primal(closure: Closure) -> LinearProgram:
@@ -114,65 +203,67 @@ def build_weak_primal(closure: Closure) -> LinearProgram:
     One row per concatenation-compatible pair (K1, K2) of the closure,
     comparing the mass on K1K2 against the mass on K1 and on K2.
     """
-    return _string_program(
-        closure.strings(), closure.base.members, _pair_rows(closure.concat_pairs())
-    )
+    return _string_program(*_weak_program(closure, row_concat))
 
 
-# -- strong program -------------------------------------------------------------
+def build_weak_dual(closure: Closure) -> LinearProgram:
+    """min sum |s| w_s  s.t.  per string s:  w_s + sum_pairs A y >= [s in base]."""
+    return _string_dual(*_weak_program(closure, var_y_pair))
 
 
-def build_strong_primal(closure: Closure) -> LinearProgram:
-    """Per-language program whose optimum is the exact minimal size.
+def build_weak_support_dual(
+    base: Language, pairs: Iterable[tuple[Language, Language]], strings: Iterable[str]
+) -> LinearProgram:
+    """The weak dual over the support of a dual point only.
 
-    One variable per closure member; singletons are capped by their
-    string's length, composite members are unbounded above.  Every
-    concatenation- and union-compatible pair contributes a row.
+    Its strings are the base's, the given ones, and those of K1, K2 and
+    K1K2 for each given pair (K1, K2); its pair multipliers are the given
+    pairs.  Names match ``build_weak_dual``, and a point that is zero
+    off this support gets the same row sums as there.
     """
-    lp = LinearProgram(sense="max")
-    # each member serialized once, named as var_big_x names it; a pair's
-    # product and union are found by their string sets, rows named as
-    # row_concat and row_union name them
-    text = {k._set: k.serialize() for k in closure.members}
-    col = {a: j for j, a in enumerate(text)}
-    lp._add_variables(
-        [f"X[{t}]" for t in text.values()],
-        [(0, len(k.only) if k.is_singleton else None) for k in closure.members],
-    )
-    lp.set_objective({lp.variables[col[closure.base._set]]: 1})
-    for k1, k2 in closure.concat_pairs():
-        a, b = k1._set, k2._set
-        acc = _net_row((col[_concat_set(k1, k2)],), (col[a], col[b]))
-        lp._add_index_row(f"c[{text[a]},{text[b]}]", [*acc], [*acc.values()], LE, 0)
-    for k1, k2 in closure.union_pairs():
-        a, b = k1._set, k2._set
-        acc = _net_row((col[a | b],), (col[a], col[b]))
-        lp._add_index_row(f"u[{text[a]},{text[b]}]", [*acc], [*acc.values()], LE, 0)
-    return lp
+    pairs = list(pairs)
+    support = set(base.members).union(strings)
+    for k1, k2 in pairs:
+        support.update(k1.members, k2.members, _concat_set(k1, k2))
+    columns = sorted(support, key=canon_key)
+    return _string_dual(columns, base.members, _pair_rows(pairs, columns, var_y_pair))
 
 
-# -- relaxed program over weight blocks ------------------------------------------
-
-
-def _block_rows(index: BinomialIndex, members: dict, col: dict[str, int]) -> Iterator[tuple]:
-    """Each quadruple with its row's product columns, factor columns and
-    factor coefficient, from each fitted block's members and each string's
-    column.  The product is longer than a factor and shares no column with
-    it; a block that is both factors has coefficient -2, else -1."""
+def _block_rows(
+    index: BinomialIndex,
+    members: dict[tuple[int, int], tuple[str, ...]],
+    strings: Sequence[str],
+    name: Callable[[int, int, int, int], str],
+) -> Iterator[IndexRow]:
+    """Per quadruple, named by name: the product block's columns at +1,
+    then the factor blocks' at -1, from each fitted block's members.  The
+    product is longer than a factor and shares no column with it; a block
+    that is both factors has coefficient -2."""
+    col = {s: j for j, s in enumerate(strings)}
     block = {b: [*map(col.__getitem__, m)] for b, m in members.items()}
+    place = {s: i for m in members.values() for i, s in enumerate(m)}  # in its own block
     for n1, k1, n2, k2 in index.quadruples():
         # the members of B(n1+n2, k1+k2) that start with a given u of
-        # B(n1, k1) are one run of it, ending in every v of B(n2, k2) in order
-        whole, top = members[n1 + n2, k1 + k2], block[n1 + n2, k1 + k2]
-        width = comb(n2, k2)
+        # B(n1, k1) are one run of it, from u + first on, ending in every
+        # v of B(n2, k2) in order
+        top, first, width = block[n1 + n2, k1 + k2], members[n2, k2][0], comb(n2, k2)
         product: list[int] = []
         for u in members[n1, k1]:
-            at = bisect_left(whole, u)
+            at = place[u + first]
             product += top[at : at + width]
         if (n1, k1) == (n2, k2):
-            yield (n1, k1, n2, k2), product, block[n1, k1], -2
+            minus, c = block[n1, k1], -2
         else:
-            yield (n1, k1, n2, k2), product, block[n1, k1] + block[n2, k2], -1
+            minus, c = block[n1, k1] + block[n2, k2], -1
+        yield name(n1, k1, n2, k2), product + minus, [1] * len(product) + [c] * len(minus)
+
+
+def _block_program(n: int, k: int, name: Callable[[int, int, int, int], str]) -> tuple:
+    index = BinomialIndex(n, k)
+    members = {b: binomial(*b).members for b in index.blocks()}
+    # index.strings(), from the blocks at hand rather than built again
+    strings = sorted(chain.from_iterable(members.values()), key=canon_key)
+    return strings, members[n, k], _block_rows(index, members, strings, name)
 
 
 def build_relaxed_binomial(n: int, k: int) -> LinearProgram:
@@ -186,13 +277,65 @@ def build_relaxed_binomial(n: int, k: int) -> LinearProgram:
     The rows are the string program's over the same triples, term for
     term: the product block, then the left and the right factor.
     """
-    index = BinomialIndex(n, k)
-    members = {b: binomial(*b).members for b in index.blocks()}
-    lp, col = _string_variables(index.strings(), members[n, k])
-    for q, product, minus, c in _block_rows(index, members, col):
-        vals = [1] * len(product) + [c] * len(minus)
-        lp._add_index_row(row_quad(*q), product + minus, vals, LE, 0)
+    return _string_program(*_block_program(n, k, row_quad))
+
+
+def build_relaxed_binomial_dual(n: int, k: int) -> LinearProgram:
+    """min sum |s| w_s with one y per block quadruple: the transpose of
+    ``build_relaxed_binomial(n, k)`` under the weak names, without building it."""
+    return _string_dual(*_block_program(n, k, var_y_quad))
+
+
+# -- strong program -------------------------------------------------------------
+
+
+def _strong_rows(closure: Closure, text: dict, concat: str, union: str) -> Iterator[IndexRow]:
+    """Per concatenation-compatible pair (K1, K2), tagged concat, then per
+    union pair, tagged union:  X[K1 op K2] - X[K1] - X[K2].  text maps each
+    member's string set to its serialization, in column order; a pair's
+    product and union are found by their string sets."""
+    col = {a: j for j, a in enumerate(text)}
+    for tag, joined, pairs in (
+        (concat, _concat_set, closure.concat_pairs()),
+        (union, lambda k1, k2: k1._set | k2._set, closure.union_pairs()),
+    ):
+        for k1, k2 in pairs:
+            a, b = k1._set, k2._set
+            acc = _net_row((col[joined(k1, k2)],), (col[a], col[b]))
+            yield f"{tag}[{text[a]},{text[b]}]", [*acc], [*acc.values()]
+
+
+def build_strong_primal(closure: Closure) -> LinearProgram:
+    """Per-language program whose optimum is the exact minimal size.
+
+    One variable per closure member; singletons are capped by their
+    string's length, composite members are unbounded above.  Every
+    concatenation- and union-compatible pair contributes a row.
+    """
+    lp = LinearProgram(sense="max")
+    # each member serialized once, named as var_big_x names it; rows
+    # named as row_concat and row_union name them
+    text = {k._set: k.serialize() for k in closure.members}
+    lp._add_variables(
+        [f"X[{t}]" for t in text.values()],
+        [(0, len(k.only) if k.is_singleton else None) for k in closure.members],
+    )
+    lp.set_objective({f"X[{text[closure.base._set]}]": 1})
+    for label, cols, vals in _strong_rows(closure, text, "c", "u"):
+        lp._add_index_row(label, cols, vals, LE, 0)
     return lp
+
+
+def build_strong_dual(closure: Closure) -> LinearProgram:
+    """min sum |s| W_s over concat (Y) and union (Z) multipliers, with one
+    row m[K] per member K: the transpose of ``build_strong_primal``."""
+    text = {k._set: k.serialize() for k in closure.members}
+    base = closure.base._set
+    return _transpose(
+        _strong_rows(closure, text, "Y", "Z"),
+        [(f"W[{k.only}]", len(k.only)) if k.is_singleton else None for k in closure.members],
+        [(f"m[{t}]", int(a == base)) for a, t in text.items()],
+    )
 
 
 # -- reduced weak program for single-1 blocks -------------------------------------
@@ -268,153 +411,3 @@ def build_reduced_weak_primal_b_n1(n: int) -> LinearProgram:
                 cap_l[d] = 1
             lp.add_row(f"cap[l,{a},{b}]", cap_l, LE, 0)
     return lp
-
-
-# -- mechanical transpose ---------------------------------------------------------
-
-
-def transpose_lp(
-    lp: LinearProgram,
-    row_var: Callable[[str], str],
-    bound_var: Callable[[str], str],
-    dual_row: Callable[[str], str],
-) -> LinearProgram:
-    """The dual of a (max, all-<=, lower-bounds-0) program.
-
-    Row i with rhs b_i gets multiplier y_i >= 0; a finite upper bound u_j
-    gets multiplier v_j >= 0.  The dual minimizes b.y + u.v subject to,
-    for every primal variable j,  sum_i A_ij y_i + v_j >= c_j.  The three
-    callbacks choose the dual names: row_var maps a row label to its
-    multiplier's name, bound_var maps a bounded variable to its bound
-    multiplier's name, dual_row labels the row transposed from a variable.
-
-    The dual's variables are the y_i in row order, then the v_j in
-    variable order.  One pass over the primal's rows gathers each
-    column's dual positions and values (row-major to column-major), so
-    dual row j holds column j's terms in row order, v_j last.
-    """
-    if lp.sense != "max":
-        raise ValueError("transpose_lp expects a max program")
-    names: list[str] = []
-    objective: dict[str, Fraction | int] = {}
-    col_pos: list[list[int]] = [[] for _ in lp.variables]
-    col_val: list[list[Fraction | int]] = [[] for _ in lp.variables]
-    for i, row in enumerate(lp.rows):
-        if row.rel != LE:
-            raise ValueError(f"transpose_lp expects <= rows, got {row.rel} in {row.label}")
-        y = row_var(row.label)
-        names.append(y)
-        if row.rhs:
-            objective[y] = row.rhs
-        for j, c in zip(row.cols, row.vals):
-            col_pos[j].append(i)
-            col_val[j].append(c)
-    for j, name in enumerate(lp.variables):
-        lo, hi = lp.bounds[name]
-        if lo != 0:
-            raise ValueError(f"transpose_lp expects lower bounds 0, got {lo} on {name}")
-        if hi is not None:
-            v = bound_var(name)
-            col_pos[j].append(len(names))
-            col_val[j].append(1)
-            names.append(v)
-            if hi:
-                objective[v] = hi
-    dual = LinearProgram(sense="min")
-    dual._add_variables(names, repeat((0, None)))
-    dual.set_objective(objective)
-    for name, pos, val in zip(lp.variables, col_pos, col_val):
-        dual._add_index_row(dual_row(name), pos, val, GE, lp.objective.get(name, 0))
-    return dual
-
-
-def _strip_tag(tagged: str) -> str:
-    return tagged[tagged.index("[") :]
-
-
-def _weak_row_var(label: str) -> str:
-    return "y" + _strip_tag(label)
-
-
-def _weak_bound_var(name: str) -> str:
-    return "w" + _strip_tag(name)
-
-
-def _weak_dual_row(name: str) -> str:
-    return "s" + _strip_tag(name)
-
-
-def _weak_transpose(primal: LinearProgram) -> LinearProgram:
-    return transpose_lp(primal, _weak_row_var, _weak_bound_var, _weak_dual_row)
-
-
-def build_weak_dual(closure: Closure) -> LinearProgram:
-    """min sum |s| w_s  s.t.  per string s:  w_s + sum_pairs A y >= [s in base]."""
-    return _weak_transpose(build_weak_primal(closure))
-
-
-def build_weak_support_dual(
-    base: Language, pairs: Iterable[tuple[Language, Language]], strings: Iterable[str]
-) -> LinearProgram:
-    """The weak dual over the support of a dual point only.
-
-    Its strings are the base's, the given ones, and those of K1, K2 and
-    K1K2 for each given pair (K1, K2); its pair multipliers are the given
-    pairs.  Names match ``build_weak_dual``, and a point that is zero
-    off this support gets the same row sums as there.
-    """
-    rows = list(_pair_rows(pairs))
-    support = set(base.members).union(strings)
-    for _, product, left, right in rows:
-        support.update(product, left, right)
-    primal = _string_program(sorted(support, key=canon_key), base.members, rows)
-    return _weak_transpose(primal)
-
-
-def _strong_row_var(label: str) -> str:
-    return ("Y" if label.startswith("c[") else "Z") + _strip_tag(label)
-
-
-def _strong_bound_var(name: str) -> str:
-    # X[{s}] -> W[s]; only singleton members carry a finite bound
-    return "W[" + name[3:-2] + "]"
-
-
-def _strong_dual_row(name: str) -> str:
-    return "m" + _strip_tag(name)
-
-
-def build_strong_dual(closure: Closure) -> LinearProgram:
-    """min sum |s| W_s over concat (Y) and union (Z) multipliers."""
-    return transpose_lp(
-        build_strong_primal(closure), _strong_row_var, _strong_bound_var, _strong_dual_row
-    )
-
-
-def build_relaxed_binomial_dual(n: int, k: int) -> LinearProgram:
-    """min sum |s| w_s with one y per block quadruple: the transpose of
-    ``build_relaxed_binomial(n, k)`` under the weak names, without building it."""
-    index = BinomialIndex(n, k)
-    members = {b: binomial(*b).members for b in index.blocks()}
-    strings = index.strings()
-    col = {s: j for j, s in enumerate(strings)}
-    pos: list[list[int]] = [[] for _ in strings]
-    val: list[list[int]] = [[] for _ in strings]
-    names = []
-    for i, (q, product, minus, c) in enumerate(_block_rows(index, members, col)):
-        names.append(var_y_quad(*q))
-        for cols, v in ((product, 1), (minus, c)):
-            for j in cols:
-                pos[j].append(i)
-                val[j].append(v)
-    y = len(names)
-    names += map(var_w, strings)
-    dual = LinearProgram(sense="min")
-    dual._add_variables(names, repeat((0, None)))
-    dual.set_objective({w: len(s) for w, s in zip(names[y:], strings)})
-    top = set(members[n, k])
-    for j, s in enumerate(strings):
-        pos[j].append(y + j)
-        val[j].append(1)
-        dual._add_index_row(row_string(s), pos[j], val[j], GE, int(s in top))
-    return dual

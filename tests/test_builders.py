@@ -397,6 +397,34 @@ class TestDualBuilders:
         gathered = write_lp(build_relaxed_binomial_dual(n, k)).splitlines()
         assert gathered == write_lp(transposed).splitlines()
 
+    @given(languages(max_strings=4, max_len=3))
+    @settings(max_examples=60, deadline=None)
+    def test_closure_duals_are_the_transpose(self, lang):
+        # the weak and strong duals gather their own rows under their own
+        # names; their texts must be the mechanical transposes of their
+        # primals', and the support dual over the whole closure the weak dual
+        closure = compute_closure(lang)
+        weak = transpose_lp(
+            build_weak_primal(closure),
+            lambda label: "y" + label[1:],
+            lambda name: "w" + name[1:],
+            lambda name: "s" + name[1:],
+        )
+        strong = transpose_lp(
+            build_strong_primal(closure),
+            lambda label: ("Y" if label[0] == "c" else "Z") + label[1:],
+            lambda name: "W[" + name[3:-2] + "]",
+            lambda name: "m" + name[1:],
+        )
+        weak_text = write_lp(build_weak_dual(closure))
+        assert weak_text.splitlines() == write_lp(weak).splitlines()
+        assert write_lp(build_strong_dual(closure)).splitlines() == write_lp(strong).splitlines()
+        support = build_weak_support_dual(closure.base, closure.concat_pairs(), closure.strings())
+        assert write_lp(support).splitlines() == weak_text.splitlines()
+        # with no pairs, the support is the given strings and the base's
+        bare = build_weak_support_dual(closure.base, [], closure.strings())
+        assert bare.variables == [f"w[{s}]" for s in closure.strings()]
+
     def test_relaxed_dual_counts_8_1(self):
         dual = build_relaxed_binomial_dual(8, 1)
         assert (dual.n_vars, dual.n_rows) == (120, 43)
