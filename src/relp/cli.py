@@ -127,11 +127,7 @@ def _build_lp(args, cfg: RunConfig) -> LinearProgram:
     if kind in ("weak", "strong", "weak-dual", "strong-dual"):
         if args.lang is None:
             raise ValueError(f"lp {kind} needs --lang")
-        closure = compute_closure(
-            _parse_language_arg(args.lang),
-            cfg.closure_max_members,
-            cfg.factor_pool_cap,
-        )
+        closure = compute_closure(_parse_language_arg(args.lang), cfg.closure_max_members)
         builder = {
             "weak": build_weak_primal,
             "strong": build_strong_primal,
@@ -251,9 +247,7 @@ def _caveat_cases(args, cfg: RunConfig):
 
     def program(n: int) -> LinearProgram:
         lang = gen_family("threshold", n, 1)
-        return build_weak_primal(
-            compute_closure(lang, cfg.closure_max_members, cfg.factor_pool_cap)
-        )
+        return build_weak_primal(compute_closure(lang, cfg.closure_max_members))
 
     for n in range(lo, hi + 1):
         yield ((str(n),), f"weak program for T({n},1)", partial(program, n),

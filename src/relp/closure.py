@@ -20,18 +20,14 @@ Machines*, ch. 5).  The subsets of the generators are exactly C(L):
   relation, so A and B lie within the sides of some maximal rectangle;
 * conversely X·Y is within M, so it is a member, and it factors as X·Y.
 
-The caps are those of a search over every member.  The member cap
-refuses a closure of more than max_members members; the factor pool cap
-refuses one where some generator M has a suffix v with more than
-factor_pool_cap nonempty prefixes u such that uv is in M.  That is the
-prefix pool the factorization search meets on the member {uv in M}.
-
-The factorization search below, ``factorizations``, serves the search
-oracle; the closure does not run it.
+A ``Closure`` is its generators, the inclusion-maximal members: a
+language is a member exactly when it lies within some generator.  The
+member cap refuses a closure of more than max_members members.
 
 Derived index sets used by the linear programs:
 
-* strings: C0(L), the s with {s} in C(L) (one LP variable per string);
+* strings: C0(L), the s with {s} in C(L), which is the union of the
+  generators (one LP variable per string);
 * concat_pairs: ordered member pairs (K1,K2) with K1·K2 in C(L);
 * union_pairs: unordered pairs {K1,K2} of incomparable members with
   K1+K2 in C(L), each once, K1 first in canonical order.
@@ -57,114 +53,25 @@ from .config import DEFAULT_CONFIG, ResourceCapError
 from .lang import Language, binomial, canon_key
 
 
-def _factor_pairs(
-    lang: Language, max_prefix_pool: int
-) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """The exact factorizations of lang as pairs of canonical member tuples.
-
-    At a cut u0·v0 of the first member, the prefix pool {u : u v0 in K}
-    comes out in canonical order with u0 first: u0 is the shortest, and
-    a u of the same length has u v0 after u0 v0.  So the left sets that
-    hold u0 are u0 plus subsets of the rest of the pool, each one built
-    in canonical order.
-    """
-    members = lang.members
-    first = members[0]
-    quots: dict[str, set[str]] = {}  # u -> u^{-1}K, filled as pools need it
-    found: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
-
-    for cut in range(1, len(first)):
-        v0 = first[cut:]
-        lv = len(v0)
-        # canonical order, since every u v0 shares the suffix v0
-        pool = [s[:-lv] for s in members if len(s) > lv and s.endswith(v0)]
-        if len(pool) > max_prefix_pool:
-            raise ResourceCapError(
-                f"factorization prefix pool has {len(pool)} candidates "
-                f"(cap {max_prefix_pool}) for {lang!r}"
-            )
-        in_pool = set(pool)
-        started = {
-            s for n in {len(u) for u in pool} for s in members if len(s) > n and s[:n] in in_pool
-        }
-        if len(started) < len(members):
-            continue  # some member cannot start with a left factor
-        for u in pool:
-            if u not in quots:
-                lu = len(u)
-                quots[u] = {s[lu:] for s in members if len(s) > lu and s.startswith(u)}
-        rest = pool[1:]
-        stack = [(0, (pool[0],), quots[pool[0]])]
-        while stack:
-            nxt, left, right_max = stack.pop()
-            for j in range(nxt, len(rest)):
-                shared = right_max & quots[rest[j]]
-                if shared:
-                    stack.append((j + 1, left + (rest[j],), shared))
-            if len(left) * len(right_max) < len(members):
-                continue  # too few products to cover K
-            # every u v with u in left, v in right_max is a member; ways[s]
-            # lists the v that produce member s
-            ways: dict[str, list[str]] = {}
-            for u in left:
-                for v in right_max:
-                    ways.setdefault(u + v, []).append(v)
-            if len(ways) < len(members):
-                continue  # even the maximal right factor cannot cover K
-            forced = {vs[0] for vs in ways.values() if len(vs) == 1}
-            open_ways = [vs for vs in ways.values() if forced.isdisjoint(vs)]
-            optional = sorted(right_max - forced, key=canon_key)
-            for r in range(len(optional) + 1):
-                for extra in combinations(optional, r):
-                    right = forced.union(extra)
-                    if right and all(not right.isdisjoint(vs) for vs in open_ways):
-                        found.add((left, tuple(sorted(right, key=canon_key))))
-    return found
-
-
-def factorizations(
-    lang: Language, max_prefix_pool: int = DEFAULT_CONFIG.factor_pool_cap
-) -> list[tuple[Language, Language]]:
-    """All ordered pairs (K1, K2) of languages with K1·K2 == lang, exactly,
-    sorted by (K1, K2) in canonical order.
-
-    At each cut u0·v0 of the canonically first member, the left factors
-    tried are the sets holding u0 within the prefix pool {u : u v0 in K},
-    enumerated depth first and dropped, with all their supersets, once
-    their left quotients share no suffix; a cut is skipped when some
-    member has no proper prefix in the pool.  For each left set K1 the
-    inclusion-maximal right factor is that intersection; the suffixes in
-    it that are the only way to produce some string of K are forced, and
-    every superset of the forced ones within it whose product covers K
-    is a valid K2.
-
-    The prefix pool per cut is at most |K| strings; if it exceeds
-    max_prefix_pool the search is refused as a resource cap, before the
-    cut is checked for cover.
-    """
-    out = [
-        (Language._from_canonical(left), Language._from_canonical(right))
-        for left, right in _factor_pairs(lang, max_prefix_pool)
-    ]
-    out.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
-    return out
-
-
 def _concat_set(k1: Language, k2: Language) -> frozenset[str]:
     """The strings of K1·K2, without building its Language."""
     return frozenset([u + v for u in k1.members for v in k2.members])
 
 
 class Closure:
-    """The materialized closure C(L), with its index sets computed lazily."""
+    """C(L), the nonempty subsets of its generators; index sets made lazily."""
 
-    def __init__(self, base: Language, members: list[Language]):
+    def __init__(
+        self,
+        base: Language,
+        generators: list[frozenset[str]],
+        strings: list[str],
+        members: list[Language],
+    ):
         self.base = base
+        self.generators: tuple[frozenset[str], ...] = tuple(generators)
         self.members: tuple[Language, ...] = tuple(members)  # canonical order
-        # each member's set of strings: membership and the pair joins
-        # test a string set against these, without building a Language
-        self._member_sets = frozenset(k._set for k in self.members)
-        self._strings: tuple[str, ...] | None = None
+        self._strings = tuple(strings)
         self._concat_pairs: list[tuple[Language, Language]] | None = None
         self._union_pairs: list[tuple[Language, Language]] | None = None
 
@@ -172,17 +79,17 @@ class Closure:
         return len(self.members)
 
     def __contains__(self, lang: Language) -> bool:
-        return lang._set in self._member_sets
+        return self._within(lang._set)
 
     def __repr__(self) -> str:
         return f"Closure(base={self.base.serialize()}, members={len(self.members)})"
 
+    def _within(self, strings: frozenset[str]) -> bool:
+        """Whether a nonempty string set is a member: within a generator."""
+        return any(strings <= g for g in self.generators)
+
     def strings(self) -> tuple[str, ...]:
         """C0(L): the strings whose singleton language is a member."""
-        if self._strings is None:
-            self._strings = tuple(
-                sorted((k.only for k in self.members if k.is_singleton), key=canon_key)
-            )
         return self._strings
 
     def concat_pairs(self) -> list[tuple[Language, Language]]:
@@ -192,7 +99,6 @@ class Closure:
         some member's."""
         if self._concat_pairs is None:
             members = self.members
-            is_member = self._member_sets.__contains__
             buckets: dict[tuple[int, int], list[int]] = {}
             for i, k in enumerate(members):
                 buckets.setdefault((k.min_len(), k.max_len()), []).append(i)
@@ -203,7 +109,7 @@ class Closure:
                         continue
                     for i in group1:
                         for j in group2:
-                            if is_member(_concat_set(members[i], members[j])):
+                            if self._within(_concat_set(members[i], members[j])):
                                 found.append((i, j))
             found.sort()
             self._concat_pairs = [(members[i], members[j]) for i, j in found]
@@ -217,21 +123,21 @@ class Closure:
         if self._union_pairs is None:
             members = self.members
             sets = [k._set for k in members]
-            is_member = self._member_sets.__contains__
+            # K1 + K2 is within a generator exactly when K1 and K2 both
+            # are: bit j of holders[i] says generator j holds member i
+            gens = self.generators
+            holders = [sum(1 << j for j, g in enumerate(gens) if a <= g) for a in sets]
             pairs = []
-            for i, (k1, a) in enumerate(zip(members, sets)):
-                for k2, b in zip(members[i + 1 :], sets[i + 1 :]):
-                    ab = a | b
-                    if is_member(ab) and ab not in (a, b):
+            for i, (k1, a, ha) in enumerate(zip(members, sets, holders)):
+                for k2, b, hb in zip(members[i + 1 :], sets[i + 1 :], holders[i + 1 :]):
+                    if ha & hb and not (a <= b or b <= a):
                         pairs.append((k1, k2))
             self._union_pairs = pairs
         return self._union_pairs
 
 
 def compute_closure(
-    base: Language,
-    max_members: int = DEFAULT_CONFIG.closure_max_members,
-    factor_pool_cap: int = DEFAULT_CONFIG.factor_pool_cap,
+    base: Language, max_members: int = DEFAULT_CONFIG.closure_max_members
 ) -> Closure:
     """Materialize C(base) as the nonempty subsets of its generators.
 
@@ -242,9 +148,7 @@ def compute_closure(
 
     Raises ResourceCapError exactly when C(base) has more than
     max_members members, checked while listing and up front against a
-    generator's 2^|M| - 1 subsets and its intents (each a member), or
-    when a factorization search over C(base) would meet a prefix pool of
-    more than factor_pool_cap strings.
+    generator's 2^|M| - 1 subsets and its intents (each a member).
     """
     def too_many() -> ResourceCapError:
         return ResourceCapError(f"closure of {base!r} exceeds {max_members} members")
@@ -259,17 +163,9 @@ def compute_closure(
             raise too_many()
         gens.append(m)
         quots: dict[str, set[str]] = {}  # u -> u^{-1}M
-        pools: dict[str, int] = {}  # v -> |{u : uv in M}|, a factor search's prefix pool
         for s in m:
             for i in range(1, len(s)):
                 quots.setdefault(s[:i], set()).add(s[i:])
-                pools[s[i:]] = pools.get(s[i:], 0) + 1
-        widest = max(pools.values(), default=0)
-        if widest > factor_pool_cap:
-            raise ResourceCapError(
-                f"factorization prefix pool has {widest} candidates "
-                f"(cap {factor_pool_cap}) in the closure of {base!r}"
-            )
         intents: set[frozenset[str]] = set()
         for q in map(frozenset, quots.values()):
             intents |= {q & y for y in intents} | {q}
@@ -279,6 +175,7 @@ def compute_closure(
         for y in intents:
             queue.append(frozenset(u for u, q in quots.items() if y <= q))
             queue.append(y)
+    gens = [g for g in gens if not any(g < h for h in gens)]  # the maximal members
 
     strings = sorted(set().union(*gens), key=canon_key)
     rank = {s: i for i, s in enumerate(strings)}
@@ -290,7 +187,7 @@ def compute_closure(
             if len(listed) > max_members:
                 raise too_many()
     members = [Language._from_canonical(tuple([strings[i] for i in t])) for t in sorted(listed)]
-    return Closure(base, members)
+    return Closure(base, gens, strings, members)
 
 
 # -- implicit closure of the block languages B(n,k) --------------------------

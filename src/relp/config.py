@@ -1,7 +1,7 @@
 """Run configuration: the resource caps.
 
 ``RunConfig`` is the one place run settings are declared: five caps
-(closure members, factor pool, oracle strings and length, solver
+(closure members, the oracle's factor pool, strings and length, solver
 pivots).  Config-file keys and CLI flags are read off its fields.
 Settings resolve in three layers: built-in defaults, then the key=value
 file named by the RELP_CONFIG environment variable, then explicit

@@ -7,6 +7,11 @@ union of two proper sublanguages whose members jointly cover it (the
 two sides may overlap).  The search recurses through every shape,
 memoizes the optimal length of each language it reaches, and
 reconstructs a witness expression from the recorded argmin choices.
+The languages it memoizes are then exactly the closure C(L).
+
+The exact products come from ``factorizations``, a search over the cuts
+u0·v0 of the canonically first member; a prefix pool {u : u v0 in K} of
+more than factor_pool_cap strings refuses it as a resource cap.
 
 ``oracle_vs_lp`` cross-checks the search against the linear programs:
 the strong program over the closure must reach exactly the optimal
@@ -23,15 +28,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from .builders import build_strong_primal, build_weak_primal
-from .closure import compute_closure, factorizations
+from .closure import compute_closure
 from .config import DEFAULT_CONFIG, ResourceCapError, RunConfig
-from .lang import Language
+from .lang import Language, canon_key
 from .regex import Concat, Regex, Union, language_of, render, word
 from .solver import SolverError, solve
 
 __all__ = [
     "OracleResult",
     "OracleLpReport",
+    "factorizations",
     "optimal_regex",
     "oracle_vs_lp",
 ]
@@ -59,6 +65,99 @@ _Choice = tuple[str, Language, Language] | None
 class _Entry:
     length: int
     choice: _Choice
+
+
+def _factor_pairs(
+    lang: Language, max_prefix_pool: int
+) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """The exact factorizations of lang as pairs of canonical member tuples.
+
+    At a cut u0·v0 of the first member, the prefix pool {u : u v0 in K}
+    comes out in canonical order with u0 first: u0 is the shortest, and
+    a u of the same length has u v0 after u0 v0.  So the left sets that
+    hold u0 are u0 plus subsets of the rest of the pool, each one built
+    in canonical order.
+    """
+    members = lang.members
+    first = members[0]
+    quots: dict[str, set[str]] = {}  # u -> u^{-1}K, filled as pools need it
+    found: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
+
+    for cut in range(1, len(first)):
+        v0 = first[cut:]
+        lv = len(v0)
+        # canonical order, since every u v0 shares the suffix v0
+        pool = [s[:-lv] for s in members if len(s) > lv and s.endswith(v0)]
+        if len(pool) > max_prefix_pool:
+            raise ResourceCapError(
+                f"factorization prefix pool has {len(pool)} candidates "
+                f"(cap {max_prefix_pool}) for {lang!r}"
+            )
+        in_pool = set(pool)
+        started = {
+            s for n in {len(u) for u in pool} for s in members if len(s) > n and s[:n] in in_pool
+        }
+        if len(started) < len(members):
+            continue  # some member cannot start with a left factor
+        for u in pool:
+            if u not in quots:
+                lu = len(u)
+                quots[u] = {s[lu:] for s in members if len(s) > lu and s.startswith(u)}
+        rest = pool[1:]
+        stack = [(0, (pool[0],), quots[pool[0]])]
+        while stack:
+            nxt, left, right_max = stack.pop()
+            for j in range(nxt, len(rest)):
+                shared = right_max & quots[rest[j]]
+                if shared:
+                    stack.append((j + 1, left + (rest[j],), shared))
+            if len(left) * len(right_max) < len(members):
+                continue  # too few products to cover K
+            # every u v with u in left, v in right_max is a member; ways[s]
+            # lists the v that produce member s
+            ways: dict[str, list[str]] = {}
+            for u in left:
+                for v in right_max:
+                    ways.setdefault(u + v, []).append(v)
+            if len(ways) < len(members):
+                continue  # even the maximal right factor cannot cover K
+            forced = {vs[0] for vs in ways.values() if len(vs) == 1}
+            open_ways = [vs for vs in ways.values() if forced.isdisjoint(vs)]
+            optional = sorted(right_max - forced, key=canon_key)
+            for r in range(len(optional) + 1):
+                for extra in combinations(optional, r):
+                    right = forced.union(extra)
+                    if right and all(not right.isdisjoint(vs) for vs in open_ways):
+                        found.add((left, tuple(sorted(right, key=canon_key))))
+    return found
+
+
+def factorizations(
+    lang: Language, max_prefix_pool: int = DEFAULT_CONFIG.factor_pool_cap
+) -> list[tuple[Language, Language]]:
+    """All ordered pairs (K1, K2) of languages with K1·K2 == lang, exactly,
+    sorted by (K1, K2) in canonical order.
+
+    At each cut u0·v0 of the canonically first member, the left factors
+    tried are the sets holding u0 within the prefix pool {u : u v0 in K},
+    enumerated depth first and dropped, with all their supersets, once
+    their left quotients share no suffix; a cut is skipped when some
+    member has no proper prefix in the pool.  For each left set K1 the
+    inclusion-maximal right factor is that intersection; the suffixes in
+    it that are the only way to produce some string of K are forced, and
+    every superset of the forced ones within it whose product covers K
+    is a valid K2.
+
+    The prefix pool per cut is at most |K| strings; if it exceeds
+    max_prefix_pool the search is refused as a resource cap, before the
+    cut is checked for cover.
+    """
+    out = [
+        (Language._from_canonical(left), Language._from_canonical(right))
+        for left, right in _factor_pairs(lang, max_prefix_pool)
+    ]
+    out.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
+    return out
 
 
 def _covers(lang: Language):
@@ -191,7 +290,7 @@ def oracle_vs_lp(lang: Language, config: RunConfig | None = None) -> OracleLpRep
     """
     cfg = config or DEFAULT_CONFIG
     result = optimal_regex(lang, cfg)
-    closure = compute_closure(lang, cfg.closure_max_members, cfg.factor_pool_cap)
+    closure = compute_closure(lang, cfg.closure_max_members)
     strong = solve(build_strong_primal(closure), cfg)
     weak = solve(build_weak_primal(closure), cfg)
     if strong.status != "optimal" or weak.status != "optimal":

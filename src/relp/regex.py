@@ -243,15 +243,10 @@ def _sigma_chain(m: int) -> Regex:
 def ellul_b_n1(n: int) -> Regex:
     """Balanced construction for B(n,1), of length ellul_b_n1_length(n).
 
-    R_1 = 1 and R_n = (0^(n//2) R_ceil + R_floor 0^ceil(n/2)): each half
-    carries the single 1 in one branch and is all zeros in the other.
+    It is ellul_bnk(n, 1): R_1 = 1 and R_n = (0^(n//2) R_ceil + R_floor
+    0^ceil(n/2)), the single 1 in one branch of each half.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        return Symbol("1")
-    a, b = n // 2, n - n // 2
-    return Union(Concat(_zeros(a), ellul_b_n1(b)), Concat(ellul_b_n1(a), _zeros(b)))
+    return ellul_bnk(n, 1)
 
 
 def ellul_b_n1_length(n: int) -> int:

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from relp import Concat, Language, LinearProgram, Symbol, Union, solver
 from relp.builders import _net_row
-from relp.closure import Closure, _concat_set, _factor_pairs
+from relp.closure import Closure, _concat_set
 from relp.config import DEFAULT_CONFIG, ResourceCapError
 from relp.lp import (
     LE,
@@ -43,6 +43,7 @@ from relp.lp import (
     check_feasible,
     objective_value,
 )
+from relp.oracle import _factor_pairs
 from relp.solver import (
     _STALL_PIVOTS,
     AT_LO,
@@ -460,7 +461,7 @@ def reference_union_pairs(closure: Closure) -> list[tuple[Language, Language]]:
                 continue
             for k1 in group1:
                 for k2 in group2:
-                    if k1._set | k2._set in closure._member_sets:
+                    if Language(k1.members + k2.members) in closure:
                         pairs.append((k1, k2))
     pairs.sort(key=lambda p: (p[0].sort_key(), p[1].sort_key()))
     return pairs

@@ -15,6 +15,7 @@ from relp import (
     ResourceCapError,
     all_strings,
     binomial,
+    compute_closure,
     ellul_b_n1_length,
     language_of,
     optimal_regex,
@@ -24,7 +25,7 @@ from relp import (
     singleton,
     threshold,
 )
-from relp.closure import factorizations
+from relp.oracle import factorizations
 
 from _support import languages
 
@@ -188,6 +189,13 @@ class TestOracleVsLp:
     def test_random_languages_agree(self, lang):
         report = oracle_vs_lp(lang)
         assert report.ok
+
+    @given(languages(5, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_search_explores_exactly_the_closure(self, lang):
+        # the memo holds every factor and every proper subset it reached,
+        # a route to C(L) that shares nothing with the generator listing
+        assert optimal_regex(lang).explored == len(compute_closure(lang))
 
     def test_report_fields(self):
         report = oracle_vs_lp(Language(["00", "000"]))

@@ -170,6 +170,15 @@ class TestBalancedFamilies:
         for n in range(1, 8):
             assert length(ellul_bnk(n, 1)) == ellul_b_n1_length(n)
 
+        def halving(n):  # R_1 = 1, R_n = 0^(n//2) R_ceil + R_floor 0^ceil(n/2)
+            if n == 1:
+                return Symbol("1")
+            a, b = n // 2, n - n // 2
+            return Union(Concat(word("0" * a), halving(b)), Concat(halving(a), word("0" * b)))
+
+        for n in range(1, 65):
+            assert ellul_b_n1(n) == ellul_bnk(n, 1) == halving(n), n
+
     def test_family_input_validation(self):
         with pytest.raises(ValueError):
             ellul_b_n1(0)
