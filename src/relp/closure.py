@@ -20,15 +20,22 @@ Machines*, ch. 5).  The subsets of the generators are exactly C(L):
   relation, so A and B lie within the sides of some maximal rectangle;
 * conversely X·Y is within M, so it is a member, and it factors as X·Y.
 
-A ``Closure`` is its generators, the inclusion-maximal members: a
+A ``Closure`` is its generators, the inclusion-maximal members, and
+their rectangles; it lists no member until ``members`` is read.  A
 language is a member exactly when it lies within some generator.  The
-member cap refuses a closure of more than max_members members.
+member count is |P(G_1) ∪ ... ∪ P(G_r)| - 1 over the power sets of the
+generators, by inclusion-exclusion: P(G) ∩ P(H) = P(G ∩ H), so each
+term is 2^|I| for an intersection I, and terms with the same I merge.
+The member cap refuses a closure of more than max_members members.
 
 Derived index sets used by the linear programs:
 
 * strings: C0(L), the s with {s} in C(L), which is the union of the
   generators (one LP variable per string);
-* concat_pairs: ordered member pairs (K1,K2) with K1·K2 in C(L);
+* concat_pairs: ordered member pairs (K1,K2) with K1·K2 in C(L).  That
+  is K1 × K2 within a generator's pair relation, so within one of its
+  maximal rectangles X × Y: the pairs are the nonempty K1 within X with
+  the nonempty K2 within Y, over the generators' rectangles;
 * union_pairs: unordered pairs {K1,K2} of incomparable members with
   K1+K2 in C(L), each once, K1 first in canonical order.
 
@@ -46,11 +53,14 @@ block quadruples with a fitted product without ever listing subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import chain, combinations, count, product
 from math import comb
 
 from .config import DEFAULT_CONFIG, ResourceCapError
 from .lang import Language, binomial, canon_key
+
+Rectangle = tuple[frozenset[str], frozenset[str]]
 
 
 def _concat_set(k1: Language, k2: Language) -> frozenset[str]:
@@ -58,35 +68,79 @@ def _concat_set(k1: Language, k2: Language) -> frozenset[str]:
     return frozenset([u + v for u in k1.members for v in k2.members])
 
 
+def _subsets(ranks: tuple[int, ...]) -> chain[tuple[int, ...]]:
+    """The nonempty subsets of sorted ranks, each a sorted tuple."""
+    return chain.from_iterable(combinations(ranks, r) for r in range(1, len(ranks) + 1))
+
+
+def _member_count(gens: list[frozenset[str]]) -> int:
+    """|P(G_1) ∪ ... ∪ P(G_r)| - 1 by inclusion-exclusion, each term
+    c · 2^|I| kept once per intersection I as the coefficient c."""
+    terms: dict[frozenset[str], int] = {}
+    for g in gens:
+        # 1[A ∪ P(g)] = 1[A] + 1[P(g)] - sum of c · 1[P(I ∩ g)]
+        step = {g: 1}
+        for i, c in terms.items():
+            step[i & g] = step.get(i & g, 0) - c
+        for i, c in step.items():
+            terms[i] = terms.get(i, 0) + c
+        terms = {i: c for i, c in terms.items() if c}
+    return sum(c << len(i) for i, c in terms.items()) - 1
+
+
 class Closure:
-    """C(L), the nonempty subsets of its generators; index sets made lazily."""
+    """C(L), the nonempty subsets of its generators; members and index
+    sets made lazily, each member's Language built once."""
 
     def __init__(
         self,
         base: Language,
         generators: list[frozenset[str]],
-        strings: list[str],
-        members: list[Language],
+        rectangles: list[Rectangle],
+        size: int,
     ):
         self.base = base
         self.generators: tuple[frozenset[str], ...] = tuple(generators)
-        self.members: tuple[Language, ...] = tuple(members)  # canonical order
-        self._strings = tuple(strings)
+        self._rectangles = rectangles
+        self._size = size
+        self._strings = tuple(sorted(set().union(*generators), key=canon_key))
+        self._rank = {s: i for i, s in enumerate(self._strings)}
+        self._langs: dict[tuple[int, ...], Language] = {}  # rank tuple -> member
+        self._members: tuple[Language, ...] | None = None
         self._concat_pairs: list[tuple[Language, Language]] | None = None
         self._union_pairs: list[tuple[Language, Language]] | None = None
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self._size
 
     def __contains__(self, lang: Language) -> bool:
-        return self._within(lang._set)
+        return any(lang._set <= g for g in self.generators)
 
     def __repr__(self) -> str:
-        return f"Closure(base={self.base.serialize()}, members={len(self.members)})"
+        return f"Closure(base={self.base.serialize()}, members={len(self)})"
 
-    def _within(self, strings: frozenset[str]) -> bool:
-        """Whether a nonempty string set is a member: within a generator."""
-        return any(strings <= g for g in self.generators)
+    def _ranks(self, strings: frozenset[str]) -> tuple[int, ...]:
+        return tuple(sorted(map(self._rank.__getitem__, strings)))
+
+    def _lang(self, ranks: tuple[int, ...]) -> Language:
+        """The member with these string ranks, built once; ranks sort
+        canonically."""
+        lang = self._langs.get(ranks)
+        if lang is None:
+            lang = Language._from_canonical(tuple([self._strings[i] for i in ranks]))
+            self._langs[ranks] = lang
+        return lang
+
+    @property
+    def members(self) -> tuple[Language, ...]:
+        """Every member in canonical order (by rank tuple), listed as the
+        subsets of the generators on the first read."""
+        if self._members is None:
+            listed: set[tuple[int, ...]] = set()
+            for g in self.generators:
+                listed.update(_subsets(self._ranks(g)))
+            self._members = tuple(map(self._lang, sorted(listed)))
+        return self._members
 
     def strings(self) -> tuple[str, ...]:
         """C0(L): the strings whose singleton language is a member."""
@@ -94,25 +148,14 @@ class Closure:
 
     def concat_pairs(self) -> list[tuple[Language, Language]]:
         """C_c(L): ordered member pairs whose concatenation is a member, in
-        canonical order.  Two (min_len, max_len) buckets are joined only
-        when (lo1 + lo2, hi1 + hi2), the signature of their products, is
-        some member's."""
+        canonical order: the nonempty subsets of a rectangle's X paired
+        with those of its Y, over every generator's rectangles."""
         if self._concat_pairs is None:
-            members = self.members
-            buckets: dict[tuple[int, int], list[int]] = {}
-            for i, k in enumerate(members):
-                buckets.setdefault((k.min_len(), k.max_len()), []).append(i)
-            found = []
-            for (lo1, hi1), group1 in buckets.items():
-                for (lo2, hi2), group2 in buckets.items():
-                    if (lo1 + lo2, hi1 + hi2) not in buckets:
-                        continue
-                    for i in group1:
-                        for j in group2:
-                            if self._within(_concat_set(members[i], members[j])):
-                                found.append((i, j))
-            found.sort()
-            self._concat_pairs = [(members[i], members[j]) for i, j in found]
+            found: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+            for x, y in self._rectangles:
+                found.update(product(_subsets(self._ranks(x)), _subsets(self._ranks(y))))
+            lang = self._lang
+            self._concat_pairs = [(lang(a), lang(b)) for a, b in sorted(found)]
         return self._concat_pairs
 
     def union_pairs(self) -> list[tuple[Language, Language]]:
@@ -139,24 +182,30 @@ class Closure:
 def compute_closure(
     base: Language, max_members: int = DEFAULT_CONFIG.closure_max_members
 ) -> Closure:
-    """Materialize C(base) as the nonempty subsets of its generators.
+    """C(base) as its generators and their rectangles, listing no member.
 
-    Each generator M not within an earlier one adds both sides of the
-    maximal rectangles of its pair relation: every nonempty intersection
-    Y of its left quotients, and X = {u : Y within u^{-1}M}.  Members are
-    listed as tuples of string ranks, whose native order is canonical.
+    Sets are popped largest first, and each one not within a generator
+    becomes one and adds both sides of the maximal rectangles of its pair
+    relation: every nonempty intersection Y of its left quotients, and
+    X = {u : Y within u^{-1}M}.  A side is no larger than its generator
+    (u·y is within M for each u of X and one y of Y), so no set popped
+    later holds an earlier generator: every generator is maximal, and
+    its rectangles are kept for ``concat_pairs``.
 
     Raises ResourceCapError exactly when C(base) has more than
-    max_members members, checked while listing and up front against a
-    generator's 2^|M| - 1 subsets and its intents (each a member).
+    max_members members, counted by inclusion-exclusion at the end and
+    checked up front against a generator's 2^|M| - 1 subsets and its
+    intents (each a member).
     """
     def too_many() -> ResourceCapError:
         return ResourceCapError(f"closure of {base!r} exceeds {max_members} members")
 
     gens: list[frozenset[str]] = []
-    queue = [base._set]
+    rectangles: list[Rectangle] = []
+    ties = count()  # equal sizes pop in push order; sets are never compared
+    queue = [(-len(base), next(ties), base._set)]
     while queue:
-        m = queue.pop()
+        m = heappop(queue)[2]
         if any(m <= g for g in gens):
             continue
         if (1 << len(m)) - 1 > max_members:
@@ -173,21 +222,14 @@ def compute_closure(
             if len(intents) > max_members:
                 raise too_many()
         for y in intents:
-            queue.append(frozenset(u for u, q in quots.items() if y <= q))
-            queue.append(y)
-    gens = [g for g in gens if not any(g < h for h in gens)]  # the maximal members
-
-    strings = sorted(set().union(*gens), key=canon_key)
-    rank = {s: i for i, s in enumerate(strings)}
-    listed: set[tuple[int, ...]] = set()
-    for g in gens:
-        ranks = sorted(rank[s] for s in g)
-        for r in range(1, len(ranks) + 1):
-            listed.update(combinations(ranks, r))
-            if len(listed) > max_members:
-                raise too_many()
-    members = [Language._from_canonical(tuple([strings[i] for i in t])) for t in sorted(listed)]
-    return Closure(base, gens, strings, members)
+            x = frozenset(u for u, q in quots.items() if y <= q)
+            rectangles.append((x, y))
+            heappush(queue, (-len(x), next(ties), x))
+            heappush(queue, (-len(y), next(ties), y))
+    size = _member_count(gens)
+    if size > max_members:
+        raise too_many()
+    return Closure(base, gens, rectangles, size)
 
 
 # -- implicit closure of the block languages B(n,k) --------------------------

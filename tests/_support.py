@@ -16,9 +16,11 @@ arithmetic, one row at a time, without the common denominator, and
 the gate as they were when rows were dicts keyed by variable name.
 ``reference_strong_primal`` is the strong program as it was built over
 ``reference_union_pairs``, every ordered member pair whose union is a
-member, comparable and repeated pairs included.  ``ReferenceTableau``
-and ``reference_solve_direct`` are the exact tableau as it was when its
-basic values were ``Fraction``s, for differential tests of the solver.
+member, comparable and repeated pairs included.  ``reference_concat_pairs``
+is the bucket join that listed the concatenation pairs from the listed
+members.  ``ReferenceTableau`` and ``reference_solve_direct`` are the
+exact tableau as it was when its basic values were ``Fraction``s, with
+their own copies of the row kernels, for differential tests of the solver.
 """
 
 from __future__ import annotations
@@ -51,8 +53,6 @@ from relp.solver import (
     BASIC,
     SolveResult,
     SolverError,
-    _eliminate,
-    _reduce,
 )
 
 # -- hypothesis strategies --------------------------------------------------
@@ -467,6 +467,30 @@ def reference_union_pairs(closure: Closure) -> list[tuple[Language, Language]]:
     return pairs
 
 
+def reference_concat_pairs(closure: Closure) -> list[tuple[Language, Language]]:
+    """Ordered member pairs whose concatenation is a member, in canonical
+    order, by the join the closure once ran over its listed members: two
+    (min_len, max_len) buckets are joined only when (lo1 + lo2, hi1 + hi2),
+    the signature of their products, is some member's, and a product is
+    looked up among the listed members' string sets."""
+    members = closure.members
+    listed = {k._set for k in members}
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, k in enumerate(members):
+        buckets.setdefault((k.min_len(), k.max_len()), []).append(i)
+    found = []
+    for (lo1, hi1), group1 in buckets.items():
+        for (lo2, hi2), group2 in buckets.items():
+            if (lo1 + lo2, hi1 + hi2) not in buckets:
+                continue
+            for i in group1:
+                for j in group2:
+                    if _concat_set(members[i], members[j]) in listed:
+                        found.append((i, j))
+    found.sort()
+    return [(members[i], members[j]) for i, j in found]
+
+
 def reference_strong_primal(closure: Closure) -> LinearProgram:
     """build_strong_primal with one row per ordered union pair."""
     lp = LinearProgram(sense="max")
@@ -492,7 +516,36 @@ def reference_strong_primal(closure: Closure) -> LinearProgram:
 
 # The exact tableau as it was when its basic values were Fractions:
 # ``_Tableau`` and ``_solve_direct`` verbatim, renamed, beside the
-# unchanged helpers and constants of ``relp.solver``.
+# unchanged constants of ``relp.solver``.  Its row kernels ``_reduce``
+# and ``_eliminate`` are copies too, so a fault in the solver's own
+# kernels shows up as a difference and not on both sides.
+
+
+def _reduce(row: list[int], den: int) -> tuple[list[int], int]:
+    """row / den with the gcd of den and every entry divided out."""
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _eliminate(
+    row: list[int], den: int, f: int, pden: int, pnz: list
+) -> tuple[list[int], int]:
+    """row/den minus (f/den) times the pivot row, when pden does not divide f.
+
+    f is row's numerator in the entering variable's slot, and the caller
+    has zeroed that slot; pnz lists the nonzeros (slot, value) of the new
+    pivot row, over pden.  The row moves to a larger denominator, takes
+    the update, and is reduced.  When pden divides f, the common case,
+    callers instead update the row sparsely in place, keeping den.
+    """
+    g = gcd(f, pden)
+    a, b = pden // g, f // g
+    row = [a * x for x in row]
+    for jj, v in pnz:
+        row[jj] -= b * v
+    return _reduce(row, den * a)
 
 
 class ReferenceTableau:

@@ -15,6 +15,8 @@ from relp import (
     ResourceCapError,
     all_strings,
     binomial,
+    build_weak_dual,
+    build_weak_primal,
     compute_closure,
     factorizations,
     singleton,
@@ -23,7 +25,13 @@ from relp import (
 from relp.closure import product_block
 from relp.lang import canon_key
 
-from _support import brute_factorizations, languages, naive_closure, reference_closure
+from _support import (
+    brute_factorizations,
+    languages,
+    naive_closure,
+    reference_closure,
+    reference_concat_pairs,
+)
 
 # three-letter languages: the anchored search must not lean on a binary alphabet
 ternary_languages = st.sets(
@@ -291,6 +299,46 @@ class TestAgainstDeletionFixpoint:
     def test_sigma_level_union(self):
         lang = all_strings(2).union(all_strings(3))
         assert compute_closure(lang).members == reference_closure(lang)
+
+
+class TestMembersOnDemand:
+    """The count and the concatenation pairs come from the generators and
+    their rectangles; members are listed only when read."""
+
+    @given(uniform_languages | ternary_languages | mixed_languages)
+    @example(Language(["00", "010", "011"]))
+    @settings(max_examples=150, deadline=None)
+    def test_pairs_and_count_match_the_listing(self, lang):
+        closure = compute_closure(lang)
+        assert closure.concat_pairs() == reference_concat_pairs(closure)
+        assert len(closure) == len(reference_closure(lang))
+        # popped largest first, every generator the fixpoint makes is
+        # maximal, with no pruning after it
+        gens = closure.generators
+        assert not any(g < h for g in gens for h in gens)
+
+    def test_weak_programs_list_no_member(self):
+        closure = compute_closure(threshold(4, 1))
+        build_weak_primal(closure)
+        build_weak_dual(closure)
+        assert len(closure) == 33_040
+        assert closure._members is None
+        assert len(closure.members) == 33_040
+
+    def test_count_over_fourteen_generators(self):
+        # inclusion-exclusion over 14 generators, merged by intersection
+        closure = compute_closure(binomial(6, 2))
+        assert len(closure.generators) == 14
+        size = len(closure)
+        assert closure._members is None
+        assert size == len(closure.members) == 33_922
+
+    def test_pairs_and_members_share_languages(self):
+        # pairs first: the members listed later are the pairs' Languages
+        closure = compute_closure(Language(["00", "000"]))
+        pairs = closure.concat_pairs()
+        ids = {id(k) for k in closure.members}
+        assert all(id(k1) in ids and id(k2) in ids for k1, k2 in pairs)
 
 
 class TestPairs:
