@@ -13,6 +13,14 @@ The exact products come from ``factorizations``, a search over the cuts
 u0·v0 of the canonically first member; a prefix pool {u : u v0 in K} of
 more than factor_pool_cap strings refuses it as a resource cap.
 
+The covers are read over bitmasks of the t members.  The best length of
+every proper nonempty subset is looked up in the memo by its member
+tuple, one pass over the bits gives each subset S its best proper
+superset, and one min over K1 pairs it with the best K2 that holds
+the rest of K.  So a memoized language costs 2^t memo lookups and
+O(t·2^t) comparisons on top of its factorization search, rather than
+a ``Language`` for each of its 3^t cover pairs.
+
 ``oracle_vs_lp`` cross-checks the search against the linear programs:
 the strong program over the closure must reach exactly the optimal
 length, and the weak program stays at or below it.
@@ -57,8 +65,9 @@ class OracleResult:
 
 
 # A memo entry records the optimal length and how it was achieved:
-# None for a spelled-out single string, otherwise ("cat" | "alt", K1, K2).
-_Choice = tuple[str, Language, Language] | None
+# None for a spelled-out single string, otherwise ("cat" | "alt", K1, K2)
+# with each operand as its canonical member tuple, the memo's key.
+_Choice = tuple[str, tuple[str, ...], tuple[str, ...]] | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,21 +169,55 @@ def factorizations(
     return out
 
 
-def _covers(lang: Language):
-    """Ordered pairs (K1, K2) of proper nonempty sublanguages with K1 + K2 = lang.
+def _ser(members: tuple[str, ...]) -> str:
+    """``Language.serialize`` of a canonical member tuple."""
+    return "{" + ",".join(members) + "}"
 
-    K2 is forced to contain everything K1 misses and may additionally
-    repeat any proper portion of K1, so overlapping covers are included;
-    K2 == lang would pair the whole language with itself and never
-    improves, so it is skipped.
+
+def _length(
+    members: tuple[str, ...], memo: dict[tuple[str, ...], _Entry], pool_cap: int
+) -> int:
+    """The optimal length of the language with these canonical members;
+    a ``Language`` is built only when the memo misses."""
+    hit = memo.get(members)
+    if hit is None:
+        hit = _best_for(Language._from_canonical(members), memo, pool_cap)
+    return hit.length
+
+
+def _best_cover(
+    members: tuple[str, ...], memo: dict[tuple[str, ...], _Entry], pool_cap: int
+) -> tuple:
+    """The best union of two proper sublanguages that cover the language,
+    as the candidate (total, 2, ser K1, ser K2, ("alt", K1, K2)).
+
+    Bit i of a mask stands for members[i].  K2 must hold everything K1
+    misses and may repeat any proper part of K1, so for each K1 the best
+    K2 is the best proper superset B of its complement S.  One pass over
+    the bits carries the minimal (length, ser) down from every B to each
+    S within it; the full mask never enters, as K2 == K never improves.
     """
-    members = lang.members
-    for k1 in lang.subsets(proper=True):
-        inside = k1.members
-        rest = tuple(m for m in members if m not in k1)
-        for r in range(len(inside)):
-            for extra in combinations(inside, r):
-                yield k1, Language(rest + extra)
+    full = (1 << len(members)) - 1
+    subs: list[tuple[str, ...]] = [()] * full
+    keys: list = [None] * (full + 1)  # (length, ser, mask); None at the full mask
+    for mask in range(1, full):
+        low = mask & -mask
+        sub = subs[mask] = (members[low.bit_length() - 1],) + subs[mask ^ low]
+        keys[mask] = (_length(sub, memo, pool_cap), _ser(sub), mask)
+    up = keys[:]  # up[S]: the minimal key over S <= B < full
+    bit = 1
+    while bit < full:
+        for s in range(1, full):
+            if not s & bit:
+                b = up[s | bit]
+                if b is not None and b < up[s]:
+                    up[s] = b
+        bit <<= 1
+    total, ser1, ser2, k1, k2 = min(
+        (length + up[full ^ k1][0], ser1, up[full ^ k1][1], k1, up[full ^ k1][2])
+        for length, ser1, k1 in keys[1:full]
+    )
+    return total, 2, ser1, ser2, ("alt", subs[k1], subs[k2])
 
 
 def _best_for(
@@ -182,56 +225,32 @@ def _best_for(
     memo: dict[tuple[str, ...], _Entry],
     pool_cap: int,
 ) -> _Entry:
-    hit = memo.get(lang.members)
-    if hit is not None:
-        return hit
-
-    # Candidates compare as (length, shape, left, right): concatenation
-    # (shape 1) beats union (shape 2) at equal length, then the
-    # lexicographically smaller left operand wins, so witnesses never
-    # depend on enumeration order.  A single string is its own spelling
-    # (shape 0); splits of it are still searched but can only tie.  The
-    # operands are serialized only to break a (length, shape) tie.
-    best: tuple[int, int] | None = None
-    choice: _Choice = None
-    if lang.is_singleton:
-        best = (len(lang.only), 0)
-
-    for k1, k2 in factorizations(lang, pool_cap):
-        total = (
-            _best_for(k1, memo, pool_cap).length + _best_for(k2, memo, pool_cap).length
-        )
-        if _beats((total, 1), k1, k2, best, choice):
-            best, choice = (total, 1), ("cat", k1, k2)
-
-    for k1, k2 in _covers(lang):
-        total = (
-            _best_for(k1, memo, pool_cap).length + _best_for(k2, memo, pool_cap).length
-        )
-        if _beats((total, 2), k1, k2, best, choice):
-            best, choice = (total, 2), ("alt", k1, k2)
-
-    entry = _Entry(best[0], choice)
-    memo[lang.members] = entry
+    """Search lang, which is not in the memo yet, and memoize its entry."""
+    members = lang.members
+    # Candidates compare as (length, shape, left, right) with the operands
+    # serialized: concatenation (shape 1) beats union (shape 2) at equal
+    # length, then the lexicographically smaller left operand wins, so
+    # witnesses never depend on enumeration order.  A single string is
+    # its own spelling (shape 0); splits of it are still searched but
+    # can only tie.  No two candidates tie before their choice.
+    if len(members) == 1:
+        best = (len(members[0]), 0, "", "", None)
+    else:
+        best = _best_cover(members, memo, pool_cap)
+    for left, right in _factor_pairs(lang, pool_cap):
+        total = _length(left, memo, pool_cap) + _length(right, memo, pool_cap)
+        if total <= best[0]:
+            best = min(best, (total, 1, _ser(left), _ser(right), ("cat", left, right)))
+    entry = memo[members] = _Entry(best[0], best[4])
     return entry
 
 
-def _beats(key, k1: Language, k2: Language, best, choice: _Choice) -> bool:
-    """Whether (key, K1, K2) comes before the best so far; a (length,
-    shape) tie has shape >= 1, so choice holds the tied operands."""
-    if key != best:
-        return best is None or key < best
-    return (k1.serialize(), k2.serialize()) < (choice[1].serialize(), choice[2].serialize())
-
-
-def _rebuild(lang: Language, memo: dict[tuple[str, ...], _Entry]) -> Regex:
-    entry = memo[lang.members]
-    if entry.choice is None:
-        return word(lang.only)
-    shape, k1, k2 = entry.choice
-    left = _rebuild(k1, memo)
-    right = _rebuild(k2, memo)
-    return Concat(left, right) if shape == "cat" else Union(left, right)
+def _rebuild(members: tuple[str, ...], memo: dict[tuple[str, ...], _Entry]) -> Regex:
+    choice = memo[members].choice
+    if choice is None:
+        return word(members[0])
+    shape, left, right = choice
+    return (Concat if shape == "cat" else Union)(_rebuild(left, memo), _rebuild(right, memo))
 
 
 def optimal_regex(lang: Language, config: RunConfig | None = None) -> OracleResult:
@@ -239,8 +258,10 @@ def optimal_regex(lang: Language, config: RunConfig | None = None) -> OracleResu
 
     Every language is reduced through all exact factorizations and all
     two-sided covers, so the reported length is the true optimum within
-    the grammar.  Cost grows roughly as 3^|lang| per memoized language;
-    the configured caps keep calls at desk scale.
+    the grammar.  A memoized language of t strings costs 2^t memo
+    lookups and O(t·2^t) comparisons for its covers, plus its
+    factorization search; the memo holds the closure C(lang), and the
+    configured caps keep calls at desk scale.
     """
     cfg = config or DEFAULT_CONFIG
     if len(lang) > cfg.oracle_max_strings:
@@ -254,7 +275,7 @@ def optimal_regex(lang: Language, config: RunConfig | None = None) -> OracleResu
         )
     memo: dict[tuple[str, ...], _Entry] = {}
     entry = _best_for(lang, memo, cfg.factor_pool_cap)
-    witness = _rebuild(lang, memo)
+    witness = _rebuild(lang.members, memo)
     if language_of(witness) != lang:  # pure composition should make this impossible
         raise SolverError(f"oracle witness expands to the wrong language for {lang!r}")
     return OracleResult(length=entry.length, witness=witness, explored=len(memo))

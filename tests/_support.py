@@ -5,7 +5,9 @@ The oracles here deliberately avoid the library's own search code:
 product scan, ``reference_closure`` is the closure fixpoint of
 one-element deletions and factorization searches that the generator
 fixpoint replaced, ``brute_factorizations`` enumerates subset pairs of
-prefixes and suffixes, and ``vertex_optimum`` maximizes over the
+prefixes and suffixes, ``reference_optimal_regex`` is the search
+oracle with the union step that listed all 3^t cover pairs of a
+t-string language, and ``vertex_optimum`` maximizes over the
 vertices of a fully bounded polytope by exact Gaussian elimination.
 ``negate_one_multiplier`` corrupts the solver's candidate optima, so
 tests can check that ``solve`` refuses them.  ``reference_check``
@@ -25,6 +27,7 @@ their own copies of the row kernels, for differential tests of the solver.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import gcd, lcm
@@ -32,10 +35,10 @@ from operator import mul
 
 from hypothesis import strategies as st
 
-from relp import Concat, Language, LinearProgram, Symbol, Union, solver
+from relp import Concat, Language, LinearProgram, OracleResult, Symbol, Union, solver
 from relp.builders import _net_row
 from relp.closure import Closure, _concat_set
-from relp.config import DEFAULT_CONFIG, ResourceCapError
+from relp.config import DEFAULT_CONFIG, ResourceCapError, RunConfig
 from relp.lp import (
     LE,
     Assignment,
@@ -45,7 +48,8 @@ from relp.lp import (
     check_feasible,
     objective_value,
 )
-from relp.oracle import _factor_pairs
+from relp.oracle import _factor_pairs, factorizations
+from relp.regex import Regex, language_of, word
 from relp.solver import (
     _STALL_PIVOTS,
     AT_LO,
@@ -180,6 +184,116 @@ def reference_closure(
             add(left)
             add(right)
     return tuple(sorted(seen.values(), key=Language.sort_key))
+
+
+# -- the search oracle over listed cover pairs ---------------------------------
+
+# The bodies below are the search as it was when the union step listed
+# every cover pair (K1, K2) and built a ``Language`` for each, 3^t pairs
+# for a language of t strings; only the names changed.
+
+
+@dataclass(frozen=True, slots=True)
+class _ReferenceEntry:
+    length: int
+    choice: tuple[str, Language, Language] | None
+
+
+def _reference_covers(lang: Language):
+    """Ordered pairs (K1, K2) of proper nonempty sublanguages with K1 + K2 = lang.
+
+    K2 is forced to contain everything K1 misses and may additionally
+    repeat any proper portion of K1, so overlapping covers are included;
+    K2 == lang would pair the whole language with itself and never
+    improves, so it is skipped.
+    """
+    members = lang.members
+    for k1 in lang.subsets(proper=True):
+        inside = k1.members
+        rest = tuple(m for m in members if m not in k1)
+        for r in range(len(inside)):
+            for extra in combinations(inside, r):
+                yield k1, Language(rest + extra)
+
+
+def _reference_best_for(
+    lang: Language,
+    memo: dict[tuple[str, ...], _ReferenceEntry],
+    pool_cap: int,
+) -> _ReferenceEntry:
+    hit = memo.get(lang.members)
+    if hit is not None:
+        return hit
+
+    # Candidates compare as (length, shape, left, right): concatenation
+    # (shape 1) beats union (shape 2) at equal length, then the
+    # lexicographically smaller left operand wins, so witnesses never
+    # depend on enumeration order.  A single string is its own spelling
+    # (shape 0); splits of it are still searched but can only tie.  The
+    # operands are serialized only to break a (length, shape) tie.
+    best: tuple[int, int] | None = None
+    choice = None
+    if lang.is_singleton:
+        best = (len(lang.only), 0)
+
+    for k1, k2 in factorizations(lang, pool_cap):
+        total = (
+            _reference_best_for(k1, memo, pool_cap).length
+            + _reference_best_for(k2, memo, pool_cap).length
+        )
+        if _reference_beats((total, 1), k1, k2, best, choice):
+            best, choice = (total, 1), ("cat", k1, k2)
+
+    for k1, k2 in _reference_covers(lang):
+        total = (
+            _reference_best_for(k1, memo, pool_cap).length
+            + _reference_best_for(k2, memo, pool_cap).length
+        )
+        if _reference_beats((total, 2), k1, k2, best, choice):
+            best, choice = (total, 2), ("alt", k1, k2)
+
+    entry = _ReferenceEntry(best[0], choice)
+    memo[lang.members] = entry
+    return entry
+
+
+def _reference_beats(key, k1: Language, k2: Language, best, choice) -> bool:
+    """Whether (key, K1, K2) comes before the best so far; a (length,
+    shape) tie has shape >= 1, so choice holds the tied operands."""
+    if key != best:
+        return best is None or key < best
+    return (k1.serialize(), k2.serialize()) < (choice[1].serialize(), choice[2].serialize())
+
+
+def _reference_rebuild(lang: Language, memo: dict[tuple[str, ...], _ReferenceEntry]) -> Regex:
+    entry = memo[lang.members]
+    if entry.choice is None:
+        return word(lang.only)
+    shape, k1, k2 = entry.choice
+    left = _reference_rebuild(k1, memo)
+    right = _reference_rebuild(k2, memo)
+    return Concat(left, right) if shape == "cat" else Union(left, right)
+
+
+def reference_optimal_regex(lang: Language, config: RunConfig | None = None) -> OracleResult:
+    """``optimal_regex`` with the union step that listed every cover pair:
+    the same caps, memo, witness check and result."""
+    cfg = config or DEFAULT_CONFIG
+    if len(lang) > cfg.oracle_max_strings:
+        raise ResourceCapError(
+            f"oracle input has {len(lang)} strings (cap {cfg.oracle_max_strings})"
+        )
+    if lang.max_len() > cfg.oracle_max_len:
+        raise ResourceCapError(
+            f"oracle input has a string of length {lang.max_len()} "
+            f"(cap {cfg.oracle_max_len})"
+        )
+    memo: dict[tuple[str, ...], _ReferenceEntry] = {}
+    entry = _reference_best_for(lang, memo, cfg.factor_pool_cap)
+    witness = _reference_rebuild(lang, memo)
+    if language_of(witness) != lang:  # pure composition should make this impossible
+        raise SolverError(f"oracle witness expands to the wrong language for {lang!r}")
+    return OracleResult(length=entry.length, witness=witness, explored=len(memo))
 
 
 # -- exact vertex-enumeration LP oracle --------------------------------------

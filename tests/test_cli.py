@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relp import read_alpha_table, read_lp, read_solution
 from relp.cli import build_parser, main
 from relp.config import DEFAULT_CONFIG, RunConfig
+from relp.lang import FORBIDDEN_SYMBOLS, RESERVED_CHARS
 
 from _support import negate_one_multiplier
 
@@ -224,6 +229,18 @@ class TestOracle:
         assert code == 2
         code, out, _ = run(capsys, "oracle", "{0,1,00}", "--oracle-max-strings", "3")
         assert code == 0
+
+    @given(st.text(alphabet=sorted(set("{},") | RESERVED_CHARS | FORBIDDEN_SYMBOLS), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_text_of_markup_is_refused(self, text):
+        # braces, commas, reserved and forbidden characters spell no
+        # alphabet symbol: exit 3 (or 2 on a cap), never a traceback
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["oracle", text])
+        assert code in (2, 3), (code, out.getvalue())
+        assert err.getvalue().startswith("resource cap:" if code == 2 else "error:")
+        assert out.getvalue() == ""
 
 
 def table_without_seconds(out):

@@ -25,9 +25,9 @@ from relp import (
     singleton,
     threshold,
 )
-from relp.oracle import factorizations
+from relp.oracle import _factor_pairs, factorizations
 
-from _support import languages
+from _support import languages, reference_optimal_regex
 
 
 class TestFrozenOptima:
@@ -203,3 +203,57 @@ class TestOracleVsLp:
         assert report.oracle.length == 4
         assert report.strong_objective == 4
         assert report.weak_objective <= 4
+
+
+class TestAgainstCoverListing:
+    """The union step over member bitmasks against the search that listed
+    all 3^t cover pairs of a t-string language, one ``Language`` each."""
+
+    @staticmethod
+    def outcome(result: OracleResult):
+        return result.length, render(result.witness), result.explored
+
+    @given(languages(6, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_same_optimum_witness_and_memo(self, lang):
+        assert self.outcome(optimal_regex(lang)) == self.outcome(reference_optimal_regex(lang))
+
+    @given(languages(5, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_same_with_longer_strings(self, lang):
+        # from length 4 on, a concatenation can tie a union at the optimum
+        assert self.outcome(optimal_regex(lang)) == self.outcome(reference_optimal_regex(lang))
+
+    @pytest.mark.parametrize(
+        "lang, length, explored",
+        [
+            (all_strings(3), 6, 273),
+            (Language(["00", "01", "10", "000", "011", "101", "110"]), 13, 144),
+            # the union sides of its optimum overlap
+            (TestOverlappingUnions.CURATED, 12, 162),
+            # a concatenation ties a union at the optimum 9
+            (Language(["10", "000", "010", "110", "0110"]), 9, 72),
+        ],
+    )
+    def test_at_the_string_cap(self, lang, length, explored):
+        got = self.outcome(optimal_regex(lang))
+        assert got == self.outcome(reference_optimal_regex(lang))
+        assert got[0] == length and got[2] == explored
+
+    def test_pool_refusal_inside_a_cover_subset(self):
+        # the first member 0 has no cut, so the top language searches no
+        # prefix pool; its cover subset {000,100} meets the pool {0,1} at
+        # its first cut, over a cap of 1
+        lang = Language(["0", "000", "100"])
+        tight = RunConfig(factor_pool_cap=1)
+        assert _factor_pairs(lang, 1) == set()
+        with pytest.raises(ResourceCapError, match="prefix pool"):
+            _factor_pairs(Language(["000", "100"]), 1)
+        with pytest.raises(ResourceCapError, match="prefix pool"):
+            reference_optimal_regex(lang, tight)
+        with pytest.raises(ResourceCapError, match="prefix pool"):
+            optimal_regex(lang, tight)
+        roomy = RunConfig(factor_pool_cap=2)
+        got = self.outcome(optimal_regex(lang, roomy))
+        assert got == self.outcome(reference_optimal_regex(lang, roomy))
+        assert got[:2] == (5, "((0+1)00+0)")
