@@ -230,13 +230,20 @@ def _best_for(
     # Candidates compare as (length, shape, left, right) with the operands
     # serialized: concatenation (shape 1) beats union (shape 2) at equal
     # length, then the lexicographically smaller left operand wins, so
-    # witnesses never depend on enumeration order.  A single string is
-    # its own spelling (shape 0); splits of it are still searched but
-    # can only tie.  No two candidates tie before their choice.
+    # witnesses never depend on enumeration order.  No two candidates tie
+    # before their choice.
     if len(members) == 1:
-        best = (len(members[0]), 0, "", "", None)
-    else:
-        best = _best_cover(members, memo, pool_cap)
+        # A single string is its own spelling (shape 0): its only
+        # factorizations are its cuts, which can only tie, and the search
+        # through them reaches exactly its substrings, each spelled out
+        # the same way.  A one-string prefix pool never passes the cap.
+        w = members[0]
+        for i in range(len(w)):
+            for j in range(i + 1, len(w) + 1):
+                memo[(w[i:j],)] = _Entry(j - i, None)
+        entry = memo[members] = _Entry(len(w), None)
+        return entry
+    best = _best_cover(members, memo, pool_cap)
     for left, right in _factor_pairs(lang, pool_cap):
         total = _length(left, memo, pool_cap) + _length(right, memo, pool_cap)
         if total <= best[0]:

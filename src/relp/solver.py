@@ -17,7 +17,8 @@ arithmetic.  Where the pivot row's denominator divides the entry to
 eliminate (always when it is 1, the common case) the pivot loop updates
 the row in place over the pivot row's nonzeros and keeps its
 denominator; otherwise ``_eliminate`` moves the row to a larger
-denominator and divides it by the gcd of its entries.  Pricing compares
+denominator, and divides it by the gcd of its entries only once that
+denominator passes ``_REDUCE_BITS`` bits.  Pricing compares
 numerators over the reduced-cost row's one denominator.  Each basic
 value is an int numerator over its own int denominator, reduced by one
 gcd when it changes, and the ratio test compares such rationals by
@@ -69,6 +70,10 @@ AT_LO, AT_UP, BASIC = 0, 1, 2
 
 # consecutive degenerate pivots after which pricing hands over to Bland
 _STALL_PIVOTS = 200
+
+# bits a row denominator may reach before ``_eliminate`` divides out the
+# row's gcd: one CPython digit
+_REDUCE_BITS = 30
 
 
 class SolverError(RuntimeError):
@@ -173,16 +178,22 @@ def _eliminate(
 
     f is row's numerator in the entering variable's slot, and the caller
     has zeroed that slot; pnz lists the nonzeros (slot, value) of the new
-    pivot row, over pden.  The row moves to a larger denominator, takes
-    the update, and is reduced.  When pden divides f, the common case,
-    callers instead update the row sparsely in place, keeping den.
+    pivot row, over pden.  The row moves to a larger denominator and
+    takes the update; it is reduced only once that denominator passes
+    ``_REDUCE_BITS`` bits, since below that the gcd pass over the row
+    costs more than its smaller ints save.  When pden divides f,
+    the common case, callers instead update the row sparsely in place,
+    keeping den.
     """
     g = gcd(f, pden)
     a, b = pden // g, f // g
     row = [a * x for x in row]
     for jj, v in pnz:
         row[jj] -= b * v
-    return _reduce(row, den * a)
+    den *= a
+    if den.bit_length() > _REDUCE_BITS:
+        return _reduce(row, den)
+    return row, den
 
 
 class _Tableau:
@@ -198,11 +209,12 @@ class _Tableau:
     and leaving variables between basis and nonbasic, and the leaving
     variable takes the entering one's slot.
 
-    Row i holds int numerators over one positive int denominator den[i].
-    A row is divided by the gcd of its entries whenever its denominator
-    grows; an update that keeps the denominator skips that step, so den[i]
-    is always a denominator the row once had in lowest terms and cannot
-    grow without bound.  The reduced-cost row is d / dden in the same way,
+    Row i holds int numerators over one positive int denominator den[i],
+    not always in lowest terms.  A row is divided by the gcd of its
+    entries when its denominator grows past ``_REDUCE_BITS`` bits; an
+    update that keeps the denominator skips that step, so den[i] either
+    fits in ``_REDUCE_BITS`` bits or is a denominator the row once had in
+    lowest terms.  The reduced-cost row is d / dden in the same way,
     one entry per slot, and beta[i] is bnum[i] / bden[i] in lowest terms,
     bden[i] > 0.  The tableau only pivots; it keeps no objective value.
     """

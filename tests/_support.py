@@ -632,7 +632,10 @@ def reference_strong_primal(closure: Closure) -> LinearProgram:
 # ``_Tableau`` and ``_solve_direct`` verbatim, renamed, beside the
 # unchanged constants of ``relp.solver``.  Its row kernels ``_reduce``
 # and ``_eliminate`` are copies too, so a fault in the solver's own
-# kernels shows up as a difference and not on both sides.
+# kernels shows up as a difference and not on both sides.  They keep the
+# eager rule, which reduces every row ``_eliminate`` rescales; the
+# solver's lazy rule, which reduces it only past ``_REDUCE_BITS``, is
+# held to them.
 
 
 def _reduce(row: list[int], den: int) -> tuple[list[int], int]:

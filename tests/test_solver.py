@@ -299,9 +299,9 @@ class TestUnboundedVariables:
 
 
 class TestCondensedTableau:
-    def test_rows_hold_nonbasic_slots_only(self, monkeypatch):
-        # each row has one entry per structural variable and artificial,
-        # none per slack; basis and slots partition the variables
+    @staticmethod
+    def capture_tableaux(monkeypatch) -> list:
+        """The list every tableau is appended to once a run of it ends."""
         seen = []
         real_run = solver._Tableau.run
 
@@ -311,6 +311,12 @@ class TestCondensedTableau:
             return out
 
         monkeypatch.setattr(solver._Tableau, "run", run)
+        return seen
+
+    def test_rows_hold_nonbasic_slots_only(self, monkeypatch):
+        # each row has one entry per structural variable and artificial,
+        # none per slack; basis and slots partition the variables
+        seen = self.capture_tableaux(monkeypatch)
         closure = compute_closure(Language(["1", "00", "000", "110", "111"]))
         for lp in (build_strong_primal(closure), build_weak_dual(closure), paired_bound_lp()):
             assert solve(lp).status == "optimal"
@@ -321,6 +327,18 @@ class TestCondensedTableau:
             assert all(len(row) == width for row in tab.T)
             assert len(tab.nonbasic) == len(tab.d) == width
             assert sorted(tab.basis + tab.nonbasic) == list(range(len(tab.status)))
+
+    def test_entries_stay_within_64_bits(self, monkeypatch):
+        # a row is reduced only once its denominator passes
+        # solver._REDUCE_BITS, so no den or entry grows without bound: on
+        # the (10,3) block program every one stays within 64 bits (34 at
+        # most; 18 when every row was reduced, 388 when none is)
+        seen = self.capture_tableaux(monkeypatch)
+        res = solve(build_relaxed_binomial(10, 3))
+        assert (res.status, res.objective, res.iterations) == ("optimal", 152, 614)
+        (tab,) = seen
+        ints = [*tab.den, *tab.d, tab.dden, *(v for row in tab.T for v in row)]
+        assert max(v.bit_length() for v in ints) <= 64
 
     @pytest.mark.parametrize(
         "build, objective, pivots",
@@ -377,6 +395,26 @@ class TestAgainstFractionTableau:
     @given(data=st.data(), n_vars=st.integers(2, 5), n_rows=st.integers(1, 6))
     @settings(max_examples=250, deadline=None)
     def test_same_pivots_and_points(self, data, n_vars, n_rows):
+        event(self.assert_same(self.draw_lp(data, n_vars, n_rows)))
+
+    @given(
+        data=st.data(),
+        n_vars=st.integers(2, 5),
+        n_rows=st.integers(1, 6),
+        bits=st.integers(0, 12),
+    )
+    @settings(max_examples=250, deadline=None)
+    def test_same_with_early_reduction(self, data, n_vars, n_rows, bits):
+        # at the solver's own bound about one elimination in ten on these
+        # small programs passes it and reduces its row; at a bound of a few
+        # bits most do, and at 0 every row is reduced, as the reference does
+        lp = self.draw_lp(data, n_vars, n_rows)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver, "_REDUCE_BITS", bits)
+            event(self.assert_same(lp))
+
+    @staticmethod
+    def draw_lp(data, n_vars: int, n_rows: int) -> LinearProgram:
         frac = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
         span = st.builds(Fraction, st.integers(1, 12), st.integers(1, 7))
         lp = LinearProgram(sense=data.draw(st.sampled_from(["max", "min"])))
@@ -389,7 +427,7 @@ class TestAgainstFractionTableau:
         for r in range(n_rows):
             coeffs = {name: data.draw(frac) for name in names}
             lp.add_row(f"r{r}", coeffs, data.draw(st.sampled_from(["<=", ">="])), data.draw(frac))
-        event(self.assert_same(lp))
+        return lp
 
     def test_entering_from_upper_bound(self):
         # x1 flips to its upper bound, then enters the basis decreasing
