@@ -631,25 +631,22 @@ def read_alpha_table(text: str) -> AlphaTable:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines or lines[0] != ALPHA_HEADER:
         raise ValueError(f"expected header {ALPHA_HEADER!r}")
-    kmax = nmax = grid = None
+    dims: dict[str, int] = {}
     alphas: dict[int, float] = {}
     ratios: dict[int, tuple[float, float]] = {}
     for ln in lines[1:]:
         parts = ln.split()
-        if parts[0] == "kmax" and len(parts) == 2:
-            kmax = int(parts[1])
-        elif parts[0] == "nmax" and len(parts) == 2:
-            nmax = int(parts[1])
-        elif parts[0] == "grid" and len(parts) == 2:
-            grid = int(parts[1])
+        if parts[0] in ("kmax", "nmax", "grid") and len(parts) == 2 and parts[0] not in dims:
+            dims[parts[0]] = int(parts[1])
         elif parts[0] == "alpha" and len(parts) == 3 and int(parts[1]) not in alphas:
             alphas[int(parts[1])] = float(parts[2])
         elif parts[0] == "ratio" and len(parts) == 4 and int(parts[1]) not in ratios:
             ratios[int(parts[1])] = (float(parts[2]), float(parts[3]))
         else:
             raise ValueError(f"unrecognized line {ln!r}")
-    if kmax is None or nmax is None or grid is None:
+    if len(dims) < 3:
         raise ValueError("missing kmax/nmax/grid lines")
+    kmax, nmax, grid = dims["kmax"], dims["nmax"], dims["grid"]
     try:
         ordered = tuple(alphas[j] for j in range(1, len(alphas) + 1))
     except KeyError as exc:

@@ -11,7 +11,7 @@ sets; nothing is simplified on the way in, and no reduction is offered.
 names against the declared variables in one set comparison.  The
 builders and the transpose append rows by position, and every row,
 however given, is refused if a position is out of range or repeated.
-Assignments, multipliers and the objective stay keyed by name.
+Assignments and the objective are keyed by name, multipliers by row position.
 
 Every coefficient, bound and rhs is stored in one normal form: a plain
 ``int`` when the value is integral, a ``Fraction`` only when it is not.
@@ -582,9 +582,12 @@ def read_solution(text: str) -> SolutionFile:
         name, sep, val_txt = ln.partition(" = ")
         if not sep:
             raise ValueError(f"bad solution line: {ln!r}")
+        name = name.strip()
+        if name in values:
+            raise ValueError(f"{name} is set on two lines")
         value, is_exact = parse_value(val_txt.strip())
         exact = exact and is_exact
-        values[name.strip()] = value
+        values[name] = value
     assignment: Assignment | None = None
     if values or status in ("optimal", "feasible"):
         if not exact:

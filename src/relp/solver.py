@@ -37,11 +37,14 @@ denominators and sums the reduced costs and the dual objective as D
 times their value, in ints when the program's coefficients are ints,
 and it takes the primal objective from its feasibility check.
 
-Multiplier sign convention (what ``SolveResult.duals`` means): for a max
-program a <= row carries y >= 0 and a >= row carries y <= 0; for a min
-program the signs flip.  ``certify_optimal`` is the reference
-implementation of that convention.  The tableau reads a row's multiplier
-off its slack's slot; a basic slack has multiplier 0.
+Multiplier convention (what ``SolveResult.duals`` means): the nonzero
+multipliers, keyed by row position in ``lp.rows``; row labels are for
+text only and may repeat.  For a max program a <= row carries y >= 0 and
+a >= row carries y <= 0; for a min program the signs flip.
+``certify_optimal`` is the reference implementation of that convention,
+and refuses a nonzero multiplier at any key that is not a row position.
+The tableau reads a row's multiplier off its slack's slot; a basic slack
+has multiplier 0.
 
 There is one path to a candidate optimum, the tableau, and it certifies
 nothing itself.  ``solve`` is the one gate: it runs ``certify_optimal``
@@ -85,7 +88,7 @@ class SolveResult:
     status: str  # optimal | infeasible | unbounded | resource
     objective: Fraction | None = None
     assignment: Assignment | None = None
-    duals: dict[str, Fraction] = field(default_factory=dict)
+    duals: dict[int, Fraction] = field(default_factory=dict)  # nonzero, by row position
     iterations: int = 0
     # always False (solve has no transposed path); perfbench/workloads.py
     # still reads it to count transposed solves
@@ -99,7 +102,7 @@ class SolveResult:
 def certify_optimal(
     lp: LinearProgram,
     assignment: Assignment,
-    duals: Mapping[str, Fraction | int],
+    duals: Mapping[int, Fraction | int],
 ) -> tuple[bool, str]:
     """Verify a primal/dual pair proves optimality, by exact arithmetic.
 
@@ -116,19 +119,16 @@ def certify_optimal(
     if not rep.feasible:
         v = rep.violations[0]
         return False, f"primal infeasible ({v.kind} {v.where} by {v.amount})"
-    known = {row.label for row in lp.rows}
-    for label, y in duals.items():
-        if label not in known and y:
-            return False, f"multiplier for unknown row {label}"
+    nonzero = [i for i, y in duals.items() if y]
+    for i in nonzero:
+        if type(i) is not int or not 0 <= i < len(lp.rows):
+            return False, f"multiplier for unknown row {i!r}"
     sgn = 1 if lp.sense == "max" else -1
     # (row, sgn * y) per nonzero multiplier y, in row order: the weight
     # of the row's coefficients and rhs in the reduced costs and dual objective
     active = []
-    get = duals.get
-    for row in lp.rows:
-        y = get(row.label)
-        if not y:
-            continue
+    for i in sorted(nonzero):
+        row, y = lp.rows[i], duals[i]
         if type(y) is not int:
             y = Fraction(y)
         srel = 1 if row.rel == LE else -1
@@ -525,11 +525,11 @@ def _solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
     # a row's multiplier is minus its slack's reduced cost: 0 while the
     # slack is basic, read off its slot otherwise
     slot_of = {j: s for s, j in enumerate(tab.nonbasic)}
-    duals: dict[str, Fraction] = {}
-    for i, row in enumerate(lp.rows):
+    duals: dict[int, Fraction] = {}
+    for i in range(m):
         s = slot_of.get(n + i)
         if s is not None and tab.d[s]:
-            duals[row.label] = Fraction(-tab.sgn * tab.row_sign[i] * tab.d[s], tab.dden)
+            duals[i] = Fraction(-tab.sgn * tab.row_sign[i] * tab.d[s], tab.dden)
     assignment = Assignment(values)
     return SolveResult(
         "optimal",
@@ -548,9 +548,6 @@ def solve(lp: LinearProgram, config: RunConfig | None = None) -> SolveResult:
     ``lp`` itself; otherwise ``SolverError`` is raised.
     """
     budget = (config or DEFAULT_CONFIG).solver_max_pivots
-    labels = [row.label for row in lp.rows]
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate row labels; solve needs them unique")
     res = _solve_direct(lp, budget)
     if res.status == "optimal":
         ok, why = certify_optimal(lp, res.assignment, res.duals)

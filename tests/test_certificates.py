@@ -432,6 +432,9 @@ class TestAlphaTableFormat:
             ("ratio 1 1.25 2.5", "ratio 1 2.5 1.25", "low <= high"),
             ("alpha 1 2.0\n", "alpha 1 2.0\nalpha 1 4.0\n", "unrecognized"),
             ("ratio 1 1.25 2.5\n", "ratio 1 1.25 2.5\nratio 1 1.0 2.0\n", "unrecognized"),
+            ("kmax 2\n", "kmax 2\nkmax 3\n", "unrecognized"),
+            ("nmax 10\n", "nmax 10\nnmax 9\n", "unrecognized"),
+            ("grid 64\n", "grid 64\ngrid 10\n", "unrecognized"),
         ],
         ids=[
             "kmax-below-1",
@@ -448,6 +451,9 @@ class TestAlphaTableFormat:
             "ratio-reversed",
             "alpha-repeated",
             "ratio-repeated",
+            "kmax-repeated",
+            "nmax-repeated",
+            "grid-repeated",
         ],
     )
     def test_rejects_impossible_tables(self, old, new, match):

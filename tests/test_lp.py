@@ -505,7 +505,12 @@ class TestSolutionTextFormat:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "objective 4\n", "status optimal\nx[0] 1\n"],
+        [
+            "",
+            "objective 4\n",
+            "status optimal\nx[0] 1\n",
+            "status optimal\nx[0] = 1\nx[0] = 2\n",
+        ],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):

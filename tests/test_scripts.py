@@ -15,7 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize(
     "argv",
     [
-        ["weight_one_table.py", "4"],
         ["relaxation_gap_hunt.py", "--count", "3", "--seed", "1"],
     ],
     ids=lambda argv: argv[0],

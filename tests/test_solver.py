@@ -61,6 +61,14 @@ def beale_lp() -> LinearProgram:
     return lp
 
 
+def by_label(lp: LinearProgram, duals) -> dict:
+    """Multipliers by row position, keyed instead by row label for the
+    label-keyed references; a key that is no row position keeps its text.
+    The programs compared this way have unique labels."""
+    m = len(lp.rows)
+    return {lp.rows[i].label if 0 <= i < m else str(i): y for i, y in duals.items()}
+
+
 class TestKnownOptima:
     def test_paired_bound_lp(self):
         res = solve(paired_bound_lp())
@@ -69,8 +77,7 @@ class TestKnownOptima:
         assert res.assignment.exact
         assert res.assignment.get("x1") == 1
         assert res.assignment.get("x2") == 1
-        assert res.duals["r1"] == Fraction(2, 3)
-        assert res.duals["r2"] == Fraction(1, 3)
+        assert res.duals == {0: Fraction(2, 3), 1: Fraction(1, 3)}
 
     def test_box_max(self):
         lp = LinearProgram(sense="max")
@@ -449,17 +456,17 @@ class TestAgainstFractionTableau:
         assert got.objective == want.objective
         if want.assignment is not None:
             assert got.assignment.values == want.assignment.values
-        assert got.duals == want.duals
+        assert by_label(lp, got.duals) == want.duals
         assert got.ray == want.ray
         return want.status
 
 
 class TestSolveDigest:
     # sha256 over (status, objective, iterations, sorted assignment, sorted
-    # duals) of the paper's two conjecture sweeps (reduced-b1 n <= 7, the
-    # block program n <= 7, k <= 3) and the (8,3) block dual, captured on
-    # the tableau with Fraction basic values: any change to a pivot or to
-    # a returned point moves it
+    # duals by row label) of the paper's two conjecture sweeps (reduced-b1
+    # n <= 7, the block program n <= 7, k <= 3) and the (8,3) block dual,
+    # captured on the tableau with Fraction basic values: any change to a
+    # pivot or to a returned point moves it
     DIGEST = "1098fc466a51cf048751887640de8b5e0aa082f98afd8f1fb85e727f8178e30a"
 
     def test_sweeps_and_block_dual(self):
@@ -476,7 +483,7 @@ class TestSolveDigest:
                 str(res.objective),
                 res.iterations,
                 sorted((k, str(v)) for k, v in res.assignment.values.items()),
-                sorted((k, str(v)) for k, v in res.duals.items()),
+                sorted((k, str(v)) for k, v in by_label(lp, res.duals).items()),
             )
             h.update(repr(key).encode())
         assert len(programs) == 33
@@ -523,7 +530,7 @@ class TestCertification:
         lp = paired_bound_lp()
         res = solve(lp)
         tampered = dict(res.duals)
-        tampered["r1"] = tampered["r1"] + 1
+        tampered[0] = tampered[0] + 1
         ok, _ = certify_optimal(lp, res.assignment, tampered)
         assert not ok
 
@@ -547,20 +554,26 @@ class TestCertification:
         assert not ok and "exact" in why
 
     def test_rejects_unknown_row_multiplier(self):
+        # multipliers are keyed by row position: a nonzero one at a
+        # negative, out-of-range or non-int key is refused (a label among
+        # them), and a zero one is ignored
         lp = paired_bound_lp()
         res = solve(lp)
-        duals = dict(res.duals)
-        duals["phantom"] = Fraction(1)
-        ok, why = certify_optimal(lp, res.assignment, duals)
-        assert not ok and "unknown row" in why
+        for key in (-1, 2, 10**20, "r1", "0", 0.5, None):
+            duals = {**res.duals, key: Fraction(1)}
+            ok, why = certify_optimal(lp, res.assignment, duals)
+            assert (ok, why) == (False, f"multiplier for unknown row {key!r}")
+            duals[key] = 0
+            assert certify_optimal(lp, res.assignment, duals) == (True, "ok")
 
     def test_rejects_wrong_sign(self):
         # min program, >= rows: the multipliers must be >= 0
         lp = paired_bound_lp()
         res = solve(lp)
-        duals = {label: -y for label, y in res.duals.items()}
+        # given last row first, the refusal still names the first row
+        duals = {i: -res.duals[i] for i in sorted(res.duals, reverse=True)}
         ok, why = certify_optimal(lp, res.assignment, duals)
-        assert (ok, why) == (False, f"multiplier for row {min(duals)} has the wrong sign")
+        assert (ok, why) == (False, "multiplier for row r1 has the wrong sign")
 
     def test_rejects_positive_reduced_cost_on_unbounded_variable(self):
         # max x s.t. x <= 2 with x unbounded above: without the row's
@@ -570,7 +583,7 @@ class TestCertification:
         lp.set_objective({"x": 1})
         lp.add_row("r", {"x": 1}, "<=", 2)
         point = Assignment.from_rationals({"x": 2})
-        assert certify_optimal(lp, point, {"r": 1}) == (True, "ok")
+        assert certify_optimal(lp, point, {0: 1}) == (True, "ok")
         assert certify_optimal(lp, point, {}) == (
             False,
             "positive reduced cost on unbounded variable x",
@@ -584,7 +597,9 @@ def certify_cases(draw):
     Every row is drawn to hold at a drawn point inside the bounds, so the
     program is feasible.  When it solves to an optimum, the solver's pair
     is judged, exact or perturbed; otherwise the drawn point with drawn
-    multipliers.
+    multipliers.  Multipliers are keyed by row position; "unknown row"
+    puts one at a position past the last row or below the first, and
+    "zeros" puts a zero there too.
     """
     names = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
     pick = st.sampled_from(names)
@@ -604,28 +619,30 @@ def certify_cases(draw):
         lhs = sum(c * point.get(n) for n, c in coeffs.items())
         slack = abs(draw(st.sampled_from([Fraction(0)]) | rationals(1)))
         lp.add_row(f"r{i}", coeffs, rel, lhs + slack if rel == "<=" else lhs - slack)
-    labels = [row.label for row in lp.rows]
+    rows = range(len(lp.rows))
+    outside = st.sampled_from([-1, len(rows)])
     res = solve(lp)
     if res.status == "optimal":
         point, duals = res.assignment, dict(res.duals)
     else:
         event(f"solve: {res.status}")
-        duals = draw(st.dictionaries(st.sampled_from(labels), rationals(1))) if labels else {}
+        duals = draw(st.dictionaries(st.sampled_from(rows), rationals(1))) if rows else {}
     change = draw(st.sampled_from(["exact", "zeros", "wrong sign", "unknown row", "off"]))
     event(f"multipliers: {change}")
     if change == "zeros":
-        for label in labels:
-            if label not in duals:
-                duals[label] = draw(st.sampled_from([0, Fraction(0)]))
-    elif change == "wrong sign" and labels:
-        label = draw(st.sampled_from(labels))
-        y = duals.get(label, 0)
-        duals[label] = -y if y else draw(st.sampled_from([1, -1, Fraction(-1, 3)]))
+        for i in rows:
+            if i not in duals:
+                duals[i] = draw(st.sampled_from([0, Fraction(0)]))
+        duals[draw(outside)] = 0
+    elif change == "wrong sign" and rows:
+        i = draw(st.sampled_from(rows))
+        y = duals.get(i, 0)
+        duals[i] = -y if y else draw(st.sampled_from([1, -1, Fraction(-1, 3)]))
     elif change == "unknown row":
-        duals["ghost"] = Fraction(1, 7)
-    elif change == "off" and labels:
-        label = draw(st.sampled_from(labels))
-        duals[label] = duals.get(label, 0) + Fraction(1, 7)
+        duals[draw(outside)] = Fraction(1, 7)
+    elif change == "off" and rows:
+        i = draw(st.sampled_from(rows))
+        duals[i] = duals.get(i, 0) + Fraction(1, 7)
     return lp, point, duals
 
 
@@ -639,8 +656,9 @@ class TestCertifyAgainstReference:
         lp, point, duals = case
         verdict = certify_optimal(lp, point, duals)
         event("verdict: " + " ".join(verdict[1].split()[:2]))
-        assert verdict == reference_certify(lp, point, duals)
-        assert verdict == named_certify_optimal(lp, point, duals)
+        labelled = by_label(lp, duals)
+        assert verdict == reference_certify(lp, point, labelled)
+        assert verdict == named_certify_optimal(lp, point, labelled)
 
 
 class TestCertificateGate:
@@ -658,12 +676,21 @@ class TestCertificateGate:
         with pytest.raises(SolverError, match="failed certification"):
             solve(lp)
 
-    @pytest.mark.parametrize("mode", ["never"])
-    def test_duplicate_row_labels_refused(self, mode):
+    def test_duplicate_row_labels_are_certified(self):
+        # labels are for text only; each multiplier sits at its row's position
         lp = paired_bound_lp()
         lp.add_row("r1", {"x2": 1}, "<=", 5)
-        with pytest.raises(ValueError, match="duplicate row labels"):
-            solve(lp)
+        res = solve(lp)
+        assert (res.status, res.objective) == ("optimal", 1)
+        assert certify_optimal(lp, res.assignment, res.duals) == (True, "ok")
+        lp = LinearProgram(sense="max")
+        lp.add_variable("x")
+        lp.add_variable("y")
+        lp.set_objective({"x": 1, "y": 2})
+        lp.add_row("r", {"x": 1}, "<=", 1)
+        lp.add_row("r", {"y": 1}, "<=", 2)
+        res = solve(lp)
+        assert (res.status, res.objective, res.duals) == ("optimal", 5, {0: 1, 1: 2})
 
 
 class TestResultInvariants:
