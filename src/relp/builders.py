@@ -34,7 +34,7 @@ from itertools import chain, repeat
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .closure import BinomialIndex, Closure, _concat_set
+from .closure import BinomialIndex, Closure, _concat_set, canonical_order
 from .lang import Language, binomial, canon_key
 from .lp import (
     GE,
@@ -129,9 +129,14 @@ def transpose_lp(
     """
     if lp.sense != "max":
         raise ValueError("transpose_lp expects a max program")
+    # each multiplier is named after its row's label, so labels must differ
+    labels: set[str] = set()
     for row in lp.rows:
         if row.rel != LE:
             raise ValueError(f"transpose_lp expects <= rows, got {row.rel} in {row.label}")
+        if row.label in labels:
+            raise ValueError(f"transpose_lp expects distinct row labels, got {row.label} twice")
+        labels.add(row.label)
     caps = []
     for name in lp.variables:
         lo, hi = lp.bounds[name]
@@ -245,12 +250,15 @@ def _block_rows(
     for n1, k1, n2, k2 in index.quadruples():
         # the members of B(n1+n2, k1+k2) that start with a given u of
         # B(n1, k1) are one run of it, from u + first on, ending in every
-        # v of B(n2, k2) in order
+        # v of B(n2, k2) in order; a run of one member is read, not sliced
         top, first, width = block[n1 + n2, k1 + k2], members[n2, k2][0], comb(n2, k2)
-        product: list[int] = []
-        for u in members[n1, k1]:
-            at = place[u + first]
-            product += top[at : at + width]
+        if width == 1:
+            product = [top[place[u + first]] for u in members[n1, k1]]
+        else:
+            product = []
+            for u in members[n1, k1]:
+                at = place[u + first]
+                product += top[at : at + width]
         if (n1, k1) == (n2, k2):
             minus, c = block[n1, k1], -2
         else:
@@ -262,7 +270,7 @@ def _block_program(n: int, k: int, name: Callable[[int, int, int, int], str]) ->
     index = BinomialIndex(n, k)
     members = {b: binomial(*b).members for b in index.blocks()}
     # index.strings(), from the blocks at hand rather than built again
-    strings = sorted(chain.from_iterable(members.values()), key=canon_key)
+    strings = canonical_order(members)
     return strings, members[n, k], _block_rows(index, members, strings, name)
 
 

@@ -451,9 +451,17 @@ def g_value(s: str, alphas: AlphaTable | Sequence[float]) -> float:
 
 
 def analytic_g(n: int, k: int, alphas: AlphaTable | Sequence[float]) -> Assignment:
-    """g on every variable of the block program for B(n, k)."""
-    index = BinomialIndex(n, k)
-    return Assignment.from_floats({var_x(s): g_value(s, alphas) for s in index.strings()})
+    """g on every variable of the block program for B(n, k), computed once
+    per (length, weight, span), which is all g reads of a string."""
+    g: dict[tuple[int, int, int], float] = {}
+    values = {}
+    for s in BinomialIndex(n, k).strings():
+        key = (len(s), s.count("1"), s.rfind("1") - s.find("1"))
+        v = g.get(key)
+        if v is None:
+            v = g[key] = g_value(s, alphas)
+        values[var_x(s)] = v
+    return Assignment.from_floats(values)
 
 
 def g_objective(n: int, k: int, alphas: AlphaTable | Sequence[float]) -> float:

@@ -232,9 +232,10 @@ def _b1_cases(args, cfg: RunConfig):
 
 
 def _bnk_cases(args, cfg: RunConfig):
+    lo = args.n_min if args.n_min is not None else 1
     hi = args.n_max if args.n_max is not None else 6
     kmax = args.k_max if args.k_max is not None else 2
-    for n in range(1, hi + 1):
+    for n in range(lo, hi + 1):
         for k in range(0, min(n, kmax) + 1):
             yield ((str(n), str(k)), f"relaxed program ({n},{k})",
                    partial(build_relaxed_binomial, n, k),

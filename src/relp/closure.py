@@ -267,20 +267,30 @@ class BinomialIndex:
         ]
 
     def quadruples(self) -> list[tuple[int, int, int, int]]:
-        quads = []
-        for n1 in range(1, self.n):
-            for n2 in range(1, self.n - n1 + 1):
-                for k1 in range(0, min(n1, self.k) + 1):
-                    for k2 in range(0, min(n2, self.k - k1) + 1):
-                        if self.fits(n1 + n2, k1 + k2):
-                            quads.append((n1, k1, n2, k2))
-        quads.sort()
-        return quads
+        """The quadruples in sorted order.  The product fits exactly when
+        k2 leaves room for the ones it is missing, so the fit rule is the
+        lower end of k2's range."""
+        n, k = self.n, self.k
+        return [
+            (n1, k1, n2, k2)
+            for n1 in range(1, n)
+            for k1 in range(min(n1, k) + 1)
+            for n2 in range(1, n - n1 + 1)
+            for k2 in range(max(0, k - k1 - (n - n1 - n2)), min(n2, k - k1) + 1)
+        ]
 
     def strings(self) -> tuple[str, ...]:
         """C0(B(n,k)): the strings of every fitted block."""
-        out = [s for m, l in self.blocks() for s in binomial(m, l).members]
-        return tuple(sorted(out, key=canon_key))
+        return tuple(canonical_order({b: binomial(*b).members for b in self.blocks()}))
+
+
+def canonical_order(members: dict[tuple[int, int], tuple[str, ...]]) -> list[str]:
+    """The members of the blocks (m, l) in canonical order: by length m,
+    then one plain sort of the strings of that length."""
+    lengths: dict[int, list[str]] = {}
+    for (m, _), strings in members.items():
+        lengths.setdefault(m, []).extend(strings)
+    return [s for m in sorted(lengths) for s in sorted(lengths[m])]
 
 
 def product_block(n1: int, k1: int, n2: int, k2: int) -> list[str]:

@@ -20,9 +20,12 @@ the gate as they were when rows were dicts keyed by variable name.
 ``reference_union_pairs``, every ordered member pair whose union is a
 member, comparable and repeated pairs included.  ``reference_concat_pairs``
 is the bucket join that listed the concatenation pairs from the listed
-members.  ``ReferenceTableau`` and ``reference_solve_direct`` are the
-exact tableau as it was when its basic values were ``Fraction``s, with
-their own copies of the row kernels, for differential tests of the solver.
+members.  ``reference_quadruples`` and ``reference_strings`` are the
+block index's tables as they were built candidate by candidate and
+string by string.  ``ReferenceTableau`` and ``reference_solve_direct``
+are the exact tableau as it was when its basic values were
+``Fraction``s, with their own copies of the row kernels, for
+differential tests of the solver.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ from hypothesis import strategies as st
 
 from relp import Concat, Language, LinearProgram, OracleResult, Symbol, Union, solver
 from relp.builders import _net_row
-from relp.closure import Closure, _concat_set
+from relp.closure import BinomialIndex, Closure, _concat_set
 from relp.config import DEFAULT_CONFIG, ResourceCapError, RunConfig
+from relp.lang import binomial, canon_key
 from relp.lp import (
     LE,
     Assignment,
@@ -624,6 +628,29 @@ def reference_strong_primal(closure: Closure) -> LinearProgram:
         acc = _net_row((name[a | b],), (name[a], name[b]))
         lp.add_row(f"u[{text[a]},{text[b]}]", acc, LE, 0)
     return lp
+
+
+# -- the block index, candidate by candidate --------------------------------------
+
+
+def reference_quadruples(index: BinomialIndex) -> list[tuple[int, int, int, int]]:
+    """BinomialIndex.quadruples as it was: every candidate tested with
+    ``fits``, then sorted."""
+    quads = []
+    for n1 in range(1, index.n):
+        for n2 in range(1, index.n - n1 + 1):
+            for k1 in range(0, min(n1, index.k) + 1):
+                for k2 in range(0, min(n2, index.k - k1) + 1):
+                    if index.fits(n1 + n2, k1 + k2):
+                        quads.append((n1, k1, n2, k2))
+    quads.sort()
+    return quads
+
+
+def reference_strings(index: BinomialIndex) -> tuple[str, ...]:
+    """BinomialIndex.strings as it was: sorted by ``canon_key``."""
+    out = [s for m, l in index.blocks() for s in binomial(m, l).members]
+    return tuple(sorted(out, key=canon_key))
 
 
 # -- the Fraction-valued tableau ------------------------------------------------

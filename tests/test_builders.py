@@ -302,6 +302,15 @@ class TestTranspose:
         with pytest.raises(ValueError, match="lower bounds 0"):
             transpose_lp(lp, str, str, str)
 
+    def test_rejects_repeated_row_label(self):
+        lp = LinearProgram(sense="max")
+        lp.add_variable("x")
+        lp.set_objective({"x": 1})
+        lp.add_row("r", {"x": 1}, "<=", 1)
+        lp.add_row("r", {"x": 1}, "<=", 2)
+        with pytest.raises(ValueError, match="distinct row labels, got r twice"):
+            transpose_lp(lp, lambda l: f"y[{l}]", str, str)
+
 
 class TestDualBuilders:
     def test_weak_dual_frozen(self):

@@ -45,6 +45,9 @@ from relp import certificates
 from relp.certificates import _product_g_sum
 from relp.closure import BinomialIndex, product_block
 from relp.lang import canon_key
+from relp.lp import var_x
+
+from _support import reference_strings
 
 
 class TestWeakDualCert:
@@ -324,6 +327,17 @@ class TestCalibration:
             for n in range(max(1, k), 25):
                 direct = sum(g_value(s, alphas) for s in binomial(n, k))
                 assert g_objective(n, k, alphas) == pytest.approx(direct, rel=1e-12), (n, k)
+
+    def test_analytic_g_matches_per_string_values(self):
+        # g computed once per (length, weight, span) against g_value on
+        # every string: same keys, same order, same floats
+        alphas = (2.0, 1.0, 0.5)
+        for n in range(1, 17):
+            for k in range(0, min(n, 4) + 1):
+                strings = reference_strings(BinomialIndex(n, k))
+                direct = {var_x(s): g_value(s, alphas) for s in strings}
+                got = analytic_g(n, k, alphas).values
+                assert list(got.items()) == list(direct.items()), (n, k)
 
     def test_product_block_sums_match_direct_sums(self):
         # calibrate_alphas sums each product block over its spans; the

@@ -275,6 +275,16 @@ class TestSweeps:
             ["3", "2", "8 (8.0000)", "8", "yes"],
         ]
 
+    def test_bnk_conjecture_honours_n_min(self, capsys):
+        code, out, _ = run(capsys, "sweep", "bnk-conjecture", "--n-min", "3",
+                           "--n-max", "3", "--k-max", "1")
+        assert code == 0
+        assert table_without_seconds(out) == [
+            ["n", "k", "opt", "length", "equal"],
+            ["3", "0", "3 (3.0000)", "3", "yes"],
+            ["3", "1", "8 (8.0000)", "8", "yes"],
+        ]
+
     def test_caveat(self, capsys):
         code, out, _ = run(capsys, "sweep", "caveat", "--n-max", "2")
         assert code == 0

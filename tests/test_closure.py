@@ -31,6 +31,8 @@ from _support import (
     naive_closure,
     reference_closure,
     reference_concat_pairs,
+    reference_quadruples,
+    reference_strings,
 )
 
 # three-letter languages: the anchored search must not lean on a binary alphabet
@@ -430,6 +432,18 @@ class TestBinomialIndex:
             for s in binomial(m, l).members
         )
         assert "000" not in index.strings()
+
+    def test_tables_match_references(self):
+        # quadruples are emitted in order with the fit rule in k2's range,
+        # strings sorted once per length; the references test every
+        # candidate and sort by canon_key.  Strings stop at weight 3 past
+        # length 16: the heavier cases there take about 11 s in all
+        for n in range(1, 25):
+            for k in range(0, min(n, 6) + 1):
+                index = BinomialIndex(n, k)
+                assert index.quadruples() == reference_quadruples(index), (n, k)
+                if n <= 16 or k <= 3:
+                    assert index.strings() == reference_strings(index), (n, k)
 
     def test_product_block(self):
         assert sorted(product_block(1, 0, 1, 1)) == ["01"]
