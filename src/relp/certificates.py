@@ -25,6 +25,9 @@ single-one strings (with ``reduced_b1_assignment`` extending it to the
 reduced program's split variables), ``analytic_threshold_strong`` for
 the at-least-one-one language, and ``analytic_g`` for higher weights,
 whose leading constants are fixed empirically by ``calibrate_alphas``.
+g is written once, in ``_g``, as a function of length, weight and span;
+every block or product-block sum of g, at every weight, runs over a span
+table, and the calibration reads its affine forms off those sums.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor, isfinite, log, log1p, log2
+from math import comb, frexp, isfinite, log, log1p
 
 from .builders import build_weak_support_dual
 from .closure import (
@@ -420,21 +423,33 @@ class AlphaTable:
         return self.alphas[j - 1]
 
 
-def _alpha(alphas: AlphaTable | Sequence[float], j: int) -> float:
+def _alpha(alphas: AlphaTable | Sequence[float], k: int) -> float:
+    """alpha_(k-1), g's constant at weight k >= 2; 1.0 below, where g has none."""
+    if k < 2:
+        return 1.0
     if isinstance(alphas, AlphaTable):
-        return alphas.alpha(j)
+        return alphas.alpha(k - 1)
     try:
-        return alphas[j - 1]
+        return alphas[k - 2]
     except IndexError:
-        raise ValueError(f"alpha_{j} is not available") from None
+        raise ValueError(f"alpha_{k - 1} is not available") from None
 
 
-def _unit(span: int, power: int) -> float:
-    return (log(span) / span) ** power
+def _g(length: int, weight: int, span: int, alpha: float) -> float:
+    """``g_value`` of a string of this length, weight and span, given its alpha."""
+    if weight == 0:
+        return float(length)
+    if weight == 1:
+        return 1.0 + log(length)
+    return alpha * (log(span) / span) ** (weight - 1)
 
 
-def _unit_sum(spans: dict[int, int], power: int) -> float:
-    return sum(count * _unit(p, power) for p, count in spans.items())
+def _g_sum(
+    length: int, weight: int, spans: dict[int, int], alphas: AlphaTable | Sequence[float]
+) -> float:
+    """Sum of g over a span table of strings of one length and weight."""
+    alpha = _alpha(alphas, weight)
+    return sum(count * _g(length, weight, p, alpha) for p, count in spans.items())
 
 
 def g_value(s: str, alphas: AlphaTable | Sequence[float]) -> float:
@@ -443,11 +458,7 @@ def g_value(s: str, alphas: AlphaTable | Sequence[float]) -> float:
     weight k >= 2, where p is the inclusive span from the first one to
     the last."""
     k = ones(s)
-    if k == 0:
-        return float(len(s))
-    if k == 1:
-        return 1.0 + log(len(s))
-    return _alpha(alphas, k - 1) * _unit(s.rindex("1") - s.index("1") + 1, k - 1)
+    return _g(len(s), k, s.rfind("1") - s.find("1") + 1, _alpha(alphas, k))
 
 
 def analytic_g(n: int, k: int, alphas: AlphaTable | Sequence[float]) -> Assignment:
@@ -456,27 +467,18 @@ def analytic_g(n: int, k: int, alphas: AlphaTable | Sequence[float]) -> Assignme
     g: dict[tuple[int, int, int], float] = {}
     values = {}
     for s in BinomialIndex(n, k).strings():
-        key = (len(s), s.count("1"), s.rfind("1") - s.find("1"))
+        key = (len(s), s.count("1"), s.rfind("1") - s.find("1") + 1)
         v = g.get(key)
         if v is None:
-            v = g[key] = g_value(s, alphas)
+            v = g[key] = _g(*key, _alpha(alphas, key[1]))
         values[var_x(s)] = v
     return Assignment.from_floats(values)
 
 
 def g_objective(n: int, k: int, alphas: AlphaTable | Sequence[float]) -> float:
-    """Sum of g over B(n, k): the block-program objective of analytic_g.
-
-    g depends only on a string's weight and span (its length below weight
-    two), and for k >= 2 B(n, k) holds (n - p + 1) * C(p - 2, k - 2)
-    strings of span p, so the sum runs over spans instead of strings.
-    """
-    if k < 2:
-        return comb(n, k) * g_value("1" * k + "0" * (n - k), alphas)
-    return sum(
-        count * g_value("1" * (k - 1) + "0" * (p - k) + "1", alphas)
-        for p, count in block_spans(n, k).items()
-    )
+    """Sum of g over B(n, k): the block-program objective of analytic_g,
+    summed over the span table of the block."""
+    return _g_sum(n, k, block_spans(n, k), alphas)
 
 
 def relaxed_row_margin(quad: Quad, g: Callable[[str], float]) -> float:
@@ -490,32 +492,17 @@ def relaxed_row_margin(quad: Quad, g: Callable[[str], float]) -> float:
 
 
 def _product_g_sum(quad: Quad, alphas: AlphaTable | Sequence[float]) -> float:
-    """Sum of g over the product block of one row, through its spans."""
+    """Sum of g over the product block of one row, through its span table."""
     n1, k1, n2, k2 = quad
-    k = k1 + k2
-    if k < 2:
-        return comb(n1, k1) * comb(n2, k2) * g_value("1" * k + "0" * (n1 + n2 - k), alphas)
-    return _alpha(alphas, k - 1) * _unit_sum(product_spans(*quad), k - 1)
+    return _g_sum(n1 + n2, k1 + k2, product_spans(*quad), alphas)
 
 
-def _row_affine(quad: Quad, fixed: Sequence[float], j: int) -> tuple[float, float]:
-    """Margin of a product-weight-(j+1) row as A - B * alpha_j.
-
-    The product block has weight j+1, so its whole sum scales with the
-    candidate; a factor block scales too when it carries all the
-    weight, and otherwise contributes a fixed amount through the
-    already-calibrated values.  Every sum runs over spans.
-    """
-    n1, k1, n2, k2 = quad
-    top = j + 1
-    scaled = _unit_sum(product_spans(*quad), j)
-    fixed_part = 0.0
-    for side_n, side_k in ((n1, k1), (n2, k2)):
-        if side_k == top:
-            scaled -= _unit_sum(block_spans(side_n, side_k), j)
-        else:
-            fixed_part += g_objective(side_n, side_k, fixed)
-    return fixed_part, scaled
+def _block_sums(
+    nmax: int, kmax: int, alphas: AlphaTable | Sequence[float]
+) -> dict[tuple[int, int], float]:
+    """g summed over every block B(m, l) with m <= nmax and l <= kmax."""
+    blocks = ((m, l) for m in range(1, nmax + 1) for l in range(min(m, kmax) + 1))
+    return {block: g_objective(*block, alphas) for block in blocks}
 
 
 def calibrate_alphas(kmax: int, nmax: int, *, grid_max: int = 64) -> AlphaTable:
@@ -524,19 +511,26 @@ def calibrate_alphas(kmax: int, nmax: int, *, grid_max: int = 64) -> AlphaTable:
     alpha_j scales g on weight-(j+1) strings only, so with the earlier
     constants fixed it is pinned by the bounds g(s) <= |s| at weight
     j+1 and by the block rows whose product weight is j+1.  Both are
-    affine in the candidate, so one sweep collects the tightest
-    admissible value, which is then rounded down to a power of two.
+    affine in the candidate: a row's margin is fixed - scaled * alpha_j,
+    read off the block and product-block sums at alpha_j = 1.0, and one
+    sweep collects the tightest admissible value, which is then rounded
+    down to a power of two.  Every sum runs over a span table.
     Scanning length nmax covers every shorter program: a block row only
     constrains its lengths to sum to at most the program length, and
     raising an earlier constant never hurts a later row (it only
-    enlarges right-hand sides).  A final pass re-verifies every row and
-    bound of the full length-nmax programs and records the
-    objective-growth intervals on the ratio grid.
+    enlarges right-hand sides).  A final pass re-verifies, at the final
+    constants, every bound of a block B(m, l) and every row of product
+    weight l, for m <= nmax and l <= kmax, which covers the length-nmax
+    programs of every weight up to kmax, and records the objective-growth
+    intervals on the ratio grid.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     if nmax < max(2, kmax):
         raise ValueError(f"nmax={nmax} is too small to calibrate up to weight {kmax}")
+    # the rows of each product weight k: B(nmax, k)'s quadruples of that weight
+    rows = [[quad for quad in BinomialIndex(nmax, k).quadruples() if quad[1] + quad[3] == k]
+            for k in range(kmax + 1)]
     alphas: list[float] = []
     for j in range(1, kmax):
         k = j + 1
@@ -546,28 +540,30 @@ def calibrate_alphas(kmax: int, nmax: int, *, grid_max: int = 64) -> AlphaTable:
         # checked once per span of each block B(m, k)
         for m in range(k, nmax + 1):
             for span in block_spans(m, k):
-                allowed = (m + _SLACK) / _unit(span, j)
+                allowed = (m + _SLACK) / _g(m, k, span, 1.0)
                 if allowed < cap:
                     cap, binding = allowed, f"bound g <= {m} at span {span} of B({m},{k})"
-        for quad in BinomialIndex(nmax, k).quadruples():
-            if quad[1] + quad[3] != k:
-                continue
-            fixed_part, scaled = _row_affine(quad, alphas, j)
+        # at alpha_j = 1.0 a weight-k sum is its own scaled part; a factor
+        # block of weight k scales with alpha_j, a lighter one is fixed
+        trial = (*alphas, 1.0)
+        sums = _block_sums(nmax, k, trial)
+        for quad in rows[k]:
+            sides = (quad[:2], quad[2:])
+            fixed = sum(sums[side] for side in sides if side[1] < k)
+            top = sum(sums[side] for side in sides if side[1] == k)
+            scaled = _product_g_sum(quad, trial) - top
             if scaled > 0:
-                allowed = (fixed_part + _SLACK) / scaled
+                allowed = (fixed + _SLACK) / scaled
                 if allowed < cap:
                     cap, binding = allowed, f"row {row_quad(*quad)}"
-            elif fixed_part < -_SLACK:
+            elif fixed < -_SLACK:
                 raise CalibrationError(
                     f"row {row_quad(*quad)} is infeasible for every alpha_{j}"
                 )
         if cap <= 0:
             raise CalibrationError(f"no positive alpha_{j} passes {binding}")
-        exponent = min(_MAX_EXPONENT, floor(log2(cap)))
-        while 2.0**exponent > cap:
-            exponent -= 1
-        while 2.0 ** (exponent + 1) <= cap and exponent + 1 <= _MAX_EXPONENT:
-            exponent += 1
+        # frexp's exponent less one is the exact floor of log2(cap)
+        exponent = min(_MAX_EXPONENT, frexp(cap)[1] - 1)
         if exponent < _MIN_EXPONENT:
             raise CalibrationError(
                 f"alpha_{j} would need 2^{exponent} < 2^{_MIN_EXPONENT}; binding: {binding}"
@@ -575,26 +571,21 @@ def calibrate_alphas(kmax: int, nmax: int, *, grid_max: int = 64) -> AlphaTable:
         alphas.append(2.0**exponent)
     table = tuple(alphas)
     # belt and braces: re-verify everything the staged sweep reasoned about,
-    # over the union of the length-nmax programs of every weight up to kmax
-    indexes = [BinomialIndex(nmax, top) for top in range(kmax + 1)]
-    blocks = sorted({block for index in indexes for block in index.blocks()})
-    for m, l in blocks:
-        if l < 2:
-            continue
+    # each block and each row once, directly at the final constants
+    sums = _block_sums(nmax, kmax, table)
+    for m, l in sums:
+        alpha = _alpha(table, l)
         for span in block_spans(m, l):
-            v = _alpha(table, l - 1) * _unit(span, l - 1)
+            v = _g(m, l, span, alpha)
             if v > m + _SLACK:
                 raise CalibrationError(
                     f"bound g <= {m} fails at span {span} of B({m},{l}): g = {v}"
                 )
-    # a row's margin is two factor-block sums less its product-block sum;
-    # each block is summed once, each product block over its spans
-    block_sums = {block: g_objective(*block, table) for block in blocks}
-    for quad in sorted({quad for index in indexes for quad in index.quadruples()}):
-        n1, k1, n2, k2 = quad
-        margin = block_sums[n1, k1] + block_sums[n2, k2] - _product_g_sum(quad, table)
-        if margin < -_SLACK:
-            raise CalibrationError(f"row {row_quad(*quad)} fails by {-margin}")
+    for weight_rows in rows:
+        for quad in weight_rows:
+            margin = sums[quad[:2]] + sums[quad[2:]] - _product_g_sum(quad, table)
+            if margin < -_SLACK:
+                raise CalibrationError(f"row {row_quad(*quad)} fails by {-margin}")
     grid_hi = max(grid_max, nmax)
     ratios: dict[int, tuple[float, float]] = {}
     for k in range(1, kmax + 1):
@@ -663,6 +654,8 @@ def read_alpha_table(text: str) -> AlphaTable:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
     if nmax < max(2, kmax):
         raise ValueError(f"nmax must be >= max(2, kmax) = {max(2, kmax)}, got {nmax}")
+    if grid < nmax:
+        raise ValueError(f"grid must be >= nmax = {nmax}, got {grid}")
     if len(ordered) != kmax - 1:
         raise ValueError(f"kmax {kmax} needs {kmax - 1} alphas, got {len(ordered)}")
     for j, a in enumerate(ordered, start=1):

@@ -308,7 +308,19 @@ def _sweep_alphas(args, cfg: RunConfig) -> int:
     return 1 if bad else 0
 
 
+# the sweep options each experiment ignores; --table also replaces --k-max and --n-max
+_IGNORED = {"b1-conjecture": ("k_max", "table"), "bnk-conjecture": ("table",),
+            "caveat": ("k_max", "table"), "alphas": ("n_min",)}
+
+
 def cmd_sweep(args, cfg: RunConfig) -> int:
+    checks = [(name, "") for name in _IGNORED[args.experiment]]
+    if args.table:
+        checks += [("k_max", " with --table"), ("n_max", " with --table")]
+    for name, context in checks:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"sweep {args.experiment}{context} ignores {flag}")
     if args.experiment == "alphas":
         return _sweep_alphas(args, cfg)
     return _sweep(args, cfg)

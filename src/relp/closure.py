@@ -300,13 +300,16 @@ def product_block(n1: int, k1: int, n2: int, k2: int) -> list[str]:
 
 
 def block_spans(m: int, l: int) -> dict[int, int]:
-    """Span -> count over B(m, l), l >= 2: (m - p + 1) * C(p - 2, l - 2)
-    strings have span p."""
+    """Span -> count over B(m, l), the span running from the first one to
+    the last: (m - p + 1) * C(p - 2, l - 2) strings have span p when
+    l >= 2; below weight two all C(m, l) strings are one class, span l."""
+    if l < 2:
+        return {l: comb(m, l)}
     return {p: (m - p + 1) * comb(p - 2, l - 2) for p in range(l, m + 1)}
 
 
 def product_spans(n1: int, k1: int, n2: int, k2: int) -> dict[int, int]:
-    """Span -> count over B(n1,k1)·B(n2,k2), k1 + k2 >= 2.
+    """Span -> count over B(n1,k1)·B(n2,k2), at every weight.
 
     With ones on both sides the span is d + t, where the first one of u
     sits d places from u's end (C(d - 1, k1 - 1) strings u) and the last

@@ -240,17 +240,9 @@ def _sigma_chain(m: int) -> Regex:
     return cat([Union(Symbol("0"), Symbol("1")) for _ in range(m)])
 
 
-def ellul_b_n1(n: int) -> Regex:
-    """Balanced construction for B(n,1), of length ellul_b_n1_length(n).
-
-    It is ellul_bnk(n, 1): R_1 = 1 and R_n = (0^(n//2) R_ceil + R_floor
-    0^ceil(n/2)), the single 1 in one branch of each half.
-    """
-    return ellul_bnk(n, 1)
-
-
 def ellul_b_n1_length(n: int) -> int:
-    """n*ceil(lg n) + 2n - 2^ceil(lg n), the exact length of ellul_b_n1(n).
+    """n*ceil(lg n) + 2n - 2^ceil(lg n), the exact length of ellul_bnk(n, 1),
+    which is R_1 = 1 and R_n = (0^(n//2) R_ceil + R_floor 0^ceil(n/2)).
 
     It solves L(1) = 1, L(n) = n + L(n//2) + L(ceil(n/2)).  The often
     quoted ceil(n*log2(2n)) is only a lower bound on it: the two agree

@@ -22,7 +22,9 @@ member, comparable and repeated pairs included.  ``reference_concat_pairs``
 is the bucket join that listed the concatenation pairs from the listed
 members.  ``reference_quadruples`` and ``reference_strings`` are the
 block index's tables as they were built candidate by candidate and
-string by string.  ``ReferenceTableau`` and ``reference_solve_direct``
+string by string.  ``reference_calibrate_alphas`` is the calibration
+as it was when g was written per string, per block sum and per affine
+row form.  ``ReferenceTableau`` and ``reference_solve_direct``
 are the exact tableau as it was when its basic values were
 ``Fraction``s, with their own copies of the row kernels, for
 differential tests of the solver.
@@ -33,16 +35,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import gcd, lcm
+from math import comb, floor, gcd, lcm, log, log2
 from operator import mul
 
 from hypothesis import strategies as st
 
-from relp import Concat, Language, LinearProgram, OracleResult, Symbol, Union, solver
+from relp import Concat, Language, LinearProgram, OracleResult, Symbol, Union, certificates, solver
 from relp.builders import _net_row
-from relp.closure import BinomialIndex, Closure, _concat_set
+from relp.certificates import AlphaTable, CalibrationError
+from relp.closure import BinomialIndex, Closure, _concat_set, block_spans, product_spans
 from relp.config import DEFAULT_CONFIG, ResourceCapError, RunConfig
-from relp.lang import binomial, canon_key
+from relp.lang import binomial, canon_key, ones
 from relp.lp import (
     LE,
     Assignment,
@@ -51,6 +54,7 @@ from relp.lp import (
     _normal,
     check_feasible,
     objective_value,
+    row_quad,
 )
 from relp.oracle import _factor_pairs, factorizations
 from relp.regex import Regex, language_of, word
@@ -651,6 +655,157 @@ def reference_strings(index: BinomialIndex) -> tuple[str, ...]:
     """BinomialIndex.strings as it was: sorted by ``canon_key``."""
     out = [s for m, l in index.blocks() for s in binomial(m, l).members]
     return tuple(sorted(out, key=canon_key))
+
+
+# -- the weight-k point g and its calibration, string by string ------------------
+
+# The g and calibration section of ``relp.certificates`` as it was when
+# g's formula was written per string, per block sum and per affine row
+# form: ``_alpha``, ``_unit``, ``_unit_sum``, ``g_value``, ``g_objective``,
+# ``_product_g_sum``, ``_row_affine`` and ``calibrate_alphas`` verbatim,
+# renamed, beside the unchanged span tables of ``relp.closure`` (called
+# at weight two and up only, as then).  The slack and the exponent range
+# are read off the module at call time, so a test that monkeypatches them
+# reaches both sides.
+
+
+def _reference_alpha(alphas, j: int) -> float:
+    if isinstance(alphas, AlphaTable):
+        return alphas.alpha(j)
+    try:
+        return alphas[j - 1]
+    except IndexError:
+        raise ValueError(f"alpha_{j} is not available") from None
+
+
+def _reference_unit(span: int, power: int) -> float:
+    return (log(span) / span) ** power
+
+
+def _reference_unit_sum(spans: dict[int, int], power: int) -> float:
+    return sum(count * _reference_unit(p, power) for p, count in spans.items())
+
+
+def _reference_g_value(s: str, alphas) -> float:
+    k = ones(s)
+    if k == 0:
+        return float(len(s))
+    if k == 1:
+        return 1.0 + log(len(s))
+    span = s.rindex("1") - s.index("1") + 1
+    return _reference_alpha(alphas, k - 1) * _reference_unit(span, k - 1)
+
+
+def _reference_g_objective(n: int, k: int, alphas) -> float:
+    if k < 2:
+        return comb(n, k) * _reference_g_value("1" * k + "0" * (n - k), alphas)
+    return sum(
+        count * _reference_g_value("1" * (k - 1) + "0" * (p - k) + "1", alphas)
+        for p, count in block_spans(n, k).items()
+    )
+
+
+def _reference_product_g_sum(quad, alphas) -> float:
+    n1, k1, n2, k2 = quad
+    k = k1 + k2
+    if k < 2:
+        return comb(n1, k1) * comb(n2, k2) * _reference_g_value(
+            "1" * k + "0" * (n1 + n2 - k), alphas
+        )
+    return _reference_alpha(alphas, k - 1) * _reference_unit_sum(product_spans(*quad), k - 1)
+
+
+def _reference_row_affine(quad, fixed, j: int) -> tuple[float, float]:
+    n1, k1, n2, k2 = quad
+    top = j + 1
+    scaled = _reference_unit_sum(product_spans(*quad), j)
+    fixed_part = 0.0
+    for side_n, side_k in ((n1, k1), (n2, k2)):
+        if side_k == top:
+            scaled -= _reference_unit_sum(block_spans(side_n, side_k), j)
+        else:
+            fixed_part += _reference_g_objective(side_n, side_k, fixed)
+    return fixed_part, scaled
+
+
+def reference_calibrate_alphas(kmax: int, nmax: int, *, grid_max: int = 64) -> AlphaTable:
+    """calibrate_alphas as it was, with its floor(log2) rounding and its
+    re-verification over the sorted union of the length-nmax programs."""
+    slack = certificates._SLACK
+    max_exponent, min_exponent = certificates._MAX_EXPONENT, certificates._MIN_EXPONENT
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    if nmax < max(2, kmax):
+        raise ValueError(f"nmax={nmax} is too small to calibrate up to weight {kmax}")
+    alphas: list[float] = []
+    for j in range(1, kmax):
+        k = j + 1
+        cap = float(2**max_exponent)
+        binding = f"the exponent ceiling 2^{max_exponent}"
+        for m in range(k, nmax + 1):
+            for span in block_spans(m, k):
+                allowed = (m + slack) / _reference_unit(span, j)
+                if allowed < cap:
+                    cap, binding = allowed, f"bound g <= {m} at span {span} of B({m},{k})"
+        for quad in BinomialIndex(nmax, k).quadruples():
+            if quad[1] + quad[3] != k:
+                continue
+            fixed_part, scaled = _reference_row_affine(quad, alphas, j)
+            if scaled > 0:
+                allowed = (fixed_part + slack) / scaled
+                if allowed < cap:
+                    cap, binding = allowed, f"row {row_quad(*quad)}"
+            elif fixed_part < -slack:
+                raise CalibrationError(
+                    f"row {row_quad(*quad)} is infeasible for every alpha_{j}"
+                )
+        if cap <= 0:
+            raise CalibrationError(f"no positive alpha_{j} passes {binding}")
+        exponent = min(max_exponent, floor(log2(cap)))
+        while 2.0**exponent > cap:
+            exponent -= 1
+        while 2.0 ** (exponent + 1) <= cap and exponent + 1 <= max_exponent:
+            exponent += 1
+        if exponent < min_exponent:
+            raise CalibrationError(
+                f"alpha_{j} would need 2^{exponent} < 2^{min_exponent}; binding: {binding}"
+            )
+        alphas.append(2.0**exponent)
+    table = tuple(alphas)
+    indexes = [BinomialIndex(nmax, top) for top in range(kmax + 1)]
+    blocks = sorted({block for index in indexes for block in index.blocks()})
+    for m, l in blocks:
+        if l < 2:
+            continue
+        for span in block_spans(m, l):
+            v = _reference_alpha(table, l - 1) * _reference_unit(span, l - 1)
+            if v > m + slack:
+                raise CalibrationError(
+                    f"bound g <= {m} fails at span {span} of B({m},{l}): g = {v}"
+                )
+    block_sums = {block: _reference_g_objective(*block, table) for block in blocks}
+    for quad in sorted({quad for index in indexes for quad in index.quadruples()}):
+        n1, k1, n2, k2 = quad
+        margin = block_sums[n1, k1] + block_sums[n2, k2] - _reference_product_g_sum(quad, table)
+        if margin < -slack:
+            raise CalibrationError(f"row {row_quad(*quad)} fails by {-margin}")
+    grid_hi = max(grid_max, nmax)
+    ratios: dict[int, tuple[float, float]] = {}
+    for k in range(1, kmax + 1):
+        lo = hi = None
+        for n in range(max(2, k), grid_hi + 1):
+            ratio = _reference_g_objective(n, k, table) / (n * log(n) ** k)
+            lo = ratio if lo is None else min(lo, ratio)
+            hi = ratio if hi is None else max(hi, ratio)
+        assert lo is not None and hi is not None
+        ratios[k] = (lo, hi)
+    return AlphaTable(
+        alphas=table,
+        kmax=kmax,
+        nmax=nmax,
+        ratio_intervals=ratios,
+        grid_max=grid_hi,
+    )
 
 
 # -- the Fraction-valued tableau ------------------------------------------------

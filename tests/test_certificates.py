@@ -47,7 +47,7 @@ from relp.closure import BinomialIndex, product_block
 from relp.lang import canon_key
 from relp.lp import var_x
 
-from _support import reference_strings
+from _support import reference_calibrate_alphas, reference_strings
 
 
 class TestWeakDualCert:
@@ -363,6 +363,28 @@ class TestCalibration:
         with pytest.raises(CalibrationError, match="2\\^10"):
             calibrate_alphas(2, 10)
 
+    def test_tables_match_reference(self):
+        # the one g over span tables against the calibration as it was,
+        # per string and per affine row form: every calibrated alpha is a
+        # power of two, so the written tables are identical
+        for kmax in range(1, 5):
+            for nmax in range(max(2, kmax), 13):
+                for grid in (nmax, 24):
+                    got = calibrate_alphas(kmax, nmax, grid_max=grid)
+                    want = reference_calibrate_alphas(kmax, nmax, grid_max=grid)
+                    assert write_alpha_table(got) == write_alpha_table(want), (kmax, nmax, grid)
+
+    def test_exponent_floor_matches_reference(self, monkeypatch):
+        monkeypatch.setattr(certificates, "_MAX_EXPONENT", 20)
+        monkeypatch.setattr(certificates, "_MIN_EXPONENT", 10)
+        messages = []
+        for calibrate in (calibrate_alphas, reference_calibrate_alphas):
+            with pytest.raises(CalibrationError) as info:
+                calibrate(3, 12)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "2^10" in messages[0]
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             calibrate_alphas(0, 10)
@@ -449,6 +471,8 @@ class TestAlphaTableFormat:
             ("kmax 2\n", "kmax 2\nkmax 3\n", "unrecognized"),
             ("nmax 10\n", "nmax 10\nnmax 9\n", "unrecognized"),
             ("grid 64\n", "grid 64\ngrid 10\n", "unrecognized"),
+            ("grid 64\n", "grid -7\n", "grid must be >= nmax = 10, got -7"),
+            ("grid 64\n", "grid 9\n", "grid must be >= nmax = 10, got 9"),
         ],
         ids=[
             "kmax-below-1",
@@ -468,6 +492,8 @@ class TestAlphaTableFormat:
             "kmax-repeated",
             "nmax-repeated",
             "grid-repeated",
+            "grid-negative",
+            "grid-below-nmax",
         ],
     )
     def test_rejects_impossible_tables(self, old, new, match):

@@ -325,6 +325,40 @@ class TestSweeps:
         assert out == ""
         assert err.startswith("error: kmax 2 needs 1 alphas, got 0")
 
+    def test_alphas_table_with_grid_below_nmax(self, capsys, tmp_path):
+        table_file = tmp_path / "alphas.txt"
+        code, _, _ = run(capsys, "calibrate", "--kmax", "2", "--nmax", "10",
+                         "-o", str(table_file))
+        assert code == 0
+        text = table_file.read_text()
+        table_file.write_text(text.replace("grid 64\n", "grid -7\n"))
+        code, out, err = run(capsys, "sweep", "alphas", "--table", str(table_file))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: grid must be >= nmax = 10, got -7")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("b1-conjecture", "--n-max", "3", "--k-max", "5"), "ignores --k-max"),
+            (("b1-conjecture", "--n-max", "3", "--table", "nofile"), "ignores --table"),
+            (("bnk-conjecture", "--n-max", "3", "--table", "nofile"), "ignores --table"),
+            (("caveat", "--n-max", "2", "--k-max", "1"), "ignores --k-max"),
+            (("caveat", "--n-max", "2", "--table", "nofile"), "ignores --table"),
+            (("alphas", "--n-min", "30", "--k-max", "2", "--n-max", "10"), "ignores --n-min"),
+            (("alphas", "--table", "nofile", "--k-max", "2"), "with --table ignores --k-max"),
+            (("alphas", "--table", "nofile", "--n-max", "10"), "with --table ignores --n-max"),
+        ],
+        ids=["b1-k-max", "b1-table", "bnk-table", "caveat-k-max", "caveat-table",
+             "alphas-n-min", "alphas-table-k-max", "alphas-table-n-max"],
+    )
+    def test_refuses_ignored_options(self, capsys, argv, flag):
+        # refused before any table is read or program built: nofile never exists
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: sweep {argv[0]} {flag}\n"
+
     def test_calibrate_to_stdout(self, capsys):
         code, out, _ = run(capsys, "calibrate", "--kmax", "2", "--nmax", "10")
         assert code == 0

@@ -22,7 +22,7 @@ from relp import (
     singleton,
     threshold,
 )
-from relp.closure import product_block
+from relp.closure import block_spans, product_block, product_spans
 from relp.lang import canon_key
 
 from _support import (
@@ -444,6 +444,22 @@ class TestBinomialIndex:
                 assert index.quadruples() == reference_quadruples(index), (n, k)
                 if n <= 16 or k <= 3:
                     assert index.strings() == reference_strings(index), (n, k)
+
+    def test_span_tables_match_direct_counts(self):
+        # span -> count at every weight, the span running from the first one
+        # to the last; below weight two one class, span l
+        def spans(strings):
+            counts: dict[int, int] = {}
+            for s in strings:
+                p = s.rfind("1") - s.find("1") + 1 if "1" in s else 0
+                counts[p] = counts.get(p, 0) + 1
+            return counts
+
+        for m in range(1, 10):
+            for l in range(m + 1):
+                assert block_spans(m, l) == spans(binomial(m, l)), (m, l)
+        for quad in BinomialIndex(9, 4).quadruples():
+            assert product_spans(*quad) == spans(product_block(*quad)), quad
 
     def test_product_block(self):
         assert sorted(product_block(1, 0, 1, 1)) == ["01"]

@@ -15,7 +15,6 @@ from relp import (
     Union,
     all_strings,
     binomial,
-    ellul_b_n1,
     ellul_bnk,
     ellul_t_n1,
     language_of,
@@ -131,10 +130,10 @@ class TestTextForm:
 class TestBalancedFamilies:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_b_n1_language(self, n):
-        assert language_of(ellul_b_n1(n)) == binomial(n, 1)
+        assert language_of(ellul_bnk(n, 1)) == binomial(n, 1)
 
     def test_b_n1_lengths_match_formula(self):
-        observed = [length(ellul_b_n1(n)) for n in range(1, 11)]
+        observed = [length(ellul_bnk(n, 1)) for n in range(1, 11)]
         assert observed == [1, 4, 8, 12, 17, 22, 27, 32, 38, 44]
         assert observed == [ellul_b_n1_length(n) for n in range(1, 11)]
         assert observed == [math.ceil(n * math.log2(2 * n)) for n in range(1, 11)]
@@ -142,7 +141,7 @@ class TestBalancedFamilies:
     def test_closed_forms_match_built_lengths(self):
         # ceil(n log2 2n) falls short from n = 19 (101 symbols against 100)
         for n in range(1, 65):
-            assert ellul_b_n1_length(n) == length(ellul_b_n1(n))
+            assert ellul_b_n1_length(n) == length(ellul_bnk(n, 1))
             assert ellul_t_n1_length(n) == length(ellul_t_n1(n))
         assert [ellul_b_n1_length(n) for n in (19, 24, 40)] == [101, 136, 256]
         assert ellul_t_n1_length(19) == 183
@@ -177,10 +176,10 @@ class TestBalancedFamilies:
             return Union(Concat(word("0" * a), halving(b)), Concat(halving(a), word("0" * b)))
 
         for n in range(1, 65):
-            assert ellul_b_n1(n) == ellul_bnk(n, 1) == halving(n), n
+            assert ellul_bnk(n, 1) == halving(n), n
 
     def test_family_input_validation(self):
         with pytest.raises(ValueError):
-            ellul_b_n1(0)
+            ellul_bnk(0, 1)
         with pytest.raises(ValueError):
             ellul_bnk(3, 4)
