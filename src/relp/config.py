@@ -1,8 +1,9 @@
 """Run configuration: the resource caps.
 
-``RunConfig`` is the one place run settings are declared: five caps
-(closure members, the oracle's factor pool, strings and length, solver
-pivots).  Config-file keys and CLI flags are read off its fields.
+``RunConfig`` is the one place run settings are declared: three caps
+(closure members, which also bound the search oracle's memo, the
+oracle's input strings, and solver pivots).  Config-file keys and CLI
+flags are read off its fields.
 Settings resolve in three layers: built-in defaults, then the key=value
 file named by the RELP_CONFIG environment variable, then explicit
 overrides (CLI flags).  The file format is one ``key = value`` per
@@ -25,9 +26,7 @@ class ResourceCapError(RuntimeError):
 @dataclass(frozen=True)
 class RunConfig:
     closure_max_members: int = 100_000
-    factor_pool_cap: int = 20
     oracle_max_strings: int = 8
-    oracle_max_len: int = 8
     solver_max_pivots: int = 1_000_000
 
     def __post_init__(self) -> None:

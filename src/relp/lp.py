@@ -486,6 +486,16 @@ def write_lp(lp: LinearProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _terms(toks: list[str], ln: str) -> dict[str, Fraction]:
+    """Coefficient-name pairs as one map, a repeated name's terms summed."""
+    if len(toks) % 2:
+        raise ValueError(f"dangling token in {ln!r}")
+    coeffs: dict[str, Fraction] = {}
+    for coeff, name in zip(toks[::2], toks[1::2]):
+        coeffs[name] = coeffs.get(name, ZERO) + parse_rational(coeff)
+    return coeffs
+
+
 def read_lp(text: str) -> LinearProgram:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -508,12 +518,7 @@ def read_lp(text: str) -> LinearProgram:
             if saw_obj:
                 raise ValueError("duplicate obj line")
             saw_obj = True
-            toks = ln.split()[1:]
-            if len(toks) % 2:
-                raise ValueError(f"obj line has dangling token: {ln!r}")
-            lp.set_objective(
-                {toks[i + 1]: parse_rational(toks[i]) for i in range(0, len(toks), 2)}
-            )
+            lp.set_objective(_terms(ln.split()[1:], ln))
         elif ln.startswith("row "):
             head, sep, body = ln[4:].partition(": ")
             if not sep:
@@ -523,15 +528,7 @@ def read_lp(text: str) -> LinearProgram:
                 raise ValueError(f"bad row line (missing relation): {ln!r}")
             rel, rhs = toks[-2], parse_rational(toks[-1])
             toks = toks[:-2]
-            coeffs: dict[str, Fraction] = {}
-            if toks == ["0"]:
-                toks = []
-            if len(toks) % 2:
-                raise ValueError(f"row body has dangling token: {ln!r}")
-            for i in range(0, len(toks), 2):
-                name = toks[i + 1]
-                coeffs[name] = coeffs.get(name, ZERO) + parse_rational(toks[i])
-            lp.add_row(head, coeffs, rel, rhs)
+            lp.add_row(head, _terms([] if toks == ["0"] else toks, ln), rel, rhs)
         else:
             raise ValueError(f"unrecognized line: {ln!r}")
     if not saw_obj:
@@ -564,6 +561,14 @@ def write_solution(sol: SolutionFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_value(tok: str, ln: str) -> tuple[Fraction | float, bool]:
+    """``parse_value`` refusing a float that overflows to inf."""
+    value, is_exact = parse_value(tok)
+    if not abs(value) < float("inf"):
+        raise ValueError(f"non-finite value in {ln!r}")
+    return value, is_exact
+
+
 def read_solution(text: str) -> SolutionFile:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -575,7 +580,7 @@ def read_solution(text: str) -> SolutionFile:
     exact = True
     rest = lines[1:]
     if rest and rest[0].startswith("objective "):
-        objective, obj_exact = parse_value(rest[0].split(maxsplit=1)[1])
+        objective, obj_exact = _finite_value(rest[0].split(maxsplit=1)[1], rest[0])
         exact = exact and obj_exact
         rest = rest[1:]
     for ln in rest:
@@ -585,7 +590,7 @@ def read_solution(text: str) -> SolutionFile:
         name = name.strip()
         if name in values:
             raise ValueError(f"{name} is set on two lines")
-        value, is_exact = parse_value(val_txt.strip())
+        value, is_exact = _finite_value(val_txt.strip(), ln)
         exact = exact and is_exact
         values[name] = value
     assignment: Assignment | None = None

@@ -7,11 +7,12 @@ union of two proper sublanguages whose members jointly cover it (the
 two sides may overlap).  The search recurses through every shape,
 memoizes the optimal length of each language it reaches, and
 reconstructs a witness expression from the recorded argmin choices.
-The languages it memoizes are then exactly the closure C(L).
+The languages it memoizes are then exactly the closure C(L), so it
+refuses, with ``compute_closure``'s message, once it memoizes more than
+closure_max_members languages: exactly when the closure is refused.
 
 The exact products come from ``factorizations``, a search over the cuts
-u0·v0 of the canonically first member; a prefix pool {u : u v0 in K} of
-more than factor_pool_cap strings refuses it as a resource cap.
+u0·v0 of the canonically first member.
 
 The covers are read over bitmasks of the t members.  The best length of
 every proper nonempty subset is looked up in the memo by its member
@@ -76,9 +77,7 @@ class _Entry:
     choice: _Choice
 
 
-def _factor_pairs(
-    lang: Language, max_prefix_pool: int
-) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
+def _factor_pairs(lang: Language) -> set[tuple[tuple[str, ...], tuple[str, ...]]]:
     """The exact factorizations of lang as pairs of canonical member tuples.
 
     At a cut u0·v0 of the first member, the prefix pool {u : u v0 in K}
@@ -97,11 +96,6 @@ def _factor_pairs(
         lv = len(v0)
         # canonical order, since every u v0 shares the suffix v0
         pool = [s[:-lv] for s in members if len(s) > lv and s.endswith(v0)]
-        if len(pool) > max_prefix_pool:
-            raise ResourceCapError(
-                f"factorization prefix pool has {len(pool)} candidates "
-                f"(cap {max_prefix_pool}) for {lang!r}"
-            )
         in_pool = set(pool)
         started = {
             s for n in {len(u) for u in pool} for s in members if len(s) > n and s[:n] in in_pool
@@ -141,9 +135,7 @@ def _factor_pairs(
     return found
 
 
-def factorizations(
-    lang: Language, max_prefix_pool: int = DEFAULT_CONFIG.factor_pool_cap
-) -> list[tuple[Language, Language]]:
+def factorizations(lang: Language) -> list[tuple[Language, Language]]:
     """All ordered pairs (K1, K2) of languages with K1·K2 == lang, exactly,
     sorted by (K1, K2) in canonical order.
 
@@ -156,14 +148,10 @@ def factorizations(
     it that are the only way to produce some string of K are forced, and
     every superset of the forced ones within it whose product covers K
     is a valid K2.
-
-    The prefix pool per cut is at most |K| strings; if it exceeds
-    max_prefix_pool the search is refused as a resource cap, before the
-    cut is checked for cover.
     """
     out = [
         (Language._from_canonical(left), Language._from_canonical(right))
-        for left, right in _factor_pairs(lang, max_prefix_pool)
+        for left, right in _factor_pairs(lang)
     ]
     out.sort(key=lambda pair: (pair[0].sort_key(), pair[1].sort_key()))
     return out
@@ -174,20 +162,16 @@ def _ser(members: tuple[str, ...]) -> str:
     return "{" + ",".join(members) + "}"
 
 
-def _length(
-    members: tuple[str, ...], memo: dict[tuple[str, ...], _Entry], pool_cap: int
-) -> int:
+def _length(members: tuple[str, ...], memo: dict[tuple[str, ...], _Entry], cap: int) -> int:
     """The optimal length of the language with these canonical members;
     a ``Language`` is built only when the memo misses."""
     hit = memo.get(members)
     if hit is None:
-        hit = _best_for(Language._from_canonical(members), memo, pool_cap)
+        hit = _best_for(Language._from_canonical(members), memo, cap)
     return hit.length
 
 
-def _best_cover(
-    members: tuple[str, ...], memo: dict[tuple[str, ...], _Entry], pool_cap: int
-) -> tuple:
+def _best_cover(members: tuple[str, ...], memo: dict[tuple[str, ...], _Entry], cap: int) -> tuple:
     """The best union of two proper sublanguages that cover the language,
     as the candidate (total, 2, ser K1, ser K2, ("alt", K1, K2)).
 
@@ -203,7 +187,7 @@ def _best_cover(
     for mask in range(1, full):
         low = mask & -mask
         sub = subs[mask] = (members[low.bit_length() - 1],) + subs[mask ^ low]
-        keys[mask] = (_length(sub, memo, pool_cap), _ser(sub), mask)
+        keys[mask] = (_length(sub, memo, cap), _ser(sub), mask)
     up = keys[:]  # up[S]: the minimal key over S <= B < full
     bit = 1
     while bit < full:
@@ -220,12 +204,9 @@ def _best_cover(
     return total, 2, ser1, ser2, ("alt", subs[k1], subs[k2])
 
 
-def _best_for(
-    lang: Language,
-    memo: dict[tuple[str, ...], _Entry],
-    pool_cap: int,
-) -> _Entry:
-    """Search lang, which is not in the memo yet, and memoize its entry."""
+def _best_for(lang: Language, memo: dict[tuple[str, ...], _Entry], cap: int) -> _Entry:
+    """Search lang, which is not in the memo yet, and memoize its entry;
+    a bare ResourceCapError once the memo holds more than cap entries."""
     members = lang.members
     # Candidates compare as (length, shape, left, right) with the operands
     # serialized: concatenation (shape 1) beats union (shape 2) at equal
@@ -236,19 +217,22 @@ def _best_for(
         # A single string is its own spelling (shape 0): its only
         # factorizations are its cuts, which can only tie, and the search
         # through them reaches exactly its substrings, each spelled out
-        # the same way.  A one-string prefix pool never passes the cap.
+        # the same way.
         w = members[0]
         for i in range(len(w)):
             for j in range(i + 1, len(w) + 1):
                 memo[(w[i:j],)] = _Entry(j - i, None)
-        entry = memo[members] = _Entry(len(w), None)
-        return entry
-    best = _best_cover(members, memo, pool_cap)
-    for left, right in _factor_pairs(lang, pool_cap):
-        total = _length(left, memo, pool_cap) + _length(right, memo, pool_cap)
+                if len(memo) > cap:
+                    raise ResourceCapError
+        return memo[members]
+    best = _best_cover(members, memo, cap)
+    for left, right in _factor_pairs(lang):
+        total = _length(left, memo, cap) + _length(right, memo, cap)
         if total <= best[0]:
             best = min(best, (total, 1, _ser(left), _ser(right), ("cat", left, right)))
     entry = memo[members] = _Entry(best[0], best[4])
+    if len(memo) > cap:
+        raise ResourceCapError
     return entry
 
 
@@ -267,23 +251,26 @@ def optimal_regex(lang: Language, config: RunConfig | None = None) -> OracleResu
     two-sided covers, so the reported length is the true optimum within
     the grammar.  A memoized language of t strings costs 2^t memo
     lookups and O(t·2^t) comparisons for its covers, plus its
-    factorization search; the memo holds the closure C(lang), and the
-    configured caps keep calls at desk scale.
+    factorization search.  The caps on input strings and closure
+    members keep calls at desk scale; a search or witness nested past
+    the recursion limit is refused as a resource cap too.
     """
     cfg = config or DEFAULT_CONFIG
     if len(lang) > cfg.oracle_max_strings:
         raise ResourceCapError(
             f"oracle input has {len(lang)} strings (cap {cfg.oracle_max_strings})"
         )
-    if lang.max_len() > cfg.oracle_max_len:
-        raise ResourceCapError(
-            f"oracle input has a string of length {lang.max_len()} "
-            f"(cap {cfg.oracle_max_len})"
-        )
+    cap = cfg.closure_max_members
     memo: dict[tuple[str, ...], _Entry] = {}
-    entry = _best_for(lang, memo, cfg.factor_pool_cap)
-    witness = _rebuild(lang.members, memo)
-    if language_of(witness) != lang:  # pure composition should make this impossible
+    try:
+        entry = _best_for(lang, memo, cap)
+        witness = _rebuild(lang.members, memo)
+        expands = language_of(witness)
+    except ResourceCapError:
+        raise ResourceCapError(f"closure of {lang!r} exceeds {cap} members") from None
+    except RecursionError:
+        raise ResourceCapError(f"search of {lang!r} nests past the recursion limit") from None
+    if expands != lang:  # pure composition should make this impossible
         raise SolverError(f"oracle witness expands to the wrong language for {lang!r}")
     return OracleResult(length=entry.length, witness=witness, explored=len(memo))
 

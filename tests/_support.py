@@ -160,11 +160,9 @@ def naive_closure(lang: Language) -> set[Language]:
 def reference_closure(
     base: Language,
     max_members: int = DEFAULT_CONFIG.closure_max_members,
-    factor_pool_cap: int = DEFAULT_CONFIG.factor_pool_cap,
 ) -> tuple[Language, ...]:
     """The members of C(base) in canonical order, from the fixpoint of
-    one-element deletions and exact factorizations, each member's
-    factorization search under its prefix pool cap.  The body is the
+    one-element deletions and exact factorizations.  The body is the
     deleted ``compute_closure``'s; the sort at the end is the one its
     ``Closure`` applied."""
     seen: dict[tuple[str, ...], Language] = {}
@@ -188,7 +186,7 @@ def reference_closure(
         if len(members) > 1:
             for i in range(len(members)):
                 add(members[:i] + members[i + 1 :])
-        for left, right in _factor_pairs(lang, factor_pool_cap):
+        for left, right in _factor_pairs(lang):
             add(left)
             add(right)
     return tuple(sorted(seen.values(), key=Language.sort_key))
@@ -224,10 +222,25 @@ def _reference_covers(lang: Language):
                 yield k1, Language(rest + extra)
 
 
+class _CappedMemo(dict):
+    """A memo that refuses to hold more than max_members entries, with
+    the refusal ``compute_closure`` gives the base language."""
+
+    def __init__(self, base: Language, max_members: int):
+        super().__init__()
+        self.base = base
+        self.max_members = max_members
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        if len(self) > self.max_members:
+            raise ResourceCapError(
+                f"closure of {self.base!r} exceeds {self.max_members} members"
+            )
+
+
 def _reference_best_for(
-    lang: Language,
-    memo: dict[tuple[str, ...], _ReferenceEntry],
-    pool_cap: int,
+    lang: Language, memo: dict[tuple[str, ...], _ReferenceEntry]
 ) -> _ReferenceEntry:
     hit = memo.get(lang.members)
     if hit is not None:
@@ -244,18 +257,18 @@ def _reference_best_for(
     if lang.is_singleton:
         best = (len(lang.only), 0)
 
-    for k1, k2 in factorizations(lang, pool_cap):
+    for k1, k2 in factorizations(lang):
         total = (
-            _reference_best_for(k1, memo, pool_cap).length
-            + _reference_best_for(k2, memo, pool_cap).length
+            _reference_best_for(k1, memo).length
+            + _reference_best_for(k2, memo).length
         )
         if _reference_beats((total, 1), k1, k2, best, choice):
             best, choice = (total, 1), ("cat", k1, k2)
 
     for k1, k2 in _reference_covers(lang):
         total = (
-            _reference_best_for(k1, memo, pool_cap).length
-            + _reference_best_for(k2, memo, pool_cap).length
+            _reference_best_for(k1, memo).length
+            + _reference_best_for(k2, memo).length
         )
         if _reference_beats((total, 2), k1, k2, best, choice):
             best, choice = (total, 2), ("alt", k1, k2)
@@ -291,13 +304,8 @@ def reference_optimal_regex(lang: Language, config: RunConfig | None = None) -> 
         raise ResourceCapError(
             f"oracle input has {len(lang)} strings (cap {cfg.oracle_max_strings})"
         )
-    if lang.max_len() > cfg.oracle_max_len:
-        raise ResourceCapError(
-            f"oracle input has a string of length {lang.max_len()} "
-            f"(cap {cfg.oracle_max_len})"
-        )
-    memo: dict[tuple[str, ...], _ReferenceEntry] = {}
-    entry = _reference_best_for(lang, memo, cfg.factor_pool_cap)
+    memo = _CappedMemo(lang, cfg.closure_max_members)
+    entry = _reference_best_for(lang, memo)
     witness = _reference_rebuild(lang, memo)
     if language_of(witness) != lang:  # pure composition should make this impossible
         raise SolverError(f"oracle witness expands to the wrong language for {lang!r}")

@@ -156,6 +156,17 @@ class TestSolveCheck:
         assert "violated row r by 1/10000\n" in out
         assert out.endswith("\ninfeasible\n")
 
+    def test_check_refuses_non_finite_values(self, capsys, tmp_path):
+        lp = tmp_path / "xy.lp"
+        lp.write_text("relp-lp v1\nsense max\nvar x in [0, inf]\nvar y in [0, inf]\n"
+                      "obj 1 x\nrow r: 1 x -1 y <= 0\n")
+        sol = tmp_path / "xy.sol"
+        sol.write_text("status feasible\nx = 1e999\ny = 1e999\n")
+        code, out, err = run(capsys, "check", str(lp), str(sol))
+        assert code == 3
+        assert out == ""
+        assert err == "error: non-finite value in 'x = 1e999'\n"
+
     def test_check_tolerance(self, capsys, near_miss):
         code, out, _ = run(capsys, "check", *near_miss, "--tolerance", "0.01")
         assert code == 0
@@ -390,9 +401,7 @@ class TestConfigPlumbing:
 # (config key, a value no run can honour)
 DEGENERATE_SETTINGS = [
     ("closure_max_members", "0"),
-    ("factor_pool_cap", "0"),
     ("oracle_max_strings", "0"),
-    ("oracle_max_len", "-1"),
     ("solver_max_pivots", "-5"),
 ]
 
@@ -481,9 +490,7 @@ class TestDegenerateSettings:
     def test_smallest_settings_accepted(self):
         cfg = RunConfig(
             closure_max_members=1,
-            factor_pool_cap=1,
             oracle_max_strings=1,
-            oracle_max_len=1,
             solver_max_pivots=1,
         )
         assert cfg.solver_max_pivots == 1

@@ -115,10 +115,6 @@ class TestFactorizations:
     def test_agrees_with_brute_force_curated(self, lang):
         assert set(factorizations(lang)) == brute_factorizations(lang)
 
-    def test_pool_cap(self):
-        with pytest.raises(ResourceCapError):
-            factorizations(all_strings(3), max_prefix_pool=1)
-
     @given(languages(6, 4) | ternary_languages)
     @settings(max_examples=100, deadline=None)
     def test_sorted_list_and_closure_match_oracles(self, lang):
@@ -136,16 +132,6 @@ class TestFactorizations:
         for r in (1, 2, 3):
             for sub in combinations(closure.strings(), r):
                 assert (Language(sub) in closure) == (Language(sub) in naive), sub
-
-    def test_pool_cap_fires_before_the_cut_is_skipped(self):
-        # at the cut 00|0 the pool {00, 01} is over the cap, yet no proper
-        # prefix of 111 is in it, so that cut could never be covered; the
-        # cut 0|00 has the one-string pool {0} and is within the cap.  The
-        # cap still refuses the search
-        lang = Language(["000", "010", "111"])
-        assert factorizations(lang) == []
-        with pytest.raises(ResourceCapError):
-            factorizations(lang, max_prefix_pool=1)
 
 
 class TestComputeClosure:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from collections.abc import Mapping
 from fractions import Fraction
@@ -15,10 +16,15 @@ from relp import (
     Language,
     LinearProgram,
     SolutionFile,
+    build_weak_primal,
+    calibrate_alphas,
     check_feasible,
+    compute_closure,
     objective_value,
+    read_alpha_table,
     read_lp,
     read_solution,
+    write_alpha_table,
     write_lp,
     write_solution,
 )
@@ -406,6 +412,12 @@ class TestLpTextFormat:
         )
         assert read_lp(noisy).objective == {"x1": Fraction(1)}
 
+    def test_repeated_terms_sum_in_obj_and_row(self):
+        text = "relp-lp v1\nsense max\nvar x in [0, 1]\nobj 1 x 2 x\nrow r: 1 x 1 x <= 1\n"
+        lp = read_lp(text)
+        assert lp.objective == {"x": Fraction(3)}
+        assert dict(lp.rows[0].coeffs) == {"x": Fraction(2)}
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -515,3 +527,84 @@ class TestSolutionTextFormat:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             read_solution(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("status feasible\nx = 1e999\n", "x = 1e999"),
+            ("status feasible\ny = 1/2\nx = -1e999\n", "x = -1e999"),
+            ("status optimal\nobjective 1e999\nx = 1\n", "objective 1e999"),
+        ],
+    )
+    def test_rejects_non_finite_values(self, text, line):
+        # 1e999 overflows to inf, where inf - inf is a nan that passes
+        # every comparison of the feasibility check
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value in {line!r}")):
+            read_solution(text)
+
+
+# tokens a mutation may write: numbers that overflow or do not parse,
+# and the keywords and punctuation of every text format
+_FUZZ_TOKENS = (
+    "inf", "-inf", "1e999", "-1e999", "nan", "0", "-1", "1/0", "1/2", "0.5", "2e-3",
+    "x", "x[0]", "=", ":", ",", "[", "]", "{", "}", "#", "<=", ">=", "obj", "row",
+    "var", "in", "sense", "max", "status", "objective", "alpha", "ratio", "kmax",
+    "nmax", "grid", "relp-lp v1", "relp-alphas v1", " ", "\n", "",
+)
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    """One to three edits: a token replaced, inserted or dropped, a span
+    cut, or a line repeated or dropped."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(5)
+        if op < 3:
+            toks = re.split(r"(\s+)", text)
+            i = rng.randrange(len(toks))
+            toks[i] = (rng.choice(_FUZZ_TOKENS), rng.choice(_FUZZ_TOKENS) + " " + toks[i], "")[op]
+            text = "".join(toks)
+        elif op == 3 and text:
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + rng.randint(1, 8):]
+        else:
+            lines = text.splitlines(keepends=True) or [""]
+            i = rng.randrange(len(lines))
+            lines[i:i + 1] = rng.choice(([], [lines[i]] * 2))
+            text = "".join(lines)
+    return text
+
+
+class TestReaderFuzz:
+    """Mutated text is parsed or refused with ValueError, never another
+    exception, by each reader."""
+
+    @staticmethod
+    def _texts():
+        boxed = LinearProgram(sense="max")
+        boxed.add_variable("a", lo=Fraction(-1, 2), hi=Fraction(7, 3))
+        boxed.add_variable("b")
+        boxed.set_objective({"a": 1, "b": Fraction(-2, 3)})
+        boxed.add_row("r", {"a": Fraction(1, 3), "b": 1}, "<=", Fraction(5, 2))
+        exact = SolutionFile("optimal", Fraction(7, 3),
+                             Assignment.from_rationals({"a": Fraction(1, 3), "x[01]": 2}))
+        floats = SolutionFile("feasible", 6.25, Assignment.from_floats({"w[01]": 0.125}))
+        return {
+            read_lp: [write_lp(boxed), write_lp(build_weak_primal(compute_closure(Language(["00", "000"]))))],
+            read_solution: [write_solution(exact), write_solution(floats)],
+            read_alpha_table: [write_alpha_table(calibrate_alphas(3, 8))],
+            Language.parse: ["{0,01,10,000}"],
+        }
+
+    def test_mutations_parse_or_raise_value_error(self):
+        rng = random.Random(20261020)
+        for reader, texts in self._texts().items():
+            for text in texts:
+                reader(text)  # the unmutated text parses
+                for _ in range(1500):
+                    mutated = _mutate(text, rng)
+                    try:
+                        reader(mutated)
+                    except ValueError:
+                        pass
+                    except Exception as exc:
+                        raise AssertionError(f"{reader.__qualname__}({mutated!r})") from exc

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import sys
 from itertools import combinations
 from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relp import (
     Language,
@@ -105,7 +107,7 @@ def partition_only_optimum(lang: Language, memo=None) -> int:
     best = None
     if lang.is_singleton:
         best = len(lang.only)
-    for k1, k2 in factorizations(lang, max_prefix_pool=64):
+    for k1, k2 in factorizations(lang):
         total = partition_only_optimum(k1, memo) + partition_only_optimum(k2, memo)
         if best is None or total < best:
             best = total
@@ -151,9 +153,10 @@ class TestCaps:
         with pytest.raises(ResourceCapError):
             optimal_regex(lang)
 
-    def test_too_long_strings(self):
-        with pytest.raises(ResourceCapError):
-            optimal_regex(singleton("0" * 9))
+    def test_long_singleton(self):
+        # no length cap: the memo holds the 40 substrings 0^i
+        found = optimal_regex(singleton("0" * 40))
+        assert (found.length, found.explored) == (40, 40)
 
     def test_caps_are_configurable(self):
         lang = Language(["0", "1", "00"])
@@ -165,6 +168,32 @@ class TestCaps:
     def test_cap_error_carries_a_message(self):
         with pytest.raises(ResourceCapError, match="strings"):
             optimal_regex(all_strings(4))
+
+    @given(languages(5, 4), st.integers(-2, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_member_cap_refuses_with_the_closure(self, lang, offset):
+        # the memo is C(lang), so the search, the reference search and
+        # compute_closure refuse a cap around its size alike, word for word
+        def refusal(search, *args):
+            try:
+                search(*args)
+            except ResourceCapError as exc:
+                return str(exc)
+            return None
+
+        size = len(compute_closure(lang))
+        cap = max(1, size + offset)
+        cfg = RunConfig(closure_max_members=cap)
+        expected = refusal(compute_closure, lang, cap)
+        assert (expected is None) == (cap >= size)
+        assert refusal(optimal_regex, lang, cfg) == expected
+        assert refusal(reference_optimal_regex, lang, cfg) == expected
+
+    def test_deep_witness_is_a_cap(self):
+        # the spelled-out witness nests one level per symbol
+        depth = sys.getrecursionlimit() + 10
+        with pytest.raises(ResourceCapError, match="recursion limit"):
+            optimal_regex(singleton("0" * depth))
 
 
 class TestOracleVsLp:
@@ -240,20 +269,11 @@ class TestAgainstCoverListing:
         assert got == self.outcome(reference_optimal_regex(lang))
         assert got[0] == length and got[2] == explored
 
-    def test_pool_refusal_inside_a_cover_subset(self):
-        # the first member 0 has no cut, so the top language searches no
-        # prefix pool; its cover subset {000,100} meets the pool {0,1} at
-        # its first cut, over a cap of 1
+    def test_factored_cover_subset(self):
+        # the first member 0 has no cut, so the top language has no
+        # factorization; its cover subset {000,100} factors as {0,1}{00}
         lang = Language(["0", "000", "100"])
-        tight = RunConfig(factor_pool_cap=1)
-        assert _factor_pairs(lang, 1) == set()
-        with pytest.raises(ResourceCapError, match="prefix pool"):
-            _factor_pairs(Language(["000", "100"]), 1)
-        with pytest.raises(ResourceCapError, match="prefix pool"):
-            reference_optimal_regex(lang, tight)
-        with pytest.raises(ResourceCapError, match="prefix pool"):
-            optimal_regex(lang, tight)
-        roomy = RunConfig(factor_pool_cap=2)
-        got = self.outcome(optimal_regex(lang, roomy))
-        assert got == self.outcome(reference_optimal_regex(lang, roomy))
+        assert _factor_pairs(lang) == set()
+        got = self.outcome(optimal_regex(lang))
+        assert got == self.outcome(reference_optimal_regex(lang))
         assert got[:2] == (5, "((0+1)00+0)")
