@@ -163,6 +163,7 @@ def cmd_solve(args, cfg: RunConfig) -> int:
     if result.objective is not None:
         print(f"objective {_fmt(result.objective)}", file=stream)
     print(f"iterations {result.iterations}", file=stream)
+    print(f"path {result.path}", file=stream)
     if result.status == "optimal":
         return 0
     return 2 if result.status == "resource" else 1

@@ -452,6 +452,11 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(tok: str) -> Fraction:
+    """An integer, p/q or decimal literal.  Exponents are refused before
+    any digit is read: ``write_lp`` never writes one, and ``1e10000000``
+    alone would build a ten-million-digit integer."""
+    if "e" in tok or "E" in tok:
+        raise ValueError(f"bad rational literal {tok!r}: exponents are not accepted, write p/q")
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:

@@ -167,11 +167,18 @@ def render(r: Regex) -> str:
     return "".join(render(f) for f in concat_factors(r))
 
 
+# parentheses nested deeper than this are refused: the parser, and the
+# walks over the tree it builds, recurse once per level
+MAX_NESTING = 200
+
+
 def parse(text: str, alphabet: str = "01") -> Regex:
-    """Parse the text syntax.  Star, epsilon and empty-set tokens are refused."""
+    """Parse the text syntax.  Star, epsilon and empty-set tokens are
+    refused, and so are parentheses nested past ``MAX_NESTING`` levels."""
     check_alphabet(alphabet)
     symbols = set(alphabet)
     pos = 0
+    depth = 0
     n = len(text)
 
     def skip_ws() -> None:
@@ -183,7 +190,7 @@ def parse(text: str, alphabet: str = "01") -> Regex:
         return RegexSyntaxError(f"{msg} at position {pos} in {text!r}")
 
     def parse_seq() -> Regex:
-        nonlocal pos
+        nonlocal pos, depth
         factors: list[Regex] = []
         while True:
             skip_ws()
@@ -191,8 +198,12 @@ def parse(text: str, alphabet: str = "01") -> Regex:
                 break
             ch = text[pos]
             if ch == "(":
+                if depth == MAX_NESTING:
+                    raise fail(f"parentheses nested deeper than {MAX_NESTING} levels")
                 pos += 1
+                depth += 1
                 factors.append(parse_alt())
+                depth -= 1
                 skip_ws()
                 if pos >= n or text[pos] != ")":
                     raise fail("expected ')'")

@@ -1,11 +1,33 @@
-"""Exact rational simplex with box bounds and built-in certification.
+"""Exact rational solving with built-in certification: two routes, one gate.
 
-A two-phase, condensed-tableau, bounded-variable primal simplex.  The
-tableau's columns are the nonbasic variables only, so a program with far
-more rows than variables (the strong program has one row per union or
-concatenation pair) costs n ints per row, not n + m: no row carries a
-column for its own slack or anyone else's.  A pivot swaps the entering
-and leaving variables, and the leaving one takes the entering one's slot.
+Min-plus programs take an exact fixpoint; every other program takes a
+two-phase, condensed-tableau, bounded-variable primal simplex.  A
+program is min-plus when it is max c.x with every c >= 0, every lower
+bound is 0, and every row is x_h - sum a_t x_t <= 0 with one +1 (the
+head h) and every other coefficient a negative int -a_t.  The strong
+program over a closure is one, and so are some weak and block programs.
+``_min_plus_heads`` decides it, row by row, and stops at the first row
+that does not fit.  The choice is structural: there is no knob.
+
+On a min-plus program the feasible points are closed under taking
+maxima, so the optimum is the greatest feasible point.  ``_solve_min_plus``
+finds it by Knuth's generalisation of Dijkstra's algorithm to superior
+functions (Knuth 1977, "A generalization of Dijkstra's algorithm"): a
+heap of (value, position), caps as leaves, and a row's value known once
+all its tails are final.  Each variable's value is its cheapest
+derivation, which bounds it at every feasible point.  Its optimal
+multipliers are the derivation counts: walking the final order
+backwards, each head's demand goes to the row that set its value and on
+to that row's tails.  A variable never made final has no derivation;
+it takes the largest final value, which keeps every row satisfied, and
+if the objective reads it the program is unbounded along +1 on every
+such variable.
+
+The tableau's columns are the nonbasic variables only, so a program
+with far more rows than variables costs n ints per row, not n + m: no
+row carries a column for its own slack or anyone else's.  A pivot swaps
+the entering and leaving variables, and the leaving one takes the
+entering one's slot.
 
 All arithmetic is exact and fraction-free where it counts: each tableau
 row, the reduced-cost row included, is a list of Python int numerators
@@ -46,23 +68,25 @@ and refuses a nonzero multiplier at any key that is not a row position.
 The tableau reads a row's multiplier off its slack's slot; a basic slack
 has multiplier 0.
 
-There is one path to a candidate optimum, the tableau, and it certifies
-nothing itself.  ``solve`` is the one gate: it runs ``certify_optimal``
-once, against the original program, and raises ``SolverError`` if it
-fails.
+Neither route certifies anything itself.  ``solve`` is the one gate: it
+runs ``certify_optimal`` once, against the original program, on the
+candidate either route returns, and raises ``SolverError`` if it fails.
+``SolveResult.path`` says which route ran.
 
 There is one pivot rule.  Pricing is Dantzig's rule, ties to the lowest
 variable index; after ``_STALL_PIVOTS`` consecutive degenerate steps it
 hands over, for the rest of the solve, to Bland's rule (lowest variable
 index, and the lowest leaving variable among tied ratios), which cannot
 cycle (Bland 1977).  The pivot budget, ``RunConfig.solver_max_pivots``,
-bounds the pivots of the whole solve, both phases.
+bounds the pivots of the whole solve, both phases.  The min-plus route
+makes no pivots, and the budget does not bound it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Mapping
 
@@ -94,6 +118,7 @@ class SolveResult:
     # still reads it to count transposed solves
     transposed: bool = False
     ray: dict[str, Fraction] | None = None  # improving direction, if unbounded
+    path: str = "tableau"  # the route that solved it: tableau | min-plus
 
 
 # -- certification --------------------------------------------------------------
@@ -459,6 +484,118 @@ class _Tableau:
                 return out
 
 
+# -- the min-plus route -----------------------------------------------------------
+
+
+def _min_plus_heads(lp: LinearProgram) -> list[int] | None:
+    """Each row's head, by variable position, when lp is min-plus.
+
+    None as soon as one row, the objective or a lower bound does not fit
+    (see the module docstring); the rows are read first, so a program
+    whose first row has two +1 terms costs one row's look.
+    """
+    heads = []
+    for row in lp.rows:
+        if row.rel != LE or row.rhs:
+            return None
+        head = -1
+        for s, v in enumerate(row.vals):
+            if v == 1 and head < 0:
+                head = s
+            elif type(v) is not int or v >= 0:
+                return None
+        if head < 0:
+            return None
+        heads.append(row.cols[head])
+    if lp.sense != "max" or any(c < 0 for c in lp.objective.values()):
+        return None
+    if any(lo for lo, _ in lp.bounds.values()):
+        return None
+    return heads
+
+
+def _solve_min_plus(lp: LinearProgram, heads: list[int]) -> SolveResult:
+    """The greatest feasible point of a min-plus program and its multipliers;
+    an "optimal" result is an uncertified candidate."""
+    n = len(lp.variables)
+    rows = lp.rows
+    left = []  # per row, its tails not yet final
+    uses: list[list[int]] = [[] for _ in range(n)]  # per variable, the rows it is a tail of
+    heap = []
+    for r, (row, head) in enumerate(zip(rows, heads)):
+        cols = row.cols
+        left.append(len(cols) - 1)
+        if len(cols) == 1:
+            heap.append((0, head, r))
+        for j in cols:
+            if j != head:
+                uses[j].append(r)
+    # best[j]: the least value pushed for j, so a row no better is not pushed
+    best: list = [None] * n
+    for j, name in enumerate(lp.variables):
+        hi = lp.bounds[name][1]
+        if hi is not None:
+            best[j] = hi
+            heap.append((hi, j, -1))
+    heapify(heap)
+    value: list = [None] * n
+    setter = [0] * n  # the row that set each final value, -1 for its cap
+    order = []
+    while heap:
+        v, j, r = heappop(heap)
+        if value[j] is not None:
+            continue
+        value[j], setter[j] = v, r
+        order.append(j)
+        for q in uses[j]:
+            left[q] -= 1
+            if left[q]:
+                continue
+            h = heads[q]
+            if value[h] is None:
+                row = rows[q]
+                x = 0
+                for t, a in zip(row.cols, row.vals):
+                    if t != h:
+                        x -= a * value[t]
+                if best[h] is None or x < best[h]:
+                    best[h] = x
+                    heappush(heap, (x, h, q))
+
+    names = lp.variables
+    position = lp.position
+    if any(value[position[name]] is None for name in lp.objective):
+        ray = {names[j]: Fraction(1) for j in range(n) if value[j] is None}
+        return SolveResult("unbounded", ray=ray, path="min-plus")
+    # each final value's demand goes to the row that set it, then on to
+    # that row's tails, latest value first
+    demand: list = [0] * n
+    for name, c in lp.objective.items():
+        demand[position[name]] = c
+    duals: dict[int, Fraction] = {}
+    for j in reversed(order):
+        d, r = demand[j], setter[j]
+        if d and r >= 0:
+            duals[r] = Fraction(d)
+            row = rows[r]
+            for t, a in zip(row.cols, row.vals):
+                if t != j:
+                    demand[t] -= a * d
+    # values never made final take the largest final one, the last made
+    # final: a row's value is at least each of its tails'
+    top = value[order[-1]] if order else 0
+    assignment = Assignment(
+        {name: Fraction(top if v is None else v) for name, v in zip(names, value)}
+    )
+    return SolveResult(
+        "optimal",
+        objective=objective_value(lp, assignment),
+        assignment=assignment,
+        duals=duals,
+        path="min-plus",
+    )
+
+
 # -- solve proper -----------------------------------------------------------------
 
 
@@ -543,12 +680,17 @@ def _solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
 def solve(lp: LinearProgram, config: RunConfig | None = None) -> SolveResult:
     """Solve to a certified optimum (or infeasible/unbounded/resource).
 
-    ``config.solver_max_pivots`` caps the pivots of the whole solve.  An
-    optimum is returned only after ``certify_optimal`` accepts it against
-    ``lp`` itself; otherwise ``SolverError`` is raised.
+    A min-plus program takes ``_solve_min_plus``, any other the tableau.
+    ``config.solver_max_pivots`` caps the pivots of the whole tableau
+    solve.  An optimum from either route is returned only after
+    ``certify_optimal`` accepts it against ``lp`` itself; otherwise
+    ``SolverError`` is raised.
     """
-    budget = (config or DEFAULT_CONFIG).solver_max_pivots
-    res = _solve_direct(lp, budget)
+    heads = _min_plus_heads(lp)
+    if heads is not None:
+        res = _solve_min_plus(lp, heads)
+    else:
+        res = _solve_direct(lp, (config or DEFAULT_CONFIG).solver_max_pivots)
     if res.status == "optimal":
         ok, why = certify_optimal(lp, res.assignment, res.duals)
         if not ok:

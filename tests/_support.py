@@ -9,8 +9,8 @@ prefixes and suffixes, ``reference_optimal_regex`` is the search
 oracle with the union step that listed all 3^t cover pairs of a
 t-string language, and ``vertex_optimum`` maximizes over the
 vertices of a fully bounded polytope by exact Gaussian elimination.
-``negate_one_multiplier`` corrupts the solver's candidate optima, so
-tests can check that ``solve`` refuses them.  ``reference_check``
+``negate_one_multiplier`` corrupts both solver routes' candidate optima,
+so tests can check that ``solve`` refuses them.  ``reference_check``
 recomputes ``check_feasible``'s exact verdict in plain ``Fraction``
 arithmetic, one row at a time, without the common denominator, and
 ``reference_certify`` does the same for ``certify_optimal``.
@@ -1192,18 +1192,20 @@ def reference_solve_direct(lp: LinearProgram, budget: int) -> SolveResult:
 
 
 def negate_one_multiplier(monkeypatch) -> None:
-    """Make every tableau solve return one nonzero multiplier negated.
+    """Make every candidate optimum, from the tableau and from the
+    min-plus route alike, return one nonzero multiplier negated.
 
     The point stays intact and is still optimal; only the pair is wrong,
     so the certificate gate in ``solve`` is the one thing that can refuse it.
     """
-    real = solver._solve_direct
+    for route in ("_solve_direct", "_solve_min_plus"):
+        real = getattr(solver, route)
 
-    def corrupted(*args):
-        res = real(*args)
-        if res.status == "optimal" and res.duals:
-            label = min(res.duals)
-            res.duals[label] = -res.duals[label]
-        return res
+        def corrupted(*args, real=real):
+            res = real(*args)
+            if res.status == "optimal" and res.duals:
+                label = min(res.duals)
+                res.duals[label] = -res.duals[label]
+            return res
 
-    monkeypatch.setattr(solver, "_solve_direct", corrupted)
+        monkeypatch.setattr(solver, route, corrupted)

@@ -105,9 +105,20 @@ class TestSolveCheck:
         code, out, _ = run(capsys, "solve", str(weak_lp_file), "-o", str(sol))
         assert code == 0
         assert "objective 4" in out
+        # every row of the weak program of {00,000} has one +1 term
+        assert "path min-plus" in out.splitlines()
         parsed = read_solution(sol.read_text())
         assert parsed.status == "optimal"
         assert parsed.objective == Fraction(4)
+
+    def test_solve_names_the_tableau(self, capsys, tmp_path):
+        target = tmp_path / "anchor.lp"
+        run(capsys, "lp", "weak", "--lang", "{1,00,000,110,111}", "-o", str(target))
+        code, out, _ = run(capsys, "solve", str(target), "-o", str(tmp_path / "anchor.sol"))
+        assert code == 0
+        lines = out.splitlines()
+        assert "objective 9 (9.0000)" in lines
+        assert "path tableau" in lines
 
     def test_solve_refuses_uncertified_optimum(self, capsys, monkeypatch, weak_lp_file):
         negate_one_multiplier(monkeypatch)
@@ -309,7 +320,8 @@ class TestSweeps:
                              "--solver-max-pivots", "3")
         assert code == 2
         assert out == ""
-        assert err.startswith("resource cap: relaxed program (2,1): pivot cap 3")
+        # (2,1) is min-plus and makes no pivots; (3,1) takes the tableau
+        assert err.startswith("resource cap: relaxed program (3,1): pivot cap 3")
 
     def test_closure_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "caveat", "--n-max", "3",

@@ -20,10 +20,13 @@ from relp import (
     calibrate_alphas,
     check_feasible,
     compute_closure,
+    ellul_bnk,
     objective_value,
+    parse,
     read_alpha_table,
     read_lp,
     read_solution,
+    render,
     write_alpha_table,
     write_lp,
     write_solution,
@@ -359,7 +362,7 @@ class TestRationalTokens:
         assert format_rational(Fraction(2, 3)) == "2/3"
         assert format_rational(Fraction(4)) == "4"
 
-    @pytest.mark.parametrize("tok", ["", "x", "1/0", "1.5.2"])
+    @pytest.mark.parametrize("tok", ["", "x", "1/0", "1.5.2", "1e2", "2E-3", "1e10000000"])
     def test_rejects_junk(self, tok):
         with pytest.raises(ValueError):
             parse_rational(tok)
@@ -550,6 +553,7 @@ _FUZZ_TOKENS = (
     "x", "x[0]", "=", ":", ",", "[", "]", "{", "}", "#", "<=", ">=", "obj", "row",
     "var", "in", "sense", "max", "status", "objective", "alpha", "ratio", "kmax",
     "nmax", "grid", "relp-lp v1", "relp-alphas v1", " ", "\n", "",
+    "(", ")", "+", "01", "(" * 5000, "1e10000000",
 )
 
 
@@ -593,6 +597,7 @@ class TestReaderFuzz:
             read_solution: [write_solution(exact), write_solution(floats)],
             read_alpha_table: [write_alpha_table(calibrate_alphas(3, 8))],
             Language.parse: ["{0,01,10,000}"],
+            parse: ["(0 + 1) (0 (1 + 0) + 1 1) 0", render(ellul_bnk(6, 2))],
         }
 
     def test_mutations_parse_or_raise_value_error(self):

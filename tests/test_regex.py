@@ -24,6 +24,7 @@ from relp import (
     threshold,
 )
 from relp.regex import (
+    MAX_NESTING,
     alt,
     as_word,
     cat,
@@ -111,6 +112,15 @@ class TestTextForm:
     def test_parse_rejects(self, bad):
         with pytest.raises(RegexSyntaxError):
             parse(bad)
+
+    def test_parse_nesting_cap(self):
+        # the parser recurses per level; past the cap it refuses, never
+        # reaching Python's recursion limit
+        deep = "(" * MAX_NESTING + "0" + ")" * MAX_NESTING
+        assert parse(deep) == Symbol("0")
+        for depth in (MAX_NESTING + 1, 5000):
+            with pytest.raises(RegexSyntaxError, match="nested deeper"):
+                parse("(" * depth + "0" + ")" * depth)
 
     def test_parse_other_alphabet(self):
         r = parse("(a+ab)b", alphabet="ab")

@@ -10,6 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from relp import (
+    DEFAULT_CONFIG,
     Assignment,
     Language,
     LinearProgram,
@@ -23,11 +24,13 @@ from relp import (
     build_weak_primal,
     certify_optimal,
     compute_closure,
+    optimal_regex,
     solve,
     solver,
 )
 
 from _support import (
+    languages,
     named_certify_optimal,
     negate_one_multiplier,
     rationals,
@@ -305,6 +308,117 @@ class TestUnboundedVariables:
             assert res.status == "infeasible"
 
 
+def min_plus_lp(caps, objective, rows) -> LinearProgram:
+    """max objective.x over x_h <= sum a_t x_t, 0 <= x_j <= caps[j] (None
+    for no cap); rows are (head, {tail: a_t}) over positions."""
+    lp = LinearProgram(sense="max")
+    names = [f"v{j}" for j in range(len(caps))]
+    for name, hi in zip(names, caps):
+        lp.add_variable(name, 0, hi)
+    lp.set_objective({names[j]: c for j, c in objective.items()})
+    for r, (head, tails) in enumerate(rows):
+        coeffs = {names[head]: 1} | {names[t]: -a for t, a in tails.items()}
+        lp.add_row(f"r{r}", coeffs, "<=", 0)
+    return lp
+
+
+class TestMinPlusRoute:
+    """Programs max c.x over x_h <= sum a_t x_t take the fixpoint; the
+    tableau, called directly, is the reference."""
+
+    @given(lang=languages(max_strings=4, max_len=3))
+    @settings(max_examples=40, deadline=None)
+    def test_strong_program_on_random_languages(self, lang):
+        lp = build_strong_primal(compute_closure(lang))
+        res = solve(lp)
+        assert (res.status, res.path, res.iterations) == ("optimal", "min-plus", 0)
+        want = solver._solve_direct(lp, DEFAULT_CONFIG.solver_max_pivots)
+        assert res.objective == want.objective == optimal_regex(lang).length
+
+    @given(data=st.data(), n_vars=st.integers(1, 6), n_rows=st.integers(0, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_random_programs_agree_with_the_tableau(self, data, n_vars, n_rows):
+        # heads and tails drawn freely, so rows form cycles; uncapped
+        # variables on a cycle with no capped way out make a draw unbounded
+        cap = st.one_of(
+            st.none(), st.builds(Fraction, st.integers(0, 12), st.integers(1, 3))
+        )
+        caps = [data.draw(cap) for _ in range(n_vars)]
+        coef = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 2]))
+        objective = {j: data.draw(coef) for j in range(n_vars)}
+        rows = []
+        for _ in range(n_rows):
+            head = data.draw(st.integers(0, n_vars - 1))
+            tails = data.draw(st.lists(st.integers(0, n_vars - 1), max_size=3, unique=True))
+            rows.append((head, {t: data.draw(st.integers(1, 3)) for t in tails if t != head}))
+        lp = min_plus_lp(caps, objective, rows)
+        res = solve(lp)
+        want = solver._solve_direct(lp, 10**4)
+        event(res.status)
+        assert res.path == "min-plus"
+        assert res.status == want.status
+        assert res.objective == want.objective
+        if res.status == "unbounded":
+            ray = res.ray
+            assert sum(c * ray.get(n, 0) for n, c in lp.objective.items()) > 0
+            for row in lp.rows:
+                assert sum(c * ray.get(n, 0) for n, c in row.coeffs.items()) <= 0
+            assert all(v > 0 and lp.bounds[n][1] is None for n, v in ray.items())
+
+    def test_unbounded_cycle(self):
+        # v0 <= v1 and v1 <= 2 v0, neither capped: v0 and v1 grow together
+        # while v2 stays at its cap
+        lp = min_plus_lp([None, None, 3], {0: 1, 2: 1}, [(0, {1: 1}), (1, {0: 2})])
+        res = solve(lp)
+        assert (res.status, res.path) == ("unbounded", "min-plus")
+        assert res.ray == {"v0": 1, "v1": 1}
+
+    def test_uncapped_variable_off_the_objective(self):
+        # v1 and v3 bound each other and have no cap, but the objective
+        # does not read them: they take the largest final value, 5
+        lp = min_plus_lp(
+            [2, None, 5, None], {0: 1, 2: 1}, [(1, {3: 1}), (3, {1: 2}), (2, {0: 1, 1: 1})]
+        )
+        res = solve(lp)
+        assert (res.status, res.path, res.objective) == ("optimal", "min-plus", 7)
+        assert res.assignment.get("v1") == res.assignment.get("v3") == 5
+        assert res.duals == {}
+
+    @staticmethod
+    def near_misses():
+        base = ([2, None, None], {2: 1}, [(1, {0: 2}), (2, {0: 1, 1: 1})])
+        yield "min-plus", min_plus_lp(*base)
+        lp = min_plus_lp(*base)
+        lp.add_row("rhs", {"v1": 1, "v0": -1}, "<=", 1)
+        yield "rhs 1", lp
+        lp = min_plus_lp(*base)
+        lp.bounds["v1"] = (1, None)
+        yield "lower bound 1", lp
+        lp = min_plus_lp(*base)
+        lp.add_row("half", {"v1": 1, "v0": Fraction(-1, 2)}, "<=", 0)
+        yield "tail -1/2", lp
+        lp = min_plus_lp(*base)
+        lp.sense = "min"
+        yield "min", lp
+        lp = min_plus_lp(*base)
+        lp.set_objective({"v2": 1, "v0": -1})
+        yield "objective -1", lp
+        lp = min_plus_lp(*base)
+        lp.add_row("two heads", {"v1": 1, "v2": 1, "v0": -3}, "<=", 0)
+        yield "two +1 terms", lp
+
+    def test_near_misses_take_the_tableau(self):
+        for what, lp in self.near_misses():
+            res = solve(lp)
+            assert res.status == "optimal", what
+            assert certify_optimal(lp, res.assignment, res.duals) == (True, "ok")
+            if what == "min-plus":
+                assert (res.path, res.objective) == ("min-plus", 6)
+            else:
+                assert solver._min_plus_heads(lp) is None, what
+                assert res.path == "tableau", what
+
+
 class TestCondensedTableau:
     @staticmethod
     def capture_tableaux(monkeypatch) -> list:
@@ -383,11 +497,15 @@ class TestCondensedTableau:
     def test_pivot_counts_pinned(self, build, objective, pivots):
         # the first three were captured on a tableau with a column per
         # slack, the phase-1 cases on one that tracked its own objective;
-        # neither change may move a single pivot
-        res = solve(build())
+        # neither change may move a single pivot.  The strong program is
+        # min-plus, so solve takes the fixpoint there; the tableau is
+        # called directly and its candidate certified here
+        lp = build()
+        res = solver._solve_direct(lp, DEFAULT_CONFIG.solver_max_pivots)
         assert res.status == "optimal"
         assert res.objective == objective
         assert res.iterations == pivots
+        assert certify_optimal(lp, res.assignment, res.duals) == (True, "ok")
 
 
 class TestAgainstFractionTableau:
@@ -466,7 +584,9 @@ class TestSolveDigest:
     # duals by row label) of the paper's two conjecture sweeps (reduced-b1
     # n <= 7, the block program n <= 7, k <= 3) and the (8,3) block dual,
     # captured on the tableau with Fraction basic values: any change to a
-    # pivot or to a returned point moves it
+    # pivot or to a returned point moves it.  The tableau is called
+    # directly: solve takes the min-plus route on the block programs
+    # (n,0), (2,1) and (n,n) and on reduced-b1 at n = 1, 2
     DIGEST = "1098fc466a51cf048751887640de8b5e0aa082f98afd8f1fb85e727f8178e30a"
 
     def test_sweeps_and_block_dual(self):
@@ -477,7 +597,7 @@ class TestSolveDigest:
         programs.append(build_relaxed_binomial_dual(8, 3))
         h = hashlib.sha256()
         for lp in programs:
-            res = solve(lp)
+            res = solver._solve_direct(lp, DEFAULT_CONFIG.solver_max_pivots)
             key = (
                 res.status,
                 str(res.objective),
@@ -503,11 +623,12 @@ class TestPivotBudget:
     @pytest.mark.parametrize("cap", [1, 5, 50])
     def test_many_more_rows_than_variables(self, cap):
         # a strong program with far more rows than variables (40 x 313);
-        # its solve makes 62 pivots, so every cap stops it
+        # its tableau solve makes 62 pivots, so every cap stops it (solve
+        # itself takes the min-plus route, which makes no pivots)
         lp = build_strong_primal(
             compute_closure(Language(["1", "00", "000", "110", "111"]))
         )
-        res = solve(lp, RunConfig(solver_max_pivots=cap))
+        res = solver._solve_direct(lp, cap)
         assert res.status == "resource"
         assert res.iterations <= cap
 
@@ -672,6 +793,13 @@ class TestCertificateGate:
     def test_bad_pair_is_refused(self, monkeypatch, mode):
         lp = paired_bound_lp()
         assert solve(lp).status == "optimal"
+        negate_one_multiplier(monkeypatch)
+        with pytest.raises(SolverError, match="failed certification"):
+            solve(lp)
+
+    def test_bad_min_plus_pair_is_refused(self, monkeypatch):
+        lp = build_strong_primal(compute_closure(Language(["00", "000"])))
+        assert solve(lp).path == "min-plus"
         negate_one_multiplier(monkeypatch)
         with pytest.raises(SolverError, match="failed certification"):
             solve(lp)
