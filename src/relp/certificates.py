@@ -16,7 +16,8 @@ construction per program family:
 
 Both read the expression through one walk (``_walk``), which gives L(r),
 its terms and its term-safe concatenation splits; each keeps only its
-own charging rule and checks.
+own charging rule and checks.  The walk keeps its own stack and reads
+node languages off one ``regex.fold``, so it takes any depth.
 
 The primal half collects hand-derived feasible assignments whose
 objectives bound optima from below: ``analytic_sigma_primal`` for the
@@ -35,6 +36,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, groupby
 from math import comb, frexp, isfinite, log, log1p
 
 from .builders import build_weak_support_dual
@@ -59,7 +61,7 @@ from .lp import (
     var_y_pair,
     var_y_quad,
 )
-from .regex import Concat, Regex, Symbol, Union, as_word, cat, concat_factors, parse, word
+from .regex import Regex, Symbol, Union, concat_factors, node_languages, parse
 
 _ZERO = Fraction(0)
 
@@ -70,76 +72,47 @@ class CalibrationError(RuntimeError):
     """No admissible constant was found for some weight level."""
 
 
-# -- splitting concatenations -------------------------------------------------
-
-
-def _split_concat(node: Concat) -> tuple[Regex, Regex]:
-    """Split a concatenation at its rightmost term-safe boundary.
-
-    The factor chain is flattened and maximal symbol runs are merged
-    back into single terms, so no remaining boundary cuts a term in
-    half; the split then falls before the last chain element.  Every
-    term of the node ends up as a term of exactly one side, which keeps
-    the objective bookkeeping exact.
-    """
-    parts: list[Regex] = []
-    run: list[str] = []
-    for factor in concat_factors(node):
-        piece = as_word(factor)
-        if piece is None:
-            if run:
-                parts.append(word("".join(run)))
-                run.clear()
-            parts.append(factor)
-        else:
-            run.append(piece)
-    if run:
-        parts.append(word("".join(run)))
-    if len(parts) < 2:
-        raise ValueError("cannot split a bare term")
-    return cat(parts[:-1]), parts[-1]
-
+# -- the certificate walk -----------------------------------------------------
 
 Split = tuple[Language, Language]
 
 
-def _walk(r: Regex) -> tuple[Language, list[str | Split]]:
-    """L(r), and every term occurrence of r and the factor languages of every split.
+def _walk(r: Regex | str) -> tuple[Language, dict[str, Fraction], list[Split]]:
+    """L(r), how often each term occurs in r, and the factor languages of every split.
 
-    Union branches are walked in turn; a concatenation is split by
-    ``_split_concat`` and both sides are walked.  Each term of r is
-    listed exactly once, so charging |s| per listed term s sums to the
-    length of r.  Node languages are memoized for the one walk.
+    Union branches are walked in turn.  A concatenation's parts are its
+    factors with each maximal symbol run merged into one term, so no split
+    cuts a term; it is split before its last part, then the rest before
+    theirs, each left side's language a running prefix product.  Each
+    term is counted once, so charging |s| per occurrence sums to |r|.
     """
-    # id(node) -> (node, L(node)); holding the node keeps its id from reuse
-    memo: dict[int, tuple[Regex, Language]] = {}
-
-    def lang_of(node: Regex) -> Language:
-        if id(node) not in memo:
-            if isinstance(node, Symbol):
-                memo[id(node)] = (node, Language([node.ch]))
-            else:
-                a, b = lang_of(node.left), lang_of(node.right)
-                memo[id(node)] = (node, a.concat(b) if isinstance(node, Concat) else a.union(b))
-        return memo[id(node)][1]
-
-    steps: list[str | Split] = []
-    stack: list[Regex] = [r]
+    if isinstance(r, str):
+        r = parse(r)
+    langs = node_languages(r)
+    terms: dict[str, Fraction] = {}
+    splits: list[Split] = []
+    # a term or split is taken when popped, so each part's own terms and
+    # splits come right after the split that cut it off
+    stack: list[Regex | str | Split] = [r]
     while stack:
         node = stack.pop()
-        term = as_word(node)
-        if term is not None:
-            steps.append(term)
+        if isinstance(node, str):
+            terms[node] = terms.get(node, _ZERO) + 1
+        elif isinstance(node, tuple):
+            splits.append(node)
         elif isinstance(node, Union):
-            stack.append(node.left)
-            stack.append(node.right)
+            stack += (node.left, node.right)
         else:
-            assert isinstance(node, Concat)
-            left, right = _split_concat(node)
-            steps.append((lang_of(left), lang_of(right)))
-            stack.append(left)
-            stack.append(right)
-    return lang_of(r), steps
+            parts: list[Regex | str] = []
+            for kind, run in groupby(concat_factors(node), type):
+                parts += ["".join(symbol.ch for symbol in run)] if kind is Symbol else run
+            stack.append(parts[0])
+            if len(parts) > 1:  # not a term
+                part_langs = [Language([p]) if isinstance(p, str) else langs[id(p)] for p in parts]
+                prefixes = accumulate(part_langs[:-1], Language.concat)
+                for part, lang, prefix in zip(parts[1:], part_langs[1:], prefixes):
+                    stack += (part, (prefix, lang))
+    return langs[id(r)], terms, splits
 
 
 # -- weak dual certificates ---------------------------------------------------
@@ -179,20 +152,14 @@ def certify_weak_dual(r: Regex | str, target: Language | None = None) -> WeakDua
     must equal L(r); this guards call sites that pair an expression
     with an independently constructed language.
     """
-    if isinstance(r, str):
-        r = parse(r)
-    lang, steps = _walk(r)
+    lang, w, splits = _walk(r)
     if target is not None and target != lang:
         raise ValueError(
             f"expression denotes {lang.serialize()}, not {target.serialize()}"
         )
-    w: dict[str, Fraction] = {}
     y: dict[Split, Fraction] = {}
-    for step in steps:
-        if isinstance(step, str):
-            w[step] = w.get(step, _ZERO) + 1
-        else:
-            y[step] = y.get(step, _ZERO) + 1
+    for split in splits:
+        y[split] = y.get(split, _ZERO) + 1
     return WeakDualCert(target=lang, w=w, y=y)
 
 
@@ -273,23 +240,15 @@ def certify_relaxed_dual(r: Regex | str, n: int, k: int) -> RelaxedDualCert:
     the whole block down and the result can fail elsewhere; the
     feasibility report says so, honestly.
     """
-    if isinstance(r, str):
-        r = parse(r)
-    lang, steps = _walk(r)
+    lang, w, splits = _walk(r)
     if lang != binomial(n, k):
         raise ValueError(f"expression denotes {lang.serialize()}, not B({n},{k})")
     index = BinomialIndex(n, k)
-    w: dict[str, Fraction] = {}
+    for term in w:
+        if not index.fits(len(term), ones(term)):
+            raise ValueError(f"term {term!r} lies outside the universe of B({n},{k})")
     y: dict[Quad, Fraction] = {}
-    for step in steps:
-        if isinstance(step, str):
-            if not index.fits(len(step), ones(step)):
-                raise ValueError(
-                    f"term {step!r} lies outside the universe of B({n},{k})"
-                )
-            w[step] = w.get(step, _ZERO) + 1
-            continue
-        lang1, lang2 = step
+    for lang1, lang2 in splits:
         m1, l1 = _block_of(lang1, index)
         m2, l2 = _block_of(lang2, index)
         if not index.fits(m1 + m2, l1 + l2):

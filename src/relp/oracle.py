@@ -4,9 +4,9 @@ In the plus/concat grammar the top of a shortest expression for a
 finite language takes one of three shapes: the language is a single
 string spelled out symbol by symbol, or an exact product K1*K2, or a
 union of two proper sublanguages whose members jointly cover it (the
-two sides may overlap).  The search recurses through every shape,
-memoizes the optimal length of each language it reaches, and
-reconstructs a witness expression from the recorded argmin choices.
+two sides may overlap).  The search recurses through every shape and
+memoizes the optimal length of each language it reaches; the witness is
+rebuilt from the recorded argmin choices on an explicit stack.
 The languages it memoizes are then exactly the closure C(L), so it
 refuses, with ``compute_closure``'s message, once it memoizes more than
 closure_max_members languages: exactly when the closure is refused.
@@ -237,11 +237,23 @@ def _best_for(lang: Language, memo: dict[tuple[str, ...], _Entry], cap: int) -> 
 
 
 def _rebuild(members: tuple[str, ...], memo: dict[tuple[str, ...], _Entry]) -> Regex:
-    choice = memo[members].choice
-    if choice is None:
-        return word(members[0])
-    shape, left, right = choice
-    return (Concat if shape == "cat" else Union)(_rebuild(left, memo), _rebuild(right, memo))
+    """The witness read off the recorded choices, with an explicit stack:
+    each language it reaches is built once, and shared by every parent."""
+    built: dict[tuple[str, ...], Regex] = {}
+    stack = [members]
+    while stack:
+        key = stack.pop()
+        if key in built:
+            continue
+        choice = memo[key].choice
+        if choice is None:
+            built[key] = word(key[0])
+        elif choice[1] in built and choice[2] in built:
+            shape, left, right = choice
+            built[key] = (Concat if shape == "cat" else Union)(built[left], built[right])
+        else:
+            stack += (key, choice[2], choice[1])
+    return built[members]
 
 
 def optimal_regex(lang: Language, config: RunConfig | None = None) -> OracleResult:
@@ -252,8 +264,8 @@ def optimal_regex(lang: Language, config: RunConfig | None = None) -> OracleResu
     the grammar.  A memoized language of t strings costs 2^t memo
     lookups and O(t·2^t) comparisons for its covers, plus its
     factorization search.  The caps on input strings and closure
-    members keep calls at desk scale; a search or witness nested past
-    the recursion limit is refused as a resource cap too.
+    members keep calls at desk scale; a search nested past the recursion
+    limit is refused as a resource cap too; the witness may nest deeper.
     """
     cfg = config or DEFAULT_CONFIG
     if len(lang) > cfg.oracle_max_strings:

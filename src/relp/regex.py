@@ -18,10 +18,13 @@ and concatenation chains to the left, so ``parse(render(r))`` recovers
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import add
+from typing import TypeVar
 
-from .lang import FORBIDDEN_SYMBOLS, Language, check_alphabet, check_symbol
+from .lang import FORBIDDEN_SYMBOLS, Language, check_alphabet, singleton
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,13 +54,14 @@ class RegexSyntaxError(ValueError):
 # -- structure helpers -------------------------------------------------------
 
 
-def concat_factors(r: Regex) -> list[Regex]:
-    """Flatten nested concatenations into their factor sequence."""
+def operands(r: Regex, op: type[Concat] | type[Union]) -> list[Regex]:
+    """Flatten the maximal ``op`` chain at the top of r into its operand
+    sequence, left to right: [r] itself when r is not an ``op`` node."""
     out: list[Regex] = []
     stack = [r]
     while stack:
         node = stack.pop()
-        if isinstance(node, Concat):
+        if isinstance(node, op):
             stack.append(node.right)
             stack.append(node.left)
         else:
@@ -65,18 +69,39 @@ def concat_factors(r: Regex) -> list[Regex]:
     return out
 
 
-def union_branches(r: Regex) -> list[Regex]:
-    """Flatten nested unions into their branch sequence."""
-    out: list[Regex] = []
-    stack = [r]
+concat_factors = partial(operands, op=Concat)
+union_branches = partial(operands, op=Union)
+
+
+T = TypeVar("T")
+
+
+def fold(
+    r: Regex, symbol: Callable[[str], T], concat: Callable[[T, T], T], union: Callable[[T, T], T]
+) -> dict[int, T]:
+    """The value of every node of r, keyed by ``id(node)``, folded post-order.
+
+    A symbol's value is ``symbol(ch)``; a concatenation's is ``concat`` of
+    its operands' values, and a union's ``union`` of them.  An explicit
+    stack stands in for recursion, so any depth folds: an operator comes
+    off it once to push its operands and once, flagged ready, to be folded.
+    A node shared by several parents (as in ``ellul_bnk``) is folded once.
+    The ids stay unique while r, which holds every node, is alive.
+    """
+    values: dict[int, T] = {}
+    stack: list[tuple[Regex, bool]] = [(r, False)]
     while stack:
-        node = stack.pop()
-        if isinstance(node, Union):
-            stack.append(node.right)
-            stack.append(node.left)
+        node, ready = stack.pop()
+        if ready:
+            op = concat if isinstance(node, Concat) else union
+            values[id(node)] = op(values[id(node.left)], values[id(node.right)])
+        elif id(node) in values:
+            continue
+        elif isinstance(node, Symbol):
+            values[id(node)] = symbol(node.ch)
         else:
-            out.append(node)
-    return out
+            stack += ((node, True), (node.right, False), (node.left, False))
+    return values
 
 
 def cat(factors: list[Regex]) -> Regex:
@@ -106,69 +131,70 @@ def word(s: str) -> Regex:
 
 def as_word(r: Regex) -> str | None:
     """The string spelled by r if r is symbols-only (a term), else None."""
-    chars = []
-    for f in concat_factors(r):
-        if not isinstance(f, Symbol):
-            return None
-        chars.append(f.ch)
-    return "".join(chars)
+    factors = concat_factors(r)
+    symbols_only = all(isinstance(f, Symbol) for f in factors)
+    return "".join(f.ch for f in factors) if symbols_only else None
 
 
 def length(r: Regex) -> int:
     """Number of alphabet-symbol occurrences in r."""
-    n = 0
-    stack = [r]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Symbol):
-            n += 1
-        else:
-            stack.append(node.left)
-            stack.append(node.right)
-    return n
+    return fold(r, lambda ch: 1, add, add)[id(r)]
 
 
 def normalize(r: Regex) -> Regex:
     """Canonical fold: concatenations to the left, unions to the right."""
-    if isinstance(r, Symbol):
-        return r
-    if isinstance(r, Concat):
-        return cat([normalize(f) for f in concat_factors(r)])
-    return alt([normalize(b) for b in union_branches(r)])
+    # both operands are normal already, so one's chain extends the other's
+    return fold(
+        r,
+        Symbol,
+        lambda a, b: cat([a, *concat_factors(b)]),
+        lambda a, b: alt([*union_branches(a), b]),
+    )[id(r)]
+
+
+_SWAP = {"0": "1", "1": "0"}
 
 
 def flip(r: Regex) -> Regex:
     """Exchange the symbols 0 and 1 throughout."""
-    swap = {"0": "1", "1": "0"}
-    if isinstance(r, Symbol):
-        return Symbol(swap.get(r.ch, r.ch))
-    if isinstance(r, Concat):
-        return Concat(flip(r.left), flip(r.right))
-    return Union(flip(r.left), flip(r.right))
+    return fold(r, lambda ch: Symbol(_SWAP.get(ch, ch)), Concat, Union)[id(r)]
+
+
+_letter = lru_cache(maxsize=None)(singleton)  # one shared language per symbol
+
+
+def node_languages(r: Regex) -> dict[int, Language]:
+    """The language of every node of r, keyed by ``id(node)``."""
+    return fold(r, _letter, Language.concat, Language.union)
 
 
 def language_of(r: Regex) -> Language:
     """The finite language denoted by r."""
-    if isinstance(r, Symbol):
-        return Language([r.ch])
-    if isinstance(r, Concat):
-        return language_of(r.left).concat(language_of(r.right))
-    return language_of(r.left).union(language_of(r.right))
+    return node_languages(r)[id(r)]
 
 
 # -- text form ----------------------------------------------------------------
 
 
+def _factor_text(value: tuple[str, bool]) -> str:
+    text, is_union = value
+    return f"({text})" if is_union else text
+
+
 def render(r: Regex) -> str:
-    if isinstance(r, Symbol):
-        return r.ch
-    if isinstance(r, Union):
-        return "(" + "+".join(render(b) for b in union_branches(r)) + ")"
-    return "".join(render(f) for f in concat_factors(r))
+    # a node's value is its text and whether it is a union; a union's text
+    # leaves off its parentheses, so nested unions join into one
+    values = fold(
+        r,
+        lambda ch: (ch, False),
+        lambda a, b: (_factor_text(a) + _factor_text(b), False),
+        lambda a, b: (f"{a[0]}+{b[0]}", True),
+    )
+    return _factor_text(values[id(r)])
 
 
-# parentheses nested deeper than this are refused: the parser, and the
-# walks over the tree it builds, recurse once per level
+# parentheses nested deeper than this are refused: the parser recurses once
+# per level, while every walk over the tree it builds is an iterative fold
 MAX_NESTING = 200
 
 
@@ -187,7 +213,9 @@ def parse(text: str, alphabet: str = "01") -> Regex:
             pos += 1
 
     def fail(msg: str) -> "RegexSyntaxError":
-        return RegexSyntaxError(f"{msg} at position {pos} in {text!r}")
+        lo, hi = max(0, pos - 20), pos + 20  # quote a window, not the whole text
+        near = ("..." if lo else "") + text[lo:hi] + ("..." if hi < n else "")
+        return RegexSyntaxError(f"{msg} at position {pos} near {near!r}")
 
     def parse_seq() -> Regex:
         nonlocal pos, depth

@@ -1,6 +1,10 @@
 """Shared strategies and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own search code:
+``reference_language_of``, ``reference_flip``, ``reference_normalize``,
+``reference_render`` and ``reference_walk`` are the expression walks as
+they recursed once per tree level, the last one the certificate walk
+that rebuilt and re-split every concatenation chain;
 ``naive_closure`` runs the definitional fixpoint with a brute-force
 product scan, ``reference_closure`` is the closure fixpoint of
 one-element deletions and factorization searches that the generator
@@ -57,7 +61,16 @@ from relp.lp import (
     row_quad,
 )
 from relp.oracle import _factor_pairs, factorizations
-from relp.regex import Regex, language_of, word
+from relp.regex import (
+    Regex,
+    alt,
+    as_word,
+    cat,
+    concat_factors,
+    language_of,
+    union_branches,
+    word,
+)
 from relp.solver import (
     _STALL_PIVOTS,
     AT_LO,
@@ -97,6 +110,105 @@ def regexes(max_leaves: int = 8, alphabet: str = "01"):
         lambda inner: st.builds(Concat, inner, inner) | st.builds(Union, inner, inner),
         max_leaves=max_leaves,
     )
+
+
+def alternating_tree(depth: int) -> Regex:
+    """A tree as deep as given whose levels alternate concatenation and
+    union along its left spine: each union adds the string 1."""
+    node: Regex = Symbol("0")
+    for i in range(depth - 1):
+        node = Concat(node, Symbol("0")) if i % 2 == 0 else Union(node, Symbol("1"))
+    return node
+
+
+# -- expression walks as they recursed once per tree level --------------------
+
+
+def reference_language_of(r: Regex) -> Language:
+    if isinstance(r, Symbol):
+        return Language([r.ch])
+    if isinstance(r, Concat):
+        return reference_language_of(r.left).concat(reference_language_of(r.right))
+    return reference_language_of(r.left).union(reference_language_of(r.right))
+
+
+def reference_flip(r: Regex) -> Regex:
+    swap = {"0": "1", "1": "0"}
+    if isinstance(r, Symbol):
+        return Symbol(swap.get(r.ch, r.ch))
+    if isinstance(r, Concat):
+        return Concat(reference_flip(r.left), reference_flip(r.right))
+    return Union(reference_flip(r.left), reference_flip(r.right))
+
+
+def reference_normalize(r: Regex) -> Regex:
+    if isinstance(r, Symbol):
+        return r
+    if isinstance(r, Concat):
+        return cat([reference_normalize(f) for f in concat_factors(r)])
+    return alt([reference_normalize(b) for b in union_branches(r)])
+
+
+def reference_render(r: Regex) -> str:
+    if isinstance(r, Symbol):
+        return r.ch
+    if isinstance(r, Union):
+        return "(" + "+".join(reference_render(b) for b in union_branches(r)) + ")"
+    return "".join(reference_render(f) for f in concat_factors(r))
+
+
+def _reference_split_concat(node: Concat) -> tuple[Regex, Regex]:
+    """Split a concatenation before the last part of its factor chain,
+    symbol runs merged into terms, rebuilding the rest as a chain."""
+    parts: list[Regex] = []
+    run: list[str] = []
+    for factor in concat_factors(node):
+        piece = as_word(factor)
+        if piece is None:
+            if run:
+                parts.append(word("".join(run)))
+                run.clear()
+            parts.append(factor)
+        else:
+            run.append(piece)
+    if run:
+        parts.append(word("".join(run)))
+    return cat(parts[:-1]), parts[-1]
+
+
+def reference_walk(
+    r: Regex,
+) -> tuple[Language, dict[str, Fraction], list[tuple[Language, Language]]]:
+    """``certificates._walk`` as it re-split every rebuilt chain and read
+    node languages through a recursive memo keyed by node id."""
+    memo: dict[int, tuple[Regex, Language]] = {}
+
+    def lang_of(node: Regex) -> Language:
+        if id(node) not in memo:
+            if isinstance(node, Symbol):
+                memo[id(node)] = (node, Language([node.ch]))
+            else:
+                a, b = lang_of(node.left), lang_of(node.right)
+                memo[id(node)] = (node, a.concat(b) if isinstance(node, Concat) else a.union(b))
+        return memo[id(node)][1]
+
+    terms: dict[str, Fraction] = {}
+    splits: list[tuple[Language, Language]] = []
+    stack: list[Regex] = [r]
+    while stack:
+        node = stack.pop()
+        term = as_word(node)
+        if term is not None:
+            terms[term] = terms.get(term, Fraction(0)) + 1
+        elif isinstance(node, Union):
+            stack.append(node.left)
+            stack.append(node.right)
+        else:
+            left, right = _reference_split_concat(node)
+            splits.append((lang_of(left), lang_of(right)))
+            stack.append(left)
+            stack.append(right)
+    return lang_of(r), terms, splits
 
 
 # -- closure oracle ---------------------------------------------------------

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from relp import (
     AlphaTable,
@@ -38,6 +40,7 @@ from relp import (
     objective_value,
     read_alpha_table,
     relaxed_row_margin,
+    singleton,
     threshold,
     write_alpha_table,
 )
@@ -47,7 +50,13 @@ from relp.closure import BinomialIndex, product_block
 from relp.lang import canon_key
 from relp.lp import var_x
 
-from _support import reference_calibrate_alphas, reference_strings
+from _support import (
+    alternating_tree,
+    reference_calibrate_alphas,
+    reference_strings,
+    reference_walk,
+    regexes,
+)
 
 
 class TestWeakDualCert:
@@ -131,6 +140,44 @@ class TestWeakDualCert:
         assert {(v.kind, v.where, v.amount) for v in support.violations} == {
             (v.kind, v.where, v.amount) for v in full.violations
         }
+
+
+class TestCertificateWalk:
+    """The walk reads node languages off one fold and splits each chain by
+    running prefix products; the recursive, re-splitting copy agrees."""
+
+    @given(regexes(12))
+    @settings(max_examples=300)
+    def test_matches_the_re_splitting_walk(self, r):
+        lang, terms, splits = certificates._walk(r)
+        ref_lang, ref_terms, ref_splits = reference_walk(r)
+        assert lang == ref_lang
+        assert list(terms.items()) == list(ref_terms.items())
+        assert splits == ref_splits
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_on_shared_dags(self, n):
+        for k in range(n + 1):
+            r = ellul_bnk(n, k)
+            lang, terms, splits = certificates._walk(r)
+            ref_lang, ref_terms, ref_splits = reference_walk(r)
+            assert lang == ref_lang == binomial(n, k)
+            assert list(terms.items()) == list(ref_terms.items())
+            assert splits == ref_splits
+
+    def test_long_word(self):
+        # a word parses to a chain as deep as it is long
+        cert = certify_weak_dual("0" * 1000, singleton("0" * 1000))
+        assert cert.objective() == 1000
+        assert check_weak_dual_support(cert).feasible
+
+    def test_deep_alternating_tree(self):
+        # one split per concatenation level but the first, whose two symbols
+        # are one term
+        depth = sys.getrecursionlimit() + 10
+        cert = certify_weak_dual(alternating_tree(depth))
+        assert cert.objective() == depth
+        assert sum(cert.y.values()) == depth // 2 - 1
 
 
 class TestRelaxedDualCert:

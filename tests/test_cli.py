@@ -210,6 +210,13 @@ class TestCertify:
         assert parsed.assignment.values["w[00]"] == Fraction(1)
         assert parsed.assignment.values["y[{0,00},{0}]"] == Fraction(1)
 
+    def test_weak_certificate_of_a_long_word(self, capsys):
+        # the word parses to a chain of concatenations as deep as it is long
+        word = "0" * 1000
+        code, out, _ = run(capsys, "certify", word, "--lang", "{" + word + "}")
+        assert code == 0
+        assert "objective 1000" in out.splitlines()
+
     def test_weak_certificate_wrong_target(self, capsys):
         code, _, err = run(capsys, "certify", "(0+00)0", "--lang", "{00}")
         assert code == 3

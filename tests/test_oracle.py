@@ -27,6 +27,7 @@ from relp import (
     singleton,
     threshold,
 )
+from relp import oracle
 from relp.oracle import _factor_pairs, factorizations
 
 from _support import languages, reference_optimal_regex
@@ -189,11 +190,22 @@ class TestCaps:
         assert refusal(optimal_regex, lang, cfg) == expected
         assert refusal(reference_optimal_regex, lang, cfg) == expected
 
-    def test_deep_witness_is_a_cap(self):
-        # the spelled-out witness nests one level per symbol
+    def test_deep_witness_answers(self):
+        # the spelled-out witness nests one level per symbol; it is rebuilt
+        # and expanded on explicit stacks
         depth = sys.getrecursionlimit() + 10
+        result = optimal_regex(singleton("0" * depth))
+        assert (result.length, result.explored) == (depth, depth)
+        assert result.pattern == "0" * depth
+
+    def test_deep_search_is_a_cap(self, monkeypatch):
+        # the search itself still recurses per level
+        def too_deep(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(oracle, "_best_for", too_deep)
         with pytest.raises(ResourceCapError, match="recursion limit"):
-            optimal_regex(singleton("0" * depth))
+            optimal_regex(Language(["0", "01"]))
 
 
 class TestOracleVsLp:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -32,12 +33,20 @@ from relp.regex import (
     ellul_b_n1_length,
     ellul_t_n1_length,
     flip,
+    fold,
     normalize,
     union_branches,
     word,
 )
 
-from _support import regexes
+from _support import (
+    alternating_tree,
+    reference_flip,
+    reference_language_of,
+    reference_normalize,
+    reference_render,
+    regexes,
+)
 
 
 class TestAst:
@@ -122,6 +131,16 @@ class TestTextForm:
             with pytest.raises(RegexSyntaxError, match="nested deeper"):
                 parse("(" * depth + "0" + ")" * depth)
 
+    def test_parse_errors_quote_a_window(self):
+        # a long input is quoted around the fault, with its position, not whole
+        text = "0" * 5000 + "*" + "1" * 4999
+        with pytest.raises(RegexSyntaxError, match="at position 5000 near '...0+\\*1+...'"):
+            parse(text)
+        for bad in (text, "(" * 5000 + "0" + ")" * 5000):
+            with pytest.raises(RegexSyntaxError) as exc:
+                parse(bad)
+            assert len(str(exc.value)) < 200
+
     def test_parse_other_alphabet(self):
         r = parse("(a+ab)b", alphabet="ab")
         assert language_of(r) == Language(["ab", "abb"])
@@ -193,3 +212,60 @@ class TestBalancedFamilies:
             ellul_bnk(0, 1)
         with pytest.raises(ValueError):
             ellul_bnk(3, 4)
+
+
+class TestFold:
+    """Every walk is one iterative fold; each agrees with its recursive copy."""
+
+    @staticmethod
+    def _agree(r):
+        assert render(r) == reference_render(r)
+        assert normalize(r) == reference_normalize(r)
+        assert flip(r) == reference_flip(r)
+        assert language_of(r) == reference_language_of(r)
+        assert length(r) == sum(ch in "01" for ch in reference_render(r))
+
+    @given(regexes(12))
+    @settings(max_examples=300)
+    def test_walks_match_recursive_references(self, r):
+        self._agree(r)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_walks_match_on_shared_dags(self, n):
+        for k in range(n + 1):
+            self._agree(ellul_bnk(n, k))
+
+    def test_shared_node_is_folded_once(self):
+        unions = []
+
+        def union(a, b):
+            unions.append((a, b))
+            return a + b
+
+        x = Union(Symbol("0"), Symbol("1"))
+        r = Concat(Concat(x, x), x)  # x is on the stack twice at once
+        values = fold(r, lambda ch: 1, lambda a, b: a + b, union)
+        assert (values[id(r)], unions) == (6, [(1, 1)])
+        assert set(values) == {id(r), id(r.left), id(x), id(x.left), id(x.right)}
+
+    def test_deep_left_chain(self):
+        text = "01" * 2500
+        r = parse(text)
+        assert (render(r), length(r), as_word(r)) == (text, 5000, text)
+        assert render(normalize(r)) == text
+        assert render(flip(r)) == text.translate(str.maketrans("01", "10"))
+        assert language_of(r) == Language([text])
+        assert len(concat_factors(r)) == 5000
+
+    def test_deep_alternating_tree(self):
+        r = alternating_tree(5000)
+        text = render(r)
+        assert text.count("0") + text.count("1") == length(r) == 5000
+        assert render(normalize(r)) == text
+        assert render(flip(flip(r))) == text
+        assert len(concat_factors(r)) == 2
+        # its language gains a string per union, so it is expanded at a
+        # depth just past the recursion limit
+        depth = sys.getrecursionlimit() + 10
+        lang = language_of(alternating_tree(depth))
+        assert len(lang) == (depth - 1) // 2 + 1  # "0", and "1" per union
