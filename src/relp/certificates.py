@@ -61,7 +61,7 @@ from .lp import (
     var_y_pair,
     var_y_quad,
 )
-from .regex import Regex, Symbol, Union, concat_factors, node_languages, parse
+from .regex import Regex, Symbol, Union, node_languages, parse
 
 _ZERO = Fraction(0)
 
@@ -101,10 +101,12 @@ def _walk(r: Regex | str) -> tuple[Language, dict[str, Fraction], list[Split]]:
         elif isinstance(node, tuple):
             splits.append(node)
         elif isinstance(node, Union):
-            stack += (node.left, node.right)
+            stack += node.parts
+        elif isinstance(node, Symbol):  # a one-letter term
+            stack.append(node.ch)
         else:
             parts: list[Regex | str] = []
-            for kind, run in groupby(concat_factors(node), type):
+            for kind, run in groupby(node.parts, type):
                 parts += ["".join(symbol.ch for symbol in run)] if kind is Symbol else run
             stack.append(parts[0])
             if len(parts) > 1:  # not a term
@@ -507,6 +509,9 @@ def calibrate_alphas(kmax: int, nmax: int, *, grid_max: int = 64) -> AlphaTable:
         trial = (*alphas, 1.0)
         sums = _block_sums(nmax, k, trial)
         for quad in rows[k]:
+            # with a weight-0 side, scaled is 0.0 and fixed >= 0: it cannot bind
+            if not (quad[1] and quad[3]):
+                continue
             sides = (quad[:2], quad[2:])
             fixed = sum(sums[side] for side in sides if side[1] < k)
             top = sum(sums[side] for side in sides if side[1] == k)

@@ -347,9 +347,8 @@ def _common_options() -> _Parser:
     group = common.add_argument_group("configuration")
     group.add_argument("--config", metavar="FILE",
                        help="config file (default: $RELP_CONFIG if set)")
-    for name, kind in SETTINGS.items():
-        group.add_argument("--" + name.replace("_", "-"), type=kind,
-                           metavar=kind.__name__.upper())
+    for name in SETTINGS:
+        group.add_argument("--" + name.replace("_", "-"), type=int, metavar="INT")
     return common
 
 

@@ -38,11 +38,8 @@ class RunConfig:
 
 DEFAULT_CONFIG = RunConfig()
 
-# every setting's name and the type its text is read as, for config-file
-# keys and CLI flags alike (the annotations are strings, see __future__)
-SETTINGS = {
-    f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(RunConfig)
-}
+# the config-file keys and CLI flags; every setting is a count, read as an int
+SETTINGS = tuple(f.name for f in fields(RunConfig))
 
 ENV_VAR = "RELP_CONFIG"
 
@@ -61,7 +58,7 @@ def parse_config_text(text: str, base: RunConfig = DEFAULT_CONFIG) -> RunConfig:
         if key not in SETTINGS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            updates[key] = SETTINGS[key](raw)
+            updates[key] = int(raw)
         except ValueError as exc:
             raise ValueError(f"bad value for config key {key}: {raw!r}") from exc
     return replace(base, **updates)

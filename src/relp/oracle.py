@@ -40,7 +40,7 @@ from .builders import build_strong_primal, build_weak_primal
 from .closure import compute_closure
 from .config import DEFAULT_CONFIG, ResourceCapError, RunConfig
 from .lang import Language, canon_key
-from .regex import Concat, Regex, Union, language_of, render, word
+from .regex import Regex, alt, cat, language_of, render, word
 from .solver import SolverError, solve
 
 __all__ = [
@@ -250,7 +250,7 @@ def _rebuild(members: tuple[str, ...], memo: dict[tuple[str, ...], _Entry]) -> R
             built[key] = word(key[0])
         elif choice[1] in built and choice[2] in built:
             shape, left, right = choice
-            built[key] = (Concat if shape == "cat" else Union)(built[left], built[right])
+            built[key] = (cat if shape == "cat" else alt)([built[left], built[right]])
         else:
             stack += (key, choice[2], choice[1])
     return built[members]

@@ -2,26 +2,25 @@
 
 The grammar is deliberately star-free and epsilon-free:
 
-    R ::= a | (R1 + R2) | R1 R2        (a an alphabet symbol)
+    R ::= a | (R1 + ... + Rm) | R1 ... Rm        (a an alphabet symbol, m >= 2)
 
 so every expression denotes a nonempty finite language of nonempty
 strings.  The *length* of an expression is the number of symbol
-occurrences in it -- parentheses and plus signs are free.
+occurrences in it -- parentheses and plus signs are free.  A ``Concat``
+or ``Union`` node holds m >= 2 parts, none of its own type: ``cat`` and
+``alt``, which build every node, flatten chains into one.
 
 Text syntax follows the usual conventions: juxtaposition for
 concatenation, ``(...+...+...)`` for (n-ary) union.  The renderer emits
 the minimal parenthesization: unions are always parenthesized, symbols
-and concatenations never are.  Parsing folds n-ary unions to the right
-and concatenation chains to the left, so ``parse(render(r))`` recovers
-``r`` up to those folds (see :func:`normalize`).
+and concatenations never are, so ``parse(render(r)) == r``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from operator import add
+from functools import lru_cache
 from typing import TypeVar
 
 from .lang import FORBIDDEN_SYMBOLS, Language, check_alphabet, singleton
@@ -34,14 +33,12 @@ class Symbol:
 
 @dataclass(frozen=True, slots=True)
 class Concat:
-    left: "Regex"
-    right: "Regex"
+    parts: tuple["Regex", ...]
 
 
 @dataclass(frozen=True, slots=True)
 class Union:
-    left: "Regex"
-    right: "Regex"
+    parts: tuple["Regex", ...]
 
 
 Regex = Symbol | Concat | Union
@@ -54,102 +51,94 @@ class RegexSyntaxError(ValueError):
 # -- structure helpers -------------------------------------------------------
 
 
-def operands(r: Regex, op: type[Concat] | type[Union]) -> list[Regex]:
-    """Flatten the maximal ``op`` chain at the top of r into its operand
-    sequence, left to right: [r] itself when r is not an ``op`` node."""
-    out: list[Regex] = []
-    stack = [r]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, op):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            out.append(node)
-    return out
+def _join(op: type[Concat] | type[Union], parts: Iterable[Regex]) -> Regex:
+    flat: list[Regex] = []
+    for part in parts:
+        flat += part.parts if isinstance(part, op) else (part,)
+    if not flat:
+        raise ValueError(f"a {op.__name__} needs at least one part")
+    return flat[0] if len(flat) == 1 else op(tuple(flat))
 
 
-concat_factors = partial(operands, op=Concat)
-union_branches = partial(operands, op=Union)
+def cat(factors: Iterable[Regex]) -> Regex:
+    """The concatenation of the factors as one chain: a concatenation among
+    them contributes its own factors, and a lone factor comes back as is."""
+    return _join(Concat, factors)
+
+
+def alt(branches: Iterable[Regex]) -> Regex:
+    """The union of the branches as one node, flattened as ``cat`` is."""
+    return _join(Union, branches)
 
 
 T = TypeVar("T")
+Join = Callable[[list[T]], T]  # a node's value from its parts' values
+
+
+def _readers(r: Regex) -> dict[int, int]:
+    """How many distinct parents read each node of r, keyed by ``id(node)``;
+    r itself has one reader, the caller."""
+    readers = {id(r): 1}
+    stack = [r]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Symbol):
+            for key, part in {id(part): part for part in node.parts}.items():
+                readers[key] = readers.get(key, 0) + 1
+                if readers[key] == 1:  # first seen, so its parts are not counted yet
+                    stack.append(part)
+    return readers
 
 
 def fold(
-    r: Regex, symbol: Callable[[str], T], concat: Callable[[T, T], T], union: Callable[[T, T], T]
+    r: Regex, symbol: Callable[[str], T], concat: Join[T], union: Join[T], _release: bool = False
 ) -> dict[int, T]:
     """The value of every node of r, keyed by ``id(node)``, folded post-order.
 
     A symbol's value is ``symbol(ch)``; a concatenation's is ``concat`` of
-    its operands' values, and a union's ``union`` of them.  An explicit
-    stack stands in for recursion, so any depth folds: an operator comes
-    off it once to push its operands and once, flagged ready, to be folded.
-    A node shared by several parents (as in ``ellul_bnk``) is folded once.
-    The ids stay unique while r, which holds every node, is alive.
+    the list of its parts' values, and a union's ``union`` of it.  An
+    explicit stack stands in for recursion, so any depth folds.  A node
+    shared by several parents (as in ``ellul_bnk``) is folded once; with
+    ``_release`` its value is dropped once its last parent has read it,
+    so only r's is left.  The ids stay unique while r is alive.
     """
+    readers = _readers(r) if _release else {}
     values: dict[int, T] = {}
     stack: list[tuple[Regex, bool]] = [(r, False)]
     while stack:
         node, ready = stack.pop()
         if ready:
             op = concat if isinstance(node, Concat) else union
-            values[id(node)] = op(values[id(node.left)], values[id(node.right)])
+            values[id(node)] = op([values[id(part)] for part in node.parts])
+            if _release:
+                for key in {id(part) for part in node.parts}:
+                    readers[key] -= 1
+                    if not readers[key]:
+                        del values[key]
         elif id(node) in values:
             continue
         elif isinstance(node, Symbol):
             values[id(node)] = symbol(node.ch)
         else:
-            stack += ((node, True), (node.right, False), (node.left, False))
+            stack += [(node, True), *((part, False) for part in reversed(node.parts))]
     return values
-
-
-def cat(factors: list[Regex]) -> Regex:
-    """Left-fold a factor list back into a concatenation chain."""
-    if not factors:
-        raise ValueError("cannot concatenate zero factors")
-    node = factors[0]
-    for f in factors[1:]:
-        node = Concat(node, f)
-    return node
-
-
-def alt(branches: list[Regex]) -> Regex:
-    """Right-fold a branch list back into a union chain."""
-    if not branches:
-        raise ValueError("cannot union zero branches")
-    node = branches[-1]
-    for b in reversed(branches[:-1]):
-        node = Union(b, node)
-    return node
 
 
 def word(s: str) -> Regex:
     """The term denoting exactly the string s."""
-    return cat([Symbol(ch) for ch in s])
+    return cat(map(Symbol, s))
 
 
 def as_word(r: Regex) -> str | None:
     """The string spelled by r if r is symbols-only (a term), else None."""
-    factors = concat_factors(r)
+    factors = r.parts if isinstance(r, Concat) else (r,)
     symbols_only = all(isinstance(f, Symbol) for f in factors)
     return "".join(f.ch for f in factors) if symbols_only else None
 
 
 def length(r: Regex) -> int:
     """Number of alphabet-symbol occurrences in r."""
-    return fold(r, lambda ch: 1, add, add)[id(r)]
-
-
-def normalize(r: Regex) -> Regex:
-    """Canonical fold: concatenations to the left, unions to the right."""
-    # both operands are normal already, so one's chain extends the other's
-    return fold(
-        r,
-        Symbol,
-        lambda a, b: cat([a, *concat_factors(b)]),
-        lambda a, b: alt([*union_branches(a), b]),
-    )[id(r)]
+    return fold(r, lambda ch: 1, sum, sum)[id(r)]
 
 
 _SWAP = {"0": "1", "1": "0"}
@@ -157,20 +146,32 @@ _SWAP = {"0": "1", "1": "0"}
 
 def flip(r: Regex) -> Regex:
     """Exchange the symbols 0 and 1 throughout."""
-    return fold(r, lambda ch: Symbol(_SWAP.get(ch, ch)), Concat, Union)[id(r)]
+    return fold(r, lambda ch: Symbol(_SWAP.get(ch, ch)), cat, alt)[id(r)]
 
 
 _letter = lru_cache(maxsize=None)(singleton)  # one shared language per symbol
 
 
+# one Language per node: partial products and unions stay plain strings
+def _product(langs: list[Language]) -> Language:
+    strings = {""}
+    for lang in langs:
+        strings = {u + v for u in strings for v in lang.members}
+    return Language(strings)
+
+
+def _union(langs: list[Language]) -> Language:
+    return Language(s for lang in langs for s in lang.members)
+
+
 def node_languages(r: Regex) -> dict[int, Language]:
     """The language of every node of r, keyed by ``id(node)``."""
-    return fold(r, _letter, Language.concat, Language.union)
+    return fold(r, _letter, _product, _union)
 
 
 def language_of(r: Regex) -> Language:
     """The finite language denoted by r."""
-    return node_languages(r)[id(r)]
+    return fold(r, _letter, _product, _union, _release=True)[id(r)]
 
 
 # -- text form ----------------------------------------------------------------
@@ -183,12 +184,12 @@ def _factor_text(value: tuple[str, bool]) -> str:
 
 def render(r: Regex) -> str:
     # a node's value is its text and whether it is a union; a union's text
-    # leaves off its parentheses, so nested unions join into one
+    # leaves off its parentheses, which its parent adds
     values = fold(
         r,
         lambda ch: (ch, False),
-        lambda a, b: (_factor_text(a) + _factor_text(b), False),
-        lambda a, b: (f"{a[0]}+{b[0]}", True),
+        lambda parts: ("".join(map(_factor_text, parts)), False),
+        lambda parts: ("+".join(text for text, _ in parts), True),
     )
     return _factor_text(values[id(r)])
 
@@ -271,12 +272,8 @@ def parse(text: str, alphabet: str = "01") -> Regex:
 # -- divide-and-conquer constructions ----------------------------------------
 
 
-def _zeros(m: int) -> Regex:
-    return word("0" * m)
-
-
 def _sigma_chain(m: int) -> Regex:
-    return cat([Union(Symbol("0"), Symbol("1")) for _ in range(m)])
+    return cat([alt([Symbol("0"), Symbol("1")])] * m)
 
 
 def ellul_b_n1_length(n: int) -> int:
@@ -303,10 +300,7 @@ def ellul_t_n1(n: int) -> Regex:
     if n == 1:
         return Symbol("1")
     a, b = n // 2, n - n // 2
-    return Union(
-        Concat(_sigma_chain(a), ellul_t_n1(b)),
-        Concat(ellul_t_n1(a), _sigma_chain(b)),
-    )
+    return alt([cat([_sigma_chain(a), ellul_t_n1(b)]), cat([ellul_t_n1(a), _sigma_chain(b)])])
 
 
 def ellul_t_n1_length(n: int) -> int:
@@ -332,12 +326,12 @@ def ellul_bnk(n: int, k: int) -> Regex:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
-        return _zeros(n)
+        return word("0" * n)
     if 2 * k > n:
         return flip(ellul_bnk(n, n - k))
     a, b = n // 2, n - n // 2
     branches = [
-        Concat(ellul_bnk(a, i), ellul_bnk(b, k - i))
+        cat([ellul_bnk(a, i), ellul_bnk(b, k - i)])
         for i in range(k + 1)
         if i <= a and k - i <= b
     ]

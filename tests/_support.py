@@ -1,10 +1,11 @@
 """Shared strategies and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own search code:
-``reference_language_of``, ``reference_flip``, ``reference_normalize``,
-``reference_render`` and ``reference_walk`` are the expression walks as
-they recursed once per tree level, the last one the certificate walk
-that rebuilt and re-split every concatenation chain;
+``reference_language_of``, ``reference_flip``, ``reference_render``
+and ``reference_walk`` are the expression walks as they recursed once
+per tree level, the last one the certificate walk that rebuilt and
+re-split every concatenation chain, and ``nodes`` lists every node
+reachable from an expression;
 ``naive_closure`` runs the definitional fixpoint with a brute-force
 product scan, ``reference_closure`` is the closure fixpoint of
 one-element deletions and factorization searches that the generator
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, repeat
 from math import comb, floor, gcd, lcm, log, log2
 from operator import mul
@@ -66,9 +68,7 @@ from relp.regex import (
     alt,
     as_word,
     cat,
-    concat_factors,
     language_of,
-    union_branches,
     word,
 )
 from relp.solver import (
@@ -103,13 +103,15 @@ def languages(max_strings: int = 4, max_len: int = 3):
     ).map(Language)
 
 
+def _chains(inner):
+    parts = st.lists(inner, min_size=2, max_size=3)
+    return parts.map(cat) | parts.map(alt)
+
+
 def regexes(max_leaves: int = 8, alphabet: str = "01"):
+    """Expressions built by ``cat`` and ``alt`` from two or three smaller ones."""
     leaves = st.sampled_from([Symbol(c) for c in alphabet])
-    return st.recursive(
-        leaves,
-        lambda inner: st.builds(Concat, inner, inner) | st.builds(Union, inner, inner),
-        max_leaves=max_leaves,
-    )
+    return st.recursive(leaves, _chains, max_leaves=max_leaves)
 
 
 def alternating_tree(depth: int) -> Regex:
@@ -117,7 +119,7 @@ def alternating_tree(depth: int) -> Regex:
     union along its left spine: each union adds the string 1."""
     node: Regex = Symbol("0")
     for i in range(depth - 1):
-        node = Concat(node, Symbol("0")) if i % 2 == 0 else Union(node, Symbol("1"))
+        node = cat([node, Symbol("0")]) if i % 2 == 0 else alt([node, Symbol("1")])
     return node
 
 
@@ -127,34 +129,35 @@ def alternating_tree(depth: int) -> Regex:
 def reference_language_of(r: Regex) -> Language:
     if isinstance(r, Symbol):
         return Language([r.ch])
-    if isinstance(r, Concat):
-        return reference_language_of(r.left).concat(reference_language_of(r.right))
-    return reference_language_of(r.left).union(reference_language_of(r.right))
+    langs = [reference_language_of(part) for part in r.parts]
+    return reduce(Language.concat if isinstance(r, Concat) else Language.union, langs)
 
 
 def reference_flip(r: Regex) -> Regex:
     swap = {"0": "1", "1": "0"}
     if isinstance(r, Symbol):
         return Symbol(swap.get(r.ch, r.ch))
-    if isinstance(r, Concat):
-        return Concat(reference_flip(r.left), reference_flip(r.right))
-    return Union(reference_flip(r.left), reference_flip(r.right))
-
-
-def reference_normalize(r: Regex) -> Regex:
-    if isinstance(r, Symbol):
-        return r
-    if isinstance(r, Concat):
-        return cat([reference_normalize(f) for f in concat_factors(r)])
-    return alt([reference_normalize(b) for b in union_branches(r)])
+    return type(r)(tuple(reference_flip(part) for part in r.parts))
 
 
 def reference_render(r: Regex) -> str:
     if isinstance(r, Symbol):
         return r.ch
     if isinstance(r, Union):
-        return "(" + "+".join(reference_render(b) for b in union_branches(r)) + ")"
-    return "".join(reference_render(f) for f in concat_factors(r))
+        return "(" + "+".join(reference_render(b) for b in r.parts) + ")"
+    return "".join(reference_render(f) for f in r.parts)
+
+
+def nodes(r: Regex) -> list[Regex]:
+    """Every node reachable from r, each once, walked on an explicit stack."""
+    seen: dict[int, Regex] = {}
+    stack = [r]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack += getattr(node, "parts", ())
+    return list(seen.values())
 
 
 def _reference_split_concat(node: Concat) -> tuple[Regex, Regex]:
@@ -162,7 +165,7 @@ def _reference_split_concat(node: Concat) -> tuple[Regex, Regex]:
     symbol runs merged into terms, rebuilding the rest as a chain."""
     parts: list[Regex] = []
     run: list[str] = []
-    for factor in concat_factors(node):
+    for factor in node.parts:
         piece = as_word(factor)
         if piece is None:
             if run:
@@ -188,8 +191,8 @@ def reference_walk(
             if isinstance(node, Symbol):
                 memo[id(node)] = (node, Language([node.ch]))
             else:
-                a, b = lang_of(node.left), lang_of(node.right)
-                memo[id(node)] = (node, a.concat(b) if isinstance(node, Concat) else a.union(b))
+                op = Language.concat if isinstance(node, Concat) else Language.union
+                memo[id(node)] = (node, reduce(op, map(lang_of, node.parts)))
         return memo[id(node)][1]
 
     terms: dict[str, Fraction] = {}
@@ -201,8 +204,7 @@ def reference_walk(
         if term is not None:
             terms[term] = terms.get(term, Fraction(0)) + 1
         elif isinstance(node, Union):
-            stack.append(node.left)
-            stack.append(node.right)
+            stack += node.parts
         else:
             left, right = _reference_split_concat(node)
             splits.append((lang_of(left), lang_of(right)))
@@ -405,7 +407,7 @@ def _reference_rebuild(lang: Language, memo: dict[tuple[str, ...], _ReferenceEnt
     shape, k1, k2 = entry.choice
     left = _reference_rebuild(k1, memo)
     right = _reference_rebuild(k2, memo)
-    return Concat(left, right) if shape == "cat" else Union(left, right)
+    return (cat if shape == "cat" else alt)([left, right])
 
 
 def reference_optimal_regex(lang: Language, config: RunConfig | None = None) -> OracleResult:

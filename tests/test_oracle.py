@@ -198,6 +198,10 @@ class TestCaps:
         assert (result.length, result.explored) == (depth, depth)
         assert result.pattern == "0" * depth
 
+    def test_deep_witness_equals_its_parse(self):
+        # the witness is one chain of 1 010 symbols, compared without recursion
+        assert optimal_regex(singleton("0" * 1010)).witness == parse("0" * 1010)
+
     def test_deep_search_is_a_cap(self, monkeypatch):
         # the search itself still recurses per level
         def too_deep(*args):

@@ -4,22 +4,24 @@ from __future__ import annotations
 
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relp import (
     Concat,
     Language,
     RegexSyntaxError,
     Symbol,
-    Union,
     all_strings,
     binomial,
     ellul_bnk,
     ellul_t_n1,
     language_of,
     length,
+    optimal_regex,
     parse,
     render,
     threshold,
@@ -29,21 +31,19 @@ from relp.regex import (
     alt,
     as_word,
     cat,
-    concat_factors,
     ellul_b_n1_length,
     ellul_t_n1_length,
     flip,
     fold,
-    normalize,
-    union_branches,
     word,
 )
 
 from _support import (
     alternating_tree,
+    languages,
+    nodes,
     reference_flip,
     reference_language_of,
-    reference_normalize,
     reference_render,
     regexes,
 )
@@ -54,13 +54,14 @@ class TestAst:
         r = word("010")
         assert as_word(r) == "010"
         assert length(r) == 3
-        assert as_word(Union(Symbol("0"), Symbol("1"))) is None
+        assert as_word(alt([Symbol("0"), Symbol("1")])) is None
 
     def test_cat_alt_flatten(self):
         r = cat([Symbol("0"), Symbol("1"), Symbol("0")])
-        assert [f.ch for f in concat_factors(r)] == ["0", "1", "0"]
-        u = alt([Symbol("0"), Symbol("1"), word("00")])
-        assert len(union_branches(u)) == 3
+        assert [f.ch for f in r.parts] == ["0", "1", "0"]
+        u = alt([Symbol("0"), alt([Symbol("1"), word("00")])])
+        assert u.parts == (Symbol("0"), Symbol("1"), word("00"))
+        assert cat([u]) is u and alt([r]) is r  # a lone part comes back as is
 
     def test_cat_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -71,12 +72,39 @@ class TestAst:
         assert length(parse("(0+1)(0+1)")) == 4
         assert length(Symbol("0")) == 1
 
-    def test_normalize_preserves_language_and_length(self):
-        r = Concat(Symbol("0"), Concat(Symbol("1"), Symbol("0")))
-        n = normalize(r)
-        assert language_of(n) == language_of(r)
-        assert length(n) == length(r)
-        assert render(n) == render(r)
+    def test_cat_ignores_bracketing(self):
+        zero, one = Symbol("0"), Symbol("1")
+        r = cat([zero, cat([one, zero])])
+        assert r == cat([cat([zero, one]), zero]) == parse("010")
+        assert r == Concat((zero, one, zero))
+        assert alt([alt([zero, one]), zero]) == alt([zero, alt([one, zero])]) == parse("(0+1+0)")
+
+    # every node has at least two parts, none of its own type
+    @staticmethod
+    def _chains_are_maximal(r):
+        for node in nodes(r):
+            if not isinstance(node, Symbol):
+                assert len(node.parts) >= 2
+                assert not any(isinstance(part, type(node)) for part in node.parts)
+
+    @given(st.lists(regexes(8), min_size=1, max_size=3), st.booleans())
+    @settings(max_examples=200)
+    def test_builders_keep_chains_maximal(self, parts, union):
+        r = (alt if union else cat)(parts)
+        self._chains_are_maximal(r)
+        self._chains_are_maximal(flip(r))
+        self._chains_are_maximal(parse(render(r)))
+
+    def test_families_and_witnesses_keep_chains_maximal(self):
+        for n in range(1, 17):
+            self._chains_are_maximal(ellul_t_n1(n))
+            for k in range(n + 1):
+                self._chains_are_maximal(ellul_bnk(n, k))
+
+    @given(languages(5, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_witness_keeps_chains_maximal(self, lang):
+        self._chains_are_maximal(optimal_regex(lang).witness)
 
     def test_flip_is_involution(self):
         r = parse("(0(01+10)+100)")
@@ -148,12 +176,19 @@ class TestTextForm:
     @given(regexes(10))
     @settings(max_examples=300)
     def test_round_trip(self, r):
-        # text cannot carry association, so parsing lands on the canonical fold
-        back = parse(render(r))
-        assert back == normalize(r)
-        assert render(back) == render(r)
-        assert language_of(back) == language_of(r)
-        assert length(back) == length(r)
+        # a chain is one node, so text loses nothing
+        assert parse(render(r)) == r
+
+    def test_round_trip_at_paper_scale(self):
+        r = ellul_bnk(24, 3)
+        assert parse(render(r)) == r
+
+    def test_long_word_compares_hashes_and_prints(self):
+        # one node for the chain, so none of these recurses per symbol
+        r, again = parse("0" * 5000), parse("0" * 5000)
+        assert r == again
+        assert hash(r) == hash(again)
+        assert repr(r).startswith("Concat(parts=(Symbol(ch='0'), ")
 
 
 class TestBalancedFamilies:
@@ -202,7 +237,7 @@ class TestBalancedFamilies:
             if n == 1:
                 return Symbol("1")
             a, b = n // 2, n - n // 2
-            return Union(Concat(word("0" * a), halving(b)), Concat(halving(a), word("0" * b)))
+            return alt([cat([word("0" * a), halving(b)]), cat([halving(a), word("0" * b)])])
 
         for n in range(1, 65):
             assert ellul_bnk(n, 1) == halving(n), n
@@ -220,7 +255,6 @@ class TestFold:
     @staticmethod
     def _agree(r):
         assert render(r) == reference_render(r)
-        assert normalize(r) == reference_normalize(r)
         assert flip(r) == reference_flip(r)
         assert language_of(r) == reference_language_of(r)
         assert length(r) == sum(ch in "01" for ch in reference_render(r))
@@ -238,34 +272,45 @@ class TestFold:
     def test_shared_node_is_folded_once(self):
         unions = []
 
-        def union(a, b):
-            unions.append((a, b))
-            return a + b
+        def union(values):
+            unions.append(values)
+            return sum(values)
 
-        x = Union(Symbol("0"), Symbol("1"))
-        r = Concat(Concat(x, x), x)  # x is on the stack twice at once
-        values = fold(r, lambda ch: 1, lambda a, b: a + b, union)
-        assert (values[id(r)], unions) == (6, [(1, 1)])
-        assert set(values) == {id(r), id(r.left), id(x), id(x.left), id(x.right)}
+        x = alt([Symbol("0"), Symbol("1")])
+        r = cat([cat([x, x]), x])  # x is on the stack three times at once
+        values = fold(r, lambda ch: 1, sum, union)
+        assert (values[id(r)], unions) == (6, [[1, 1]])
+        assert set(values) == {id(r), id(x), *map(id, x.parts)}
 
     def test_deep_left_chain(self):
         text = "01" * 2500
         r = parse(text)
         assert (render(r), length(r), as_word(r)) == (text, 5000, text)
-        assert render(normalize(r)) == text
         assert render(flip(r)) == text.translate(str.maketrans("01", "10"))
         assert language_of(r) == Language([text])
-        assert len(concat_factors(r)) == 5000
+        assert len(r.parts) == 5000
 
     def test_deep_alternating_tree(self):
         r = alternating_tree(5000)
         text = render(r)
         assert text.count("0") + text.count("1") == length(r) == 5000
-        assert render(normalize(r)) == text
         assert render(flip(flip(r))) == text
-        assert len(concat_factors(r)) == 2
+        assert len(r.parts) == 2
         # its language gains a string per union, so it is expanded at a
         # depth just past the recursion limit
         depth = sys.getrecursionlimit() + 10
         lang = language_of(alternating_tree(depth))
         assert len(lang) == (depth - 1) // 2 + 1  # "0", and "1" per union
+
+    def test_language_of_frees_values_as_it_goes(self):
+        # a sublanguage is dropped once its parent has read it, so only a
+        # few of the tree's 1 200 languages are alive at once
+        r = alternating_tree(1200)
+        tracemalloc.start()
+        try:
+            lang = language_of(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lang) == 600
+        assert peak < 2_000_000
