@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import comb, frexp, isfinite, log, log1p
 
 from .builders import build_weak_support_dual
@@ -61,7 +61,7 @@ from .lp import (
     var_y_pair,
     var_y_quad,
 )
-from .regex import Regex, Symbol, Union, node_languages, parse
+from .regex import Regex, Union, Word, node_languages, parse
 
 _ZERO = Fraction(0)
 
@@ -80,11 +80,11 @@ Split = tuple[Language, Language]
 def _walk(r: Regex | str) -> tuple[Language, dict[str, Fraction], list[Split]]:
     """L(r), how often each term occurs in r, and the factor languages of every split.
 
-    Union branches are walked in turn.  A concatenation's parts are its
-    factors with each maximal symbol run merged into one term, so no split
-    cuts a term; it is split before its last part, then the rest before
-    theirs, each left side's language a running prefix product.  Each
-    term is counted once, so charging |s| per occurrence sums to |r|.
+    Union branches are walked in turn.  A term is one ``Word`` node, so a
+    concatenation's parts are its terms and its other factors, and no
+    split cuts a term: it is split before its last part, then the rest
+    before theirs, each left side's language a running prefix product.
+    Each term is counted once, so charging |s| per occurrence sums to |r|.
     """
     if isinstance(r, str):
         r = parse(r)
@@ -93,27 +93,21 @@ def _walk(r: Regex | str) -> tuple[Language, dict[str, Fraction], list[Split]]:
     splits: list[Split] = []
     # a term or split is taken when popped, so each part's own terms and
     # splits come right after the split that cut it off
-    stack: list[Regex | str | Split] = [r]
+    stack: list[Regex | Split] = [r]
     while stack:
         node = stack.pop()
-        if isinstance(node, str):
-            terms[node] = terms.get(node, _ZERO) + 1
-        elif isinstance(node, tuple):
+        if isinstance(node, tuple):
             splits.append(node)
+        elif isinstance(node, Word):
+            terms[node.s] = terms.get(node.s, _ZERO) + 1
         elif isinstance(node, Union):
             stack += node.parts
-        elif isinstance(node, Symbol):  # a one-letter term
-            stack.append(node.ch)
         else:
-            parts: list[Regex | str] = []
-            for kind, run in groupby(node.parts, type):
-                parts += ["".join(symbol.ch for symbol in run)] if kind is Symbol else run
+            parts = node.parts
             stack.append(parts[0])
-            if len(parts) > 1:  # not a term
-                part_langs = [Language([p]) if isinstance(p, str) else langs[id(p)] for p in parts]
-                prefixes = accumulate(part_langs[:-1], Language.concat)
-                for part, lang, prefix in zip(parts[1:], part_langs[1:], prefixes):
-                    stack += (part, (prefix, lang))
+            prefixes = accumulate((langs[id(p)] for p in parts[:-1]), Language.concat)
+            for part, prefix in zip(parts[1:], prefixes):
+                stack += (part, (prefix, langs[id(part)]))
     return langs[id(r)], terms, splits
 
 
@@ -452,10 +446,12 @@ def relaxed_row_margin(quad: Quad, g: Callable[[str], float]) -> float:
     return rhs - lhs
 
 
-def _product_g_sum(quad: Quad, alphas: AlphaTable | Sequence[float]) -> float:
-    """Sum of g over the product block of one row, through its span table."""
+def _product_g_sum(
+    quad: Quad, spans: dict[int, int], alphas: AlphaTable | Sequence[float]
+) -> float:
+    """Sum of g over the product block of one row, given its span table."""
     n1, k1, n2, k2 = quad
-    return _g_sum(n1 + n2, k1 + k2, product_spans(*quad), alphas)
+    return _g_sum(n1 + n2, k1 + k2, spans, alphas)
 
 
 def _block_sums(
@@ -489,9 +485,13 @@ def calibrate_alphas(kmax: int, nmax: int, *, grid_max: int = 64) -> AlphaTable:
         raise ValueError("kmax must be >= 1")
     if nmax < max(2, kmax):
         raise ValueError(f"nmax={nmax} is too small to calibrate up to weight {kmax}")
-    # the rows of each product weight k: B(nmax, k)'s quadruples of that weight
-    rows = [[quad for quad in BinomialIndex(nmax, k).quadruples() if quad[1] + quad[3] == k]
-            for k in range(kmax + 1)]
+    # the rows of each product weight k, B(nmax, k)'s quadruples of that
+    # weight, each with its product span table, built once for both passes
+    rows = [
+        [(quad, product_spans(*quad))
+         for quad in BinomialIndex(nmax, k).quadruples() if quad[1] + quad[3] == k]
+        for k in range(kmax + 1)
+    ]
     alphas: list[float] = []
     for j in range(1, kmax):
         k = j + 1
@@ -508,14 +508,14 @@ def calibrate_alphas(kmax: int, nmax: int, *, grid_max: int = 64) -> AlphaTable:
         # block of weight k scales with alpha_j, a lighter one is fixed
         trial = (*alphas, 1.0)
         sums = _block_sums(nmax, k, trial)
-        for quad in rows[k]:
+        for quad, spans in rows[k]:
             # with a weight-0 side, scaled is 0.0 and fixed >= 0: it cannot bind
             if not (quad[1] and quad[3]):
                 continue
             sides = (quad[:2], quad[2:])
             fixed = sum(sums[side] for side in sides if side[1] < k)
             top = sum(sums[side] for side in sides if side[1] == k)
-            scaled = _product_g_sum(quad, trial) - top
+            scaled = _product_g_sum(quad, spans, trial) - top
             if scaled > 0:
                 allowed = (fixed + _SLACK) / scaled
                 if allowed < cap:
@@ -546,8 +546,8 @@ def calibrate_alphas(kmax: int, nmax: int, *, grid_max: int = 64) -> AlphaTable:
                     f"bound g <= {m} fails at span {span} of B({m},{l}): g = {v}"
                 )
     for weight_rows in rows:
-        for quad in weight_rows:
-            margin = sums[quad[:2]] + sums[quad[2:]] - _product_g_sum(quad, table)
+        for quad, spans in weight_rows:
+            margin = sums[quad[:2]] + sums[quad[2:]] - _product_g_sum(quad, spans, table)
             if margin < -_SLACK:
                 raise CalibrationError(f"row {row_quad(*quad)} fails by {-margin}")
     grid_hi = max(grid_max, nmax)

@@ -40,7 +40,7 @@ from .builders import build_strong_primal, build_weak_primal
 from .closure import compute_closure
 from .config import DEFAULT_CONFIG, ResourceCapError, RunConfig
 from .lang import Language, canon_key
-from .regex import Regex, alt, cat, language_of, render, word
+from .regex import Regex, Word, alt, cat, language_of, render
 from .solver import SolverError, solve
 
 __all__ = [
@@ -247,7 +247,7 @@ def _rebuild(members: tuple[str, ...], memo: dict[tuple[str, ...], _Entry]) -> R
             continue
         choice = memo[key].choice
         if choice is None:
-            built[key] = word(key[0])
+            built[key] = Word(key[0])
         elif choice[1] in built and choice[2] in built:
             shape, left, right = choice
             built[key] = (cat if shape == "cat" else alt)([built[left], built[right]])

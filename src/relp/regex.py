@@ -1,18 +1,20 @@
-"""Regular expressions for finite languages: symbols, union, concatenation.
+"""Regular expressions for finite languages: words, union, concatenation.
 
 The grammar is deliberately star-free and epsilon-free:
 
-    R ::= a | (R1 + ... + Rm) | R1 ... Rm        (a an alphabet symbol, m >= 2)
+    R ::= w | (R1 + ... + Rm) | R1 ... Rm        (w a nonempty word, m >= 2)
 
 so every expression denotes a nonempty finite language of nonempty
 strings.  The *length* of an expression is the number of symbol
 occurrences in it -- parentheses and plus signs are free.  A ``Concat``
 or ``Union`` node holds m >= 2 parts, none of its own type: ``cat`` and
-``alt``, which build every node, flatten chains into one.
+``alt``, which build every node, flatten chains into one, and ``cat``
+merges each run of words, so a term (a maximal run of symbols) is one
+``Word``.
 
 Text syntax follows the usual conventions: juxtaposition for
 concatenation, ``(...+...+...)`` for (n-ary) union.  The renderer emits
-the minimal parenthesization: unions are always parenthesized, symbols
+the minimal parenthesization: unions are always parenthesized, words
 and concatenations never are, so ``parse(render(r)) == r``.
 """
 
@@ -21,27 +23,55 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import TypeVar
 
 from .lang import FORBIDDEN_SYMBOLS, Language, check_alphabet, singleton
 
 
 @dataclass(frozen=True, slots=True)
-class Symbol:
-    ch: str
+class Word:
+    s: str
+
+    def __post_init__(self) -> None:
+        if not self.s:
+            raise ValueError("a Word needs at least one symbol")
 
 
-@dataclass(frozen=True, slots=True)
-class Concat:
+class _Node:
+    """Equality, hash and repr of a ``Concat`` or ``Union``, on explicit stacks."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or isinstance(a, Word) and a == b:
+                continue
+            if type(a) is not type(b) or isinstance(a, Word) or len(a.parts) != len(b.parts):
+                return False
+            stack += zip(a.parts, b.parts)
+        return True
+
+    def __hash__(self) -> int:
+        return hash(render(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({render(self)!r})"
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Concat(_Node):
     parts: tuple["Regex", ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Union:
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
+class Union(_Node):
     parts: tuple["Regex", ...]
 
 
-Regex = Symbol | Concat | Union
+Regex = Word | Concat | Union
 
 
 class RegexSyntaxError(ValueError):
@@ -51,24 +81,29 @@ class RegexSyntaxError(ValueError):
 # -- structure helpers -------------------------------------------------------
 
 
-def _join(op: type[Concat] | type[Union], parts: Iterable[Regex]) -> Regex:
-    flat: list[Regex] = []
-    for part in parts:
-        flat += part.parts if isinstance(part, op) else (part,)
-    if not flat:
+def _node(op: type[Concat] | type[Union], parts: list[Regex]) -> Regex:
+    if not parts:
         raise ValueError(f"a {op.__name__} needs at least one part")
-    return flat[0] if len(flat) == 1 else op(tuple(flat))
+    return parts[0] if len(parts) == 1 else op(tuple(parts))
 
 
 def cat(factors: Iterable[Regex]) -> Regex:
     """The concatenation of the factors as one chain: a concatenation among
-    them contributes its own factors, and a lone factor comes back as is."""
-    return _join(Concat, factors)
+    them contributes its own parts, each run of words is joined once into
+    one word (a lone word is kept as is), and a lone part comes back as is."""
+    flat = [p for f in factors for p in (f.parts if isinstance(f, Concat) else (f,))]
+    parts: list[Regex] = []
+    for kind, run in groupby(flat, type):
+        group = list(run)
+        merge = kind is Word and len(group) > 1
+        parts += [Word("".join(w.s for w in group))] if merge else group
+    return _node(Concat, parts)
 
 
 def alt(branches: Iterable[Regex]) -> Regex:
     """The union of the branches as one node, flattened as ``cat`` is."""
-    return _join(Union, branches)
+    flat = [p for b in branches for p in (b.parts if isinstance(b, Union) else (b,))]
+    return _node(Union, flat)
 
 
 T = TypeVar("T")
@@ -76,14 +111,14 @@ Join = Callable[[list[T]], T]  # a node's value from its parts' values
 
 
 def _readers(r: Regex) -> dict[int, int]:
-    """How many distinct parents read each node of r, keyed by ``id(node)``;
-    r itself has one reader, the caller."""
+    """How often each node of r is read as a part, keyed by ``id(node)``;
+    r itself is read once, by the caller."""
     readers = {id(r): 1}
     stack = [r]
     while stack:
         node = stack.pop()
-        if not isinstance(node, Symbol):
-            for key, part in {id(part): part for part in node.parts}.items():
+        if not isinstance(node, Word):
+            for key, part in zip(map(id, node.parts), node.parts):
                 readers[key] = readers.get(key, 0) + 1
                 if readers[key] == 1:  # first seen, so its parts are not counted yet
                     stack.append(part)
@@ -91,11 +126,11 @@ def _readers(r: Regex) -> dict[int, int]:
 
 
 def fold(
-    r: Regex, symbol: Callable[[str], T], concat: Join[T], union: Join[T], _release: bool = False
+    r: Regex, word: Callable[[str], T], concat: Join[T], union: Join[T], _release: bool = False
 ) -> dict[int, T]:
     """The value of every node of r, keyed by ``id(node)``, folded post-order.
 
-    A symbol's value is ``symbol(ch)``; a concatenation's is ``concat`` of
+    A word's value is ``word(s)``; a concatenation's is ``concat`` of
     the list of its parts' values, and a union's ``union`` of it.  An
     explicit stack stands in for recursion, so any depth folds.  A node
     shared by several parents (as in ``ellul_bnk``) is folded once; with
@@ -111,45 +146,30 @@ def fold(
             op = concat if isinstance(node, Concat) else union
             values[id(node)] = op([values[id(part)] for part in node.parts])
             if _release:
-                for key in {id(part) for part in node.parts}:
+                for key in map(id, node.parts):
                     readers[key] -= 1
                     if not readers[key]:
                         del values[key]
         elif id(node) in values:
             continue
-        elif isinstance(node, Symbol):
-            values[id(node)] = symbol(node.ch)
+        elif isinstance(node, Word):
+            values[id(node)] = word(node.s)
         else:
             stack += [(node, True), *((part, False) for part in reversed(node.parts))]
     return values
 
 
-def word(s: str) -> Regex:
-    """The term denoting exactly the string s."""
-    return cat(map(Symbol, s))
-
-
-def as_word(r: Regex) -> str | None:
-    """The string spelled by r if r is symbols-only (a term), else None."""
-    factors = r.parts if isinstance(r, Concat) else (r,)
-    symbols_only = all(isinstance(f, Symbol) for f in factors)
-    return "".join(f.ch for f in factors) if symbols_only else None
-
-
 def length(r: Regex) -> int:
     """Number of alphabet-symbol occurrences in r."""
-    return fold(r, lambda ch: 1, sum, sum)[id(r)]
+    return fold(r, len, sum, sum)[id(r)]
 
 
-_SWAP = {"0": "1", "1": "0"}
+_SWAP = str.maketrans("01", "10")
 
 
 def flip(r: Regex) -> Regex:
     """Exchange the symbols 0 and 1 throughout."""
-    return fold(r, lambda ch: Symbol(_SWAP.get(ch, ch)), cat, alt)[id(r)]
-
-
-_letter = lru_cache(maxsize=None)(singleton)  # one shared language per symbol
+    return fold(r, lambda s: Word(s.translate(_SWAP)), cat, alt)[id(r)]
 
 
 # one Language per node: partial products and unions stay plain strings
@@ -166,32 +186,25 @@ def _union(langs: list[Language]) -> Language:
 
 def node_languages(r: Regex) -> dict[int, Language]:
     """The language of every node of r, keyed by ``id(node)``."""
-    return fold(r, _letter, _product, _union)
+    return fold(r, singleton, _product, _union)
 
 
 def language_of(r: Regex) -> Language:
     """The finite language denoted by r."""
-    return fold(r, _letter, _product, _union, _release=True)[id(r)]
+    return fold(r, singleton, _product, _union, _release=True)[id(r)]
 
 
 # -- text form ----------------------------------------------------------------
 
 
-def _factor_text(value: tuple[str, bool]) -> str:
-    text, is_union = value
-    return f"({text})" if is_union else text
+def _union_text(branches: list[str]) -> str:
+    return "(" + "+".join(branches) + ")"
 
 
 def render(r: Regex) -> str:
-    # a node's value is its text and whether it is a union; a union's text
-    # leaves off its parentheses, which its parent adds
-    values = fold(
-        r,
-        lambda ch: (ch, False),
-        lambda parts: ("".join(map(_factor_text, parts)), False),
-        lambda parts: ("+".join(text for text, _ in parts), True),
-    )
-    return _factor_text(values[id(r)])
+    # a union is parenthesized wherever it stands, and never has a union
+    # branch, so each node's text is its parts' texts joined
+    return fold(r, str, "".join, _union_text, _release=True)[id(r)]
 
 
 # parentheses nested deeper than this are refused: the parser recurses once
@@ -238,8 +251,10 @@ def parse(text: str, alphabet: str = "01") -> Regex:
                     raise fail("expected ')'")
                 pos += 1
             elif ch in symbols:
-                factors.append(Symbol(ch))
-                pos += 1
+                start = pos
+                while pos < n and text[pos] in symbols:
+                    pos += 1
+                factors.append(Word(text[start:pos]))
             elif ch in FORBIDDEN_SYMBOLS or ch in "ε∅":
                 raise fail(f"token {ch!r} is not part of this grammar (no star, no epsilon, no empty set)")
             else:
@@ -273,7 +288,7 @@ def parse(text: str, alphabet: str = "01") -> Regex:
 
 
 def _sigma_chain(m: int) -> Regex:
-    return cat([alt([Symbol("0"), Symbol("1")])] * m)
+    return cat([alt([Word("0"), Word("1")])] * m)
 
 
 def ellul_b_n1_length(n: int) -> int:
@@ -298,7 +313,7 @@ def ellul_t_n1(n: int) -> Regex:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return Symbol("1")
+        return Word("1")
     a, b = n // 2, n - n // 2
     return alt([cat([_sigma_chain(a), ellul_t_n1(b)]), cat([ellul_t_n1(a), _sigma_chain(b)])])
 
@@ -326,7 +341,7 @@ def ellul_bnk(n: int, k: int) -> Regex:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if k == 0:
-        return word("0" * n)
+        return Word("0" * n)
     if 2 * k > n:
         return flip(ellul_bnk(n, n - k))
     a, b = n // 2, n - n // 2

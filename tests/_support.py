@@ -46,7 +46,7 @@ from operator import mul
 
 from hypothesis import strategies as st
 
-from relp import Concat, Language, LinearProgram, OracleResult, Symbol, Union, certificates, solver
+from relp import Concat, Language, LinearProgram, OracleResult, Union, Word, certificates, solver
 from relp.builders import _net_row
 from relp.certificates import AlphaTable, CalibrationError
 from relp.closure import BinomialIndex, Closure, _concat_set, block_spans, product_spans
@@ -63,14 +63,7 @@ from relp.lp import (
     row_quad,
 )
 from relp.oracle import _factor_pairs, factorizations
-from relp.regex import (
-    Regex,
-    alt,
-    as_word,
-    cat,
-    language_of,
-    word,
-)
+from relp.regex import Regex, alt, cat, language_of
 from relp.solver import (
     _STALL_PIVOTS,
     AT_LO,
@@ -109,17 +102,19 @@ def _chains(inner):
 
 
 def regexes(max_leaves: int = 8, alphabet: str = "01"):
-    """Expressions built by ``cat`` and ``alt`` from two or three smaller ones."""
-    leaves = st.sampled_from([Symbol(c) for c in alphabet])
+    """Expressions built by ``cat`` and ``alt`` from two or three smaller
+    ones, over words of one or two symbols."""
+    leaves = st.text(alphabet=alphabet, min_size=1, max_size=2).map(Word)
     return st.recursive(leaves, _chains, max_leaves=max_leaves)
 
 
 def alternating_tree(depth: int) -> Regex:
-    """A tree as deep as given whose levels alternate concatenation and
-    union along its left spine: each union adds the string 1."""
-    node: Regex = Symbol("0")
+    """A tree of ``depth`` symbols whose levels alternate concatenation and
+    union along its left spine: each union adds the string 1.  The first
+    concatenation is the word 00, so the tree is one level shallower."""
+    node: Regex = Word("0")
     for i in range(depth - 1):
-        node = cat([node, Symbol("0")]) if i % 2 == 0 else alt([node, Symbol("1")])
+        node = cat([node, Word("0")]) if i % 2 == 0 else alt([node, Word("1")])
     return node
 
 
@@ -127,22 +122,22 @@ def alternating_tree(depth: int) -> Regex:
 
 
 def reference_language_of(r: Regex) -> Language:
-    if isinstance(r, Symbol):
-        return Language([r.ch])
+    if isinstance(r, Word):
+        return Language([r.s])
     langs = [reference_language_of(part) for part in r.parts]
     return reduce(Language.concat if isinstance(r, Concat) else Language.union, langs)
 
 
 def reference_flip(r: Regex) -> Regex:
     swap = {"0": "1", "1": "0"}
-    if isinstance(r, Symbol):
-        return Symbol(swap.get(r.ch, r.ch))
+    if isinstance(r, Word):
+        return Word("".join(swap.get(ch, ch) for ch in r.s))
     return type(r)(tuple(reference_flip(part) for part in r.parts))
 
 
 def reference_render(r: Regex) -> str:
-    if isinstance(r, Symbol):
-        return r.ch
+    if isinstance(r, Word):
+        return r.s
     if isinstance(r, Union):
         return "(" + "+".join(reference_render(b) for b in r.parts) + ")"
     return "".join(reference_render(f) for f in r.parts)
@@ -162,21 +157,15 @@ def nodes(r: Regex) -> list[Regex]:
 
 def _reference_split_concat(node: Concat) -> tuple[Regex, Regex]:
     """Split a concatenation before the last part of its factor chain,
-    symbol runs merged into terms, rebuilding the rest as a chain."""
+    adjacent words merged into terms, rebuilding the rest as a chain."""
     parts: list[Regex] = []
-    run: list[str] = []
     for factor in node.parts:
-        piece = as_word(factor)
-        if piece is None:
-            if run:
-                parts.append(word("".join(run)))
-                run.clear()
-            parts.append(factor)
+        if isinstance(factor, Word) and parts and isinstance(parts[-1], Word):
+            parts[-1] = Word(parts[-1].s + factor.s)
         else:
-            run.append(piece)
-    if run:
-        parts.append(word("".join(run)))
-    return cat(parts[:-1]), parts[-1]
+            parts.append(factor)
+    left = parts[0] if len(parts) == 2 else Concat(tuple(parts[:-1]))
+    return left, parts[-1]
 
 
 def reference_walk(
@@ -188,8 +177,8 @@ def reference_walk(
 
     def lang_of(node: Regex) -> Language:
         if id(node) not in memo:
-            if isinstance(node, Symbol):
-                memo[id(node)] = (node, Language([node.ch]))
+            if isinstance(node, Word):
+                memo[id(node)] = (node, Language([node.s]))
             else:
                 op = Language.concat if isinstance(node, Concat) else Language.union
                 memo[id(node)] = (node, reduce(op, map(lang_of, node.parts)))
@@ -200,9 +189,8 @@ def reference_walk(
     stack: list[Regex] = [r]
     while stack:
         node = stack.pop()
-        term = as_word(node)
-        if term is not None:
-            terms[term] = terms.get(term, Fraction(0)) + 1
+        if isinstance(node, Word):
+            terms[node.s] = terms.get(node.s, Fraction(0)) + 1
         elif isinstance(node, Union):
             stack += node.parts
         else:
@@ -403,7 +391,7 @@ def _reference_beats(key, k1: Language, k2: Language, best, choice) -> bool:
 def _reference_rebuild(lang: Language, memo: dict[tuple[str, ...], _ReferenceEntry]) -> Regex:
     entry = memo[lang.members]
     if entry.choice is None:
-        return word(lang.only)
+        return Word(lang.only)
     shape, k1, k2 = entry.choice
     left = _reference_rebuild(k1, memo)
     right = _reference_rebuild(k2, memo)

@@ -32,7 +32,7 @@ from relp import (
     BinomialIndex,
     Language,
     LinearProgram,
-    Symbol,
+    Word,
     all_strings,
     analytic_binomial1_primal,
     analytic_g,
@@ -287,7 +287,7 @@ def test_criterion_09_weight_k_analytic_scaling():
 def _random_tree(rng: random.Random, depth: int):
     roll = rng.random()
     if depth <= 0 or roll < 0.4:
-        return Symbol(rng.choice("01"))
+        return Word(rng.choice("01"))
     left = _random_tree(rng, depth - 1)
     right = _random_tree(rng, depth - 1)
     return alt([left, right]) if roll < 0.7 else cat([left, right])

@@ -46,7 +46,7 @@ from relp import (
 )
 from relp import certificates
 from relp.certificates import _product_g_sum
-from relp.closure import BinomialIndex, product_block
+from relp.closure import BinomialIndex, product_block, product_spans
 from relp.lang import canon_key
 from relp.lp import var_x
 
@@ -166,7 +166,7 @@ class TestCertificateWalk:
             assert splits == ref_splits
 
     def test_long_word(self):
-        # a word parses to a chain as deep as it is long
+        # a word parses to one node, one term
         cert = certify_weak_dual("0" * 1000, singleton("0" * 1000))
         assert cert.objective() == 1000
         assert check_weak_dual_support(cert).feasible
@@ -393,7 +393,8 @@ class TestCalibration:
         quads = {q for k in range(5) for q in BinomialIndex(10, k).quadruples()}
         for quad in sorted(quads):
             direct = sum(g_value(u, alphas) for u in product_block(*quad))
-            assert _product_g_sum(quad, alphas) == pytest.approx(direct, rel=1e-12), quad
+            got = _product_g_sum(quad, product_spans(*quad), alphas)
+            assert got == pytest.approx(direct, rel=1e-12), quad
 
     def test_pinned_table_text(self):
         table = calibrate_alphas(3, 14, grid_max=14)

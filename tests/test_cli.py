@@ -211,7 +211,7 @@ class TestCertify:
         assert parsed.assignment.values["y[{0,00},{0}]"] == Fraction(1)
 
     def test_weak_certificate_of_a_long_word(self, capsys):
-        # the word parses to a chain of concatenations as deep as it is long
+        # the word parses to one node, one term charged to its own bound
         word = "0" * 1000
         code, out, _ = run(capsys, "certify", word, "--lang", "{" + word + "}")
         assert code == 0

@@ -14,7 +14,8 @@ from relp import (
     Concat,
     Language,
     RegexSyntaxError,
-    Symbol,
+    Union,
+    Word,
     all_strings,
     binomial,
     ellul_bnk,
@@ -29,13 +30,11 @@ from relp import (
 from relp.regex import (
     MAX_NESTING,
     alt,
-    as_word,
     cat,
     ellul_b_n1_length,
     ellul_t_n1_length,
     flip,
     fold,
-    word,
 )
 
 from _support import (
@@ -50,18 +49,28 @@ from _support import (
 
 
 class TestAst:
-    def test_word_and_as_word(self):
-        r = word("010")
-        assert as_word(r) == "010"
-        assert length(r) == 3
-        assert as_word(alt([Symbol("0"), Symbol("1")])) is None
+    def test_word_is_one_node(self):
+        r = Word("010")
+        assert length(r) == 3 and render(r) == "010"
+        assert cat([Word("0"), Word("1")]) == Word("01")
+        assert parse("010") == r
+        with pytest.raises(ValueError):
+            Word("")
 
     def test_cat_alt_flatten(self):
-        r = cat([Symbol("0"), Symbol("1"), Symbol("0")])
-        assert [f.ch for f in r.parts] == ["0", "1", "0"]
-        u = alt([Symbol("0"), alt([Symbol("1"), word("00")])])
-        assert u.parts == (Symbol("0"), Symbol("1"), word("00"))
+        x = alt([Word("0"), Word("1")])
+        r = cat([x, Word("1"), x])
+        assert r.parts == (x, Word("1"), x)
+        u = alt([Word("0"), alt([Word("1"), Word("00")])])
+        assert u.parts == (Word("0"), Word("1"), Word("00"))
         assert cat([u]) is u and alt([r]) is r  # a lone part comes back as is
+
+    def test_cat_merges_each_run_of_words_once(self):
+        x = alt([Word("0"), Word("1")])
+        zeros = Word("00")
+        r = cat([Word("0"), Word("1"), cat([Word("0"), x]), Word("1"), zeros, x, zeros])
+        assert r.parts == (Word("010"), x, Word("100"), x, zeros)
+        assert r.parts[-1] is zeros  # a lone word is kept, not copied
 
     def test_cat_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -70,22 +79,34 @@ class TestAst:
     def test_length_counts_symbols_only(self):
         assert length(parse("(0+00)0")) == 4
         assert length(parse("(0+1)(0+1)")) == 4
-        assert length(Symbol("0")) == 1
+        assert length(Word("0")) == 1
 
     def test_cat_ignores_bracketing(self):
-        zero, one = Symbol("0"), Symbol("1")
+        zero, one = Word("0"), Word("1")
         r = cat([zero, cat([one, zero])])
-        assert r == cat([cat([zero, one]), zero]) == parse("010")
-        assert r == Concat((zero, one, zero))
+        assert r == cat([cat([zero, one]), zero]) == parse("010") == Word("010")
+        x = alt([zero, one])
+        assert cat([x, cat([x, x])]) == cat([cat([x, x]), x]) == Concat((x, x, x))
         assert alt([alt([zero, one]), zero]) == alt([zero, alt([one, zero])]) == parse("(0+1+0)")
 
-    # every node has at least two parts, none of its own type
+    # every leaf is a word and every other node has at least two parts,
+    # none of its own type; no concatenation has two adjacent words
     @staticmethod
     def _chains_are_maximal(r):
         for node in nodes(r):
-            if not isinstance(node, Symbol):
+            if not isinstance(node, Word):
+                assert isinstance(node, (Concat, Union))
                 assert len(node.parts) >= 2
                 assert not any(isinstance(part, type(node)) for part in node.parts)
+                if isinstance(node, Concat):
+                    pairs = zip(node.parts, node.parts[1:])
+                    assert not any(isinstance(a, Word) and isinstance(b, Word) for a, b in pairs)
+
+    def test_maximal_chains_refuse_adjacent_words(self):
+        self._chains_are_maximal(Concat((Word("01"), alt([Word("0"), Word("1")]))))
+        for bad in (Concat((Word("0"), Word("1"))), Union((Word("0"), Concat((Word("0"),) * 2)))):
+            with pytest.raises(AssertionError):
+                self._chains_are_maximal(bad)
 
     @given(st.lists(regexes(8), min_size=1, max_size=3), st.booleans())
     @settings(max_examples=200)
@@ -135,7 +156,7 @@ class TestTextForm:
     def test_render_examples(self):
         assert render(parse("(0+00)0")) == "(0+00)0"
         assert render(parse("(0+1)(0+1)")) == "(0+1)(0+1)"
-        assert render(word("0101")) == "0101"
+        assert render(Word("0101")) == "0101"
 
     def test_parse_nested(self):
         r = parse("(00(01+10)+(01+10)00)")
@@ -154,7 +175,7 @@ class TestTextForm:
         # the parser recurses per level; past the cap it refuses, never
         # reaching Python's recursion limit
         deep = "(" * MAX_NESTING + "0" + ")" * MAX_NESTING
-        assert parse(deep) == Symbol("0")
+        assert parse(deep) == Word("0")
         for depth in (MAX_NESTING + 1, 5000):
             with pytest.raises(RegexSyntaxError, match="nested deeper"):
                 parse("(" * depth + "0" + ")" * depth)
@@ -184,11 +205,23 @@ class TestTextForm:
         assert parse(render(r)) == r
 
     def test_long_word_compares_hashes_and_prints(self):
-        # one node for the chain, so none of these recurses per symbol
+        # a word is one node, so none of these recurses per symbol
         r, again = parse("0" * 5000), parse("0" * 5000)
         assert r == again
         assert hash(r) == hash(again)
-        assert repr(r).startswith("Concat(parts=(Symbol(ch='0'), ")
+        assert repr(r).startswith("Word(s='000")
+
+    def test_long_word_parses_to_one_node(self):
+        r = parse("0" * 200_000)
+        assert type(r) is Word and len(r.s) == 200_000
+
+    def test_deep_tree_compares_hashes_and_prints(self):
+        # equality walks an explicit stack; hash and repr read the text
+        r, again = alternating_tree(5000), alternating_tree(5000)
+        assert r == again and r is not again
+        assert r != flip(again)
+        assert hash(r) == hash(again) == hash(render(r))
+        assert repr(r) == f"Concat({render(r)!r})"
 
 
 class TestBalancedFamilies:
@@ -235,9 +268,9 @@ class TestBalancedFamilies:
 
         def halving(n):  # R_1 = 1, R_n = 0^(n//2) R_ceil + R_floor 0^ceil(n/2)
             if n == 1:
-                return Symbol("1")
+                return Word("1")
             a, b = n // 2, n - n // 2
-            return alt([cat([word("0" * a), halving(b)]), cat([halving(a), word("0" * b)])])
+            return alt([cat([Word("0" * a), halving(b)]), cat([halving(a), Word("0" * b)])])
 
         for n in range(1, 65):
             assert ellul_bnk(n, 1) == halving(n), n
@@ -276,19 +309,20 @@ class TestFold:
             unions.append(values)
             return sum(values)
 
-        x = alt([Symbol("0"), Symbol("1")])
+        x = alt([Word("0"), Word("1")])
         r = cat([cat([x, x]), x])  # x is on the stack three times at once
-        values = fold(r, lambda ch: 1, sum, union)
+        values = fold(r, len, sum, union)
         assert (values[id(r)], unions) == (6, [[1, 1]])
         assert set(values) == {id(r), id(x), *map(id, x.parts)}
 
     def test_deep_left_chain(self):
+        # a run of symbols parses to one word, however long
         text = "01" * 2500
         r = parse(text)
-        assert (render(r), length(r), as_word(r)) == (text, 5000, text)
-        assert render(flip(r)) == text.translate(str.maketrans("01", "10"))
+        assert r == Word(text)
+        assert (render(r), length(r)) == (text, 5000)
+        assert flip(r) == Word(text.translate(str.maketrans("01", "10")))
         assert language_of(r) == Language([text])
-        assert len(r.parts) == 5000
 
     def test_deep_alternating_tree(self):
         r = alternating_tree(5000)
@@ -314,3 +348,16 @@ class TestFold:
             tracemalloc.stop()
         assert len(lang) == 600
         assert peak < 2_000_000
+
+    def test_render_frees_texts_as_it_goes(self):
+        # a part's text is dropped once its parent has read it, so the
+        # texts alive at once do not grow with the square of the depth
+        r = alternating_tree(1800)
+        tracemalloc.start()
+        try:
+            text = render(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert length(r) == 1800 and len(text) == 4497
+        assert peak < 1_000_000
