@@ -52,6 +52,7 @@ from .lang import Language, all_strings, binomial, ones, threshold
 from .lp import (
     Assignment,
     FeasibilityReport,
+    _content_lines,
     check_feasible,
     row_quad,
     var_big_x,
@@ -590,8 +591,7 @@ def read_alpha_table(text: str) -> AlphaTable:
     Refuses (ValueError) a table whose dimensions, alphas or ratio lines
     could not have come from ``calibrate_alphas``.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines or lines[0] != ALPHA_HEADER:
         raise ValueError(f"expected header {ALPHA_HEADER!r}")
     dims: dict[str, int] = {}

@@ -223,20 +223,28 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _n_range(args, lo: int, hi: int) -> range:
+    """n from --n-min to --n-max, lo and hi where unset; refused if empty."""
+    lo = args.n_min if args.n_min is not None else lo
+    hi = args.n_max if args.n_max is not None else hi
+    if lo > hi:
+        raise ValueError(f"sweep {args.experiment} selects no case: n from {lo} to {hi}")
+    return range(lo, hi + 1)
+
+
 def _b1_cases(args, cfg: RunConfig):
-    lo = args.n_min if args.n_min is not None else 1
-    hi = args.n_max if args.n_max is not None else 8
-    for n in range(lo, hi + 1):
+    for n in _n_range(args, 1, 8):
         yield ((str(n), "1"), f"reduced program for n={n}",
                partial(build_reduced_weak_primal_b_n1, n),
                ellul_b_n1_length(n), operator.eq)
 
 
 def _bnk_cases(args, cfg: RunConfig):
-    lo = args.n_min if args.n_min is not None else 1
-    hi = args.n_max if args.n_max is not None else 6
+    ns = _n_range(args, 1, 6)
     kmax = args.k_max if args.k_max is not None else 2
-    for n in range(lo, hi + 1):
+    if kmax < 0:
+        raise ValueError(f"sweep {args.experiment} selects no case: k from 0 to {kmax}")
+    for n in ns:
         for k in range(0, min(n, kmax) + 1):
             yield ((str(n), str(k)), f"relaxed program ({n},{k})",
                    partial(build_relaxed_binomial, n, k),
@@ -244,14 +252,11 @@ def _bnk_cases(args, cfg: RunConfig):
 
 
 def _caveat_cases(args, cfg: RunConfig):
-    lo = args.n_min if args.n_min is not None else 2
-    hi = args.n_max if args.n_max is not None else 3
-
     def program(n: int) -> LinearProgram:
         lang = gen_family("threshold", n, 1)
         return build_weak_primal(compute_closure(lang, cfg.closure_max_members))
 
-    for n in range(lo, hi + 1):
+    for n in _n_range(args, 2, 3):
         yield ((str(n),), f"weak program for T({n},1)", partial(program, n),
                4 * n, operator.le)
 

@@ -501,9 +501,13 @@ def _terms(toks: list[str], ln: str) -> dict[str, Fraction]:
     return coeffs
 
 
+def _content_lines(text: str) -> list[str]:
+    """The lines of a text file, stripped, with blanks and ``#`` comments dropped."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+
+
 def read_lp(text: str) -> LinearProgram:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines or lines[0] != FORMAT_HEADER:
         raise ValueError(f"expected header {FORMAT_HEADER!r}")
     if len(lines) < 2 or not lines[1].startswith("sense "):
@@ -575,8 +579,7 @@ def _finite_value(tok: str, ln: str) -> tuple[Fraction | float, bool]:
 
 
 def read_solution(text: str) -> SolutionFile:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _content_lines(text)
     if not lines or not lines[0].startswith("status "):
         raise ValueError("expected a status line first")
     status = lines[0].split(maxsplit=1)[1]

@@ -15,11 +15,13 @@ merges each run of words, so a term (a maximal run of symbols) is one
 Text syntax follows the usual conventions: juxtaposition for
 concatenation, ``(...+...+...)`` for (n-ary) union.  The renderer emits
 the minimal parenthesization: unions are always parenthesized, words
-and concatenations never are, so ``parse(render(r)) == r``.
+and concatenations never are, so ``parse(render(r)) == r`` at every
+depth.
 """
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -207,81 +209,52 @@ def render(r: Regex) -> str:
     return fold(r, str, "".join, _union_text, _release=True)[id(r)]
 
 
-# parentheses nested deeper than this are refused: the parser recurses once
-# per level, while every walk over the tree it builds is an iterative fold
-MAX_NESTING = 200
-
-
 def parse(text: str, alphabet: str = "01") -> Regex:
-    """Parse the text syntax.  Star, epsilon and empty-set tokens are
-    refused, and so are parentheses nested past ``MAX_NESTING`` levels."""
-    check_alphabet(alphabet)
-    symbols = set(alphabet)
-    pos = 0
-    depth = 0
-    n = len(text)
+    """Parse the text syntax; star, epsilon and empty-set tokens are refused.
 
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos] in " \t":
-            pos += 1
+    One loop reads the text over a stack of open groups, each a list of
+    branches and each branch a list of factors, so any depth reads back.
+    """
+    check_alphabet(alphabet)
+    word = re.compile(f"[{re.escape(alphabet)}]+")
+    n = len(text)
+    groups: list[list[list[Regex]]] = [[[]]]  # the text itself is the outermost group
+    pos = 0
 
     def fail(msg: str) -> "RegexSyntaxError":
         lo, hi = max(0, pos - 20), pos + 20  # quote a window, not the whole text
         near = ("..." if lo else "") + text[lo:hi] + ("..." if hi < n else "")
         return RegexSyntaxError(f"{msg} at position {pos} near {near!r}")
 
-    def parse_seq() -> Regex:
-        nonlocal pos, depth
-        factors: list[Regex] = []
-        while True:
-            skip_ws()
-            if pos >= n or text[pos] in ")+":
-                break
-            ch = text[pos]
-            if ch == "(":
-                if depth == MAX_NESTING:
-                    raise fail(f"parentheses nested deeper than {MAX_NESTING} levels")
-                pos += 1
-                depth += 1
-                factors.append(parse_alt())
-                depth -= 1
-                skip_ws()
-                if pos >= n or text[pos] != ")":
-                    raise fail("expected ')'")
-                pos += 1
-            elif ch in symbols:
-                start = pos
-                while pos < n and text[pos] in symbols:
-                    pos += 1
-                factors.append(Word(text[start:pos]))
-            elif ch in FORBIDDEN_SYMBOLS or ch in "ε∅":
-                raise fail(f"token {ch!r} is not part of this grammar (no star, no epsilon, no empty set)")
+    while pos < n:
+        if run := word.match(text, pos):
+            groups[-1][-1].append(Word(run.group()))
+            pos = run.end()
+            continue
+        ch = text[pos]
+        if ch in "+)":
+            if not groups[-1][-1]:
+                raise fail("empty expression")
+            if len(groups) == 1:
+                raise fail("top-level union must be parenthesized" if ch == "+"
+                           else f"unexpected character {ch!r}")
+            if ch == "+":
+                groups[-1].append([])
             else:
-                raise fail(f"unexpected character {ch!r} (alphabet is {alphabet!r})")
-        if not factors:
-            raise fail("empty expression")
-        return cat(factors)
-
-    def parse_alt() -> Regex:
-        nonlocal pos
-        branches = [parse_seq()]
-        while True:
-            skip_ws()
-            if pos < n and text[pos] == "+":
-                pos += 1
-                branches.append(parse_seq())
-            else:
-                break
-        return alt(branches)
-
-    result = parse_seq()
-    skip_ws()
-    if pos != n:
-        if text[pos] == "+":
-            raise fail("top-level union must be parenthesized")
-        raise fail(f"unexpected character {text[pos]!r}")
-    return result
+                branches = groups.pop()
+                groups[-1][-1].append(alt(cat(b) for b in branches))
+        elif ch == "(":
+            groups.append([[]])
+        elif ch in FORBIDDEN_SYMBOLS or ch in "ε∅":
+            raise fail(f"token {ch!r} is not part of this grammar (no star, no epsilon, no empty set)")
+        elif ch not in " \t":
+            raise fail(f"unexpected character {ch!r} (alphabet is {alphabet!r})")
+        pos += 1
+    if not groups[-1][-1]:
+        raise fail("empty expression")
+    if len(groups) > 1:
+        raise fail("expected ')'")
+    return cat(groups[0][0])
 
 
 # -- divide-and-conquer constructions ----------------------------------------

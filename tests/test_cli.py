@@ -378,12 +378,17 @@ class TestSweeps:
             (("alphas", "--n-min", "30", "--k-max", "2", "--n-max", "10"), "ignores --n-min"),
             (("alphas", "--table", "nofile", "--k-max", "2"), "with --table ignores --k-max"),
             (("alphas", "--table", "nofile", "--n-max", "10"), "with --table ignores --n-max"),
+            (("b1-conjecture", "--n-min", "3", "--n-max", "2"), "selects no case: n from 3 to 2"),
+            (("bnk-conjecture", "--n-max", "2", "--k-max", "-1"), "selects no case: k from 0 to -1"),
+            (("caveat", "--n-min", "5", "--n-max", "4"), "selects no case: n from 5 to 4"),
         ],
         ids=["b1-k-max", "b1-table", "bnk-table", "caveat-k-max", "caveat-table",
-             "alphas-n-min", "alphas-table-k-max", "alphas-table-n-max"],
+             "alphas-n-min", "alphas-table-k-max", "alphas-table-n-max",
+             "b1-no-n", "bnk-no-k", "caveat-no-n"],
     )
     def test_refuses_ignored_options(self, capsys, argv, flag):
-        # refused before any table is read or program built: nofile never exists
+        # refused before any table is read or program built: nofile never
+        # exists; a range that selects no case is refused, not an empty table
         code, out, err = run(capsys, "sweep", *argv)
         assert code == 3
         assert out == ""
